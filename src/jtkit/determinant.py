@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 
 def det_bareiss(rows: list[list[int]]) -> int:
     """Fraction-free determinant of a square integer matrix.
@@ -15,7 +13,8 @@ def det_bareiss(rows: list[list[int]]) -> int:
     if n == 0:
         return 1
     m = [list(map(int, r)) for r in rows]
-    assert all(len(r) == n for r in m)
+    if any(len(r) != n for r in m):
+        raise ValueError("det_bareiss needs a square matrix")
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -38,23 +37,36 @@ def det_bareiss(rows: list[list[int]]) -> int:
 
 
 def det_expand(rows: list[list], zero, max_order: int = 8):
-    """Determinant by signed permutation expansion, for entries in any
-    commutative ring exposing + and *.
+    """Determinant of a square matrix over any commutative ring exposing
+    +, - and *; zero is the ring's additive identity.
 
-    zero is the ring's additive identity.  The sum over all n! permutations
-    is exact but exponential, hence the order guard.
+    Laplace expansion row by row, memoised on column subsets: after row i
+    there is one partial minor per (i+1)-subset of columns, and each one
+    spreads over the next row's entries.  Zero entries and zero partial
+    minors are skipped.  That is fewer than n*2^(n-1) ring multiplications and
+    no division, so it is exact over any ring; max_order still bounds the
+    2^n memo.
     """
     n = len(rows)
     if n > max_order:
         raise ValueError(f"matrix order {n} exceeds expansion bound {max_order}")
     if n == 0:
         raise ValueError("det_expand needs a nonempty matrix; use the caller's unit for order 0")
-    assert all(len(r) == n for r in rows)
-    total = zero
-    for perm in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = rows[0][perm[0]]
-        for i in range(1, n):
-            term = term * rows[i][perm[i]]
-        total = total + (-term if inv % 2 else term)
-    return total
+    if any(len(r) != n for r in rows):
+        raise ValueError("det_expand needs a square matrix")
+    # minors[S]: determinant of the rows so far on the column set S (a bitmask)
+    minors = {1 << j: entry for j, entry in enumerate(rows[0]) if entry != zero}
+    for row in rows[1:]:
+        nxt = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                if cols >> j & 1 or entry == zero:
+                    continue
+                term = minor * entry
+                # the cofactor sign is the parity of the columns of S right of j
+                if (cols >> j).bit_count() % 2:
+                    term = -term
+                key = cols | 1 << j
+                nxt[key] = nxt[key] + term if key in nxt else term
+        minors = {cols: m for cols, m in nxt.items() if m != zero}
+    return minors.get((1 << n) - 1, zero)

@@ -400,12 +400,3 @@ def _subparts_rec(lam: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         for rest in _subparts_rec(tuple(min(p, first) for p in lam[1:])):
             yield trim((first,) + rest)
 
-
-def compositions_of(d: int) -> Iterator[tuple[int, ...]]:
-    """All 2^(d-1) compositions of d (d >= 1), plus the empty one for d = 0."""
-    if d == 0:
-        yield ()
-        return
-    for first in range(1, d + 1):
-        for rest in compositions_of(d - first):
-            yield (first,) + rest

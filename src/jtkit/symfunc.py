@@ -329,7 +329,8 @@ class SchurClass:
     def dim(self, dims) -> int:
         """Evaluate at concrete vector space dimensions, one per factor."""
         dims = tuple(int(d) for d in dims)
-        assert len(dims) == self.k
+        if len(dims) != self.k:
+            raise ValueError(f"dim needs {self.k} dimensions, one per factor, got {len(dims)}")
         total = 0
         for key, coeff in self.terms.items():
             prod = coeff

@@ -2,7 +2,8 @@
 
 Everything here recomputes library results by a different algorithm:
 tableau counts by direct chain recursion, determinants by fraction
-Gaussian elimination, Schur polynomials by brute monomial expansion.
+Gaussian elimination and by the permutation sum, elementary classes by the
+sum over compositions, Schur polynomials by brute monomial expansion.
 None of these call the library code paths they check.
 """
 
@@ -85,6 +86,42 @@ def det_fraction(rows) -> Fraction:
             if f:
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
     return det
+
+
+def det_permutations(rows, zero):
+    """Signed sum over all n! permutations, for entries in any commutative
+    ring exposing + and *; zero is the ring's additive identity."""
+    n = len(rows)
+    total = zero
+    for perm in itertools.permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = rows[0][perm[0]]
+        for i in range(1, n):
+            term = term * rows[i][perm[i]]
+        total = total + (-term if inv % 2 else term)
+    return total
+
+
+def compositions_of(d: int):
+    """All 2^(d-1) compositions of d (d >= 1), plus the empty one for d = 0."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(1, d + 1):
+        for rest in compositions_of(d - first):
+            yield (first,) + rest
+
+
+def e_class_compositions(seq, d: int):
+    """Degree-d elementary class of a graded sequence: the alternating sum,
+    over all compositions of d, of the products of the terms."""
+    acc = seq.zero_value()
+    for comp in compositions_of(d):
+        prod = seq.unit_value()
+        for part in comp:
+            prod = prod * seq.term(part)
+        acc = acc + (-prod if (d - len(comp)) % 2 else prod)
+    return acc
 
 
 def ssyt_fillings(lam, mu, nvars):

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jtkit.determinant import det_bareiss, det_expand
+from jtkit.sequences import parse_sequence_spec
 
-from oracles import det_fraction
+from conftest import partitions, sub_partition
+from oracles import det_fraction, det_permutations
 
 MATS = st.integers(1, 5).flatmap(
     lambda n: st.lists(
@@ -66,3 +68,57 @@ def test_random_larger_orders():
         n = rng.randint(2, 7)
         rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
         assert det_bareiss(rows) == det_fraction(rows)
+
+
+def test_square_check_raises_value_error():
+    with pytest.raises(ValueError):
+        det_bareiss([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        det_expand([[1, 2], [3]], 0)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Integer matrices of order 1-6, mostly zeros, sometimes with a zero
+    row or column."""
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3, 5))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    k = draw(st.integers(0, n - 1))
+    blank = draw(st.sampled_from(["none", "row", "column"]))
+    for i in range(n):
+        if blank == "row":
+            rows[k][i] = 0
+        elif blank == "column":
+            rows[i][k] = 0
+    return rows
+
+
+@given(sparse_matrices())
+@settings(deadline=None, max_examples=150)
+def test_expand_matches_permutations_sparse(rows):
+    assert det_expand(rows, 0) == det_permutations(rows, 0)
+
+
+def jt_rows(seq, lam, mu):
+    r = max(len(lam), len(mu))
+    lampad = lam + (0,) * (r - len(lam))
+    mupad = mu + (0,) * (r - len(mu))
+    return [[seq.term(lampad[i] - mupad[j] - i + j) for j in range(r)] for i in range(r)]
+
+
+CLASS_SPECS = ("poly:2", "poly:3", "tensoralg:2", "segre:poly:2,poly:2")
+JT_SHAPES = partitions(max_size=7, max_part=4, max_length=5).filter(bool)
+
+
+@given(
+    st.sampled_from(CLASS_SPECS),
+    JT_SHAPES.flatmap(lambda lam: st.tuples(st.just(lam), st.one_of(st.just(()), sub_partition(lam)))),
+)
+@settings(deadline=None, max_examples=40)
+def test_expand_matches_permutations_class_jt(spec, pair):
+    seq = parse_sequence_spec(spec)
+    lam, mu = pair
+    rows = jt_rows(seq, lam, mu)
+    zero = seq.zero_value()
+    assert det_expand(rows, zero) == det_permutations(rows, zero)

@@ -34,7 +34,7 @@ from jtkit.shapes import SkewShape, scan_partitions
 from jtkit.symfunc import SchurClass, binom, dim_gl
 
 from conftest import partitions, sub_partition
-from oracles import det_fraction
+from oracles import compositions_of, det_fraction, e_class_compositions
 
 SHAPES = partitions(max_size=8, max_part=6, max_length=4)
 SKEW = SHAPES.flatmap(lambda lam: st.tuples(st.just(lam), sub_partition(lam)))
@@ -209,6 +209,27 @@ def test_e_class_values():
     assert e_class(Q2, 0) == 1
     assert e_class(Q2, 1) == 2
     assert e_class(Q3.dim_view(), -1) == 0
+
+
+def test_compositions_of():
+    comps = list(compositions_of(3))
+    assert sorted(comps) == sorted([(3,), (1, 2), (2, 1), (1, 1, 1)])
+    assert list(compositions_of(0)) == [()]
+
+
+E_SPECS = ("poly:2", "poly:3", "tensoralg:2", "quadric:3", "qdual:3", "heisenberg", "super:2,1", "quadric:1")
+
+
+@given(st.sampled_from(E_SPECS), st.integers(0, 10))
+@settings(deadline=None, max_examples=40)
+def test_e_class_matches_compositions(spec, d):
+    seq = parse_sequence_spec(spec)
+    want = e_class_compositions(seq, d)
+    assert e_class(seq, d) == want
+    # a fresh sequence whose memo already holds the lower degrees agrees too
+    warm = parse_sequence_spec(spec)
+    e_class(warm, d // 2)
+    assert e_class(warm, d) == want
 
 
 @given(st.integers(1, 10))

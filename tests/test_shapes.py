@@ -12,7 +12,6 @@ from jtkit.shapes import (
     as_shape,
     attach_dot,
     attach_odot,
-    compositions_of,
     conjugate,
     contains,
     dotted_action,
@@ -241,12 +240,6 @@ def test_scan_partitions():
 def test_subpartitions():
     subs = list(subpartitions((2, 1)))
     assert subs == [(), (1,), (1, 1), (2,), (2, 1)]
-
-
-def test_compositions_of():
-    comps = list(compositions_of(3))
-    assert sorted(comps) == sorted([(3,), (1, 2), (2, 1), (1, 1, 1)])
-    assert list(compositions_of(0)) == [()]
 
 
 @given(PARTS.flatmap(lambda lam: st.tuples(st.just(lam), sub_partition(lam))))

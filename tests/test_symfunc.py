@@ -175,6 +175,11 @@ def test_schur_class_dim():
     assert e.dim((2, 3)) == dim_gl((1,), 2) * dim_gl((2,), 3)
 
 
+def test_schur_class_dim_factor_count():
+    with pytest.raises(ValueError):
+        SchurClass.schur((2, 1)).dim((3, 3))
+
+
 @given(SMALL, SMALL)
 @settings(deadline=None, max_examples=30)
 def test_class_product_against_monomials(mu, nu):
