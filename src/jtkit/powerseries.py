@@ -11,13 +11,15 @@ class TruncSeries:
     __slots__ = ("nvars", "trunc", "coeffs")
 
     def __init__(self, nvars: int, trunc: int, coeffs=None):
-        assert nvars >= 1 and trunc >= 0
+        if nvars < 1 or trunc < 0:
+            raise ValueError(f"series need nvars >= 1 and trunc >= 0, got {nvars}, {trunc}")
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "trunc", trunc)
         clean = {}
         for exps, c in (coeffs or {}).items():
             exps = tuple(int(e) for e in exps)
-            assert len(exps) == nvars and all(e >= 0 for e in exps)
+            if len(exps) != nvars or any(e < 0 for e in exps):
+                raise ValueError(f"exponent {exps} is not {nvars} nonnegative integers")
             if sum(exps) <= trunc and c != 0:
                 clean[exps] = clean.get(exps, 0) + int(c)
         object.__setattr__(self, "coeffs", {e: c for e, c in clean.items() if c != 0})
@@ -54,7 +56,8 @@ class TruncSeries:
         return self.coeffs.get((0,) * self.nvars, 0)
 
     def _check(self, other: "TruncSeries"):
-        assert self.nvars == other.nvars and self.trunc == other.trunc
+        if self.nvars != other.nvars or self.trunc != other.trunc:
+            raise ValueError("series differ in variable count or truncation")
 
     def __add__(self, other):
         if not isinstance(other, TruncSeries):
@@ -95,7 +98,8 @@ class TruncSeries:
         return NotImplemented
 
     def __pow__(self, n: int):
-        assert n >= 0
+        if n < 0:
+            raise ValueError(f"series power needs n >= 0, got {n}")
         result = TruncSeries.one(self.nvars, self.trunc)
         base = self
         while n:
@@ -137,7 +141,8 @@ class TruncSeries:
         """Reinterpret in a larger variable set; positions[k] is the new index
         of the current k-th variable."""
         positions = tuple(positions)
-        assert len(positions) == self.nvars and nvars >= self.nvars
+        if len(positions) != self.nvars or nvars < self.nvars:
+            raise ValueError(f"embed needs one position per variable and nvars >= {self.nvars}")
         out = {}
         for e, c in self.coeffs.items():
             ne = [0] * nvars
@@ -148,7 +153,8 @@ class TruncSeries:
 
     def univariate_coeffs(self, upto: int | None = None) -> list[int]:
         """Coefficient list [c_0, ..., c_N] for a one-variable series."""
-        assert self.nvars == 1
+        if self.nvars != 1:
+            raise ValueError("univariate_coeffs needs a one-variable series")
         n = self.trunc if upto is None else min(upto, self.trunc)
         return [self.coeffs.get((d,), 0) for d in range(n + 1)]
 
@@ -157,8 +163,3 @@ class TruncSeries:
         body = ", ".join(f"{e}: {c}" for e, c in items)
         more = "" if len(self.coeffs) <= 8 else f", ... ({len(self.coeffs)} terms)"
         return f"TruncSeries(nvars={self.nvars}, trunc={self.trunc}, {{{body}{more}}})"
-
-
-def geometric_univariate(ratio: int, trunc: int) -> TruncSeries:
-    """The series sum_k (ratio * t)^k up to the truncation order."""
-    return TruncSeries(1, trunc, {(k,): ratio**k for k in range(trunc + 1)})

@@ -8,7 +8,9 @@ The test suite runs them against each other; keep them independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
+from .memo import memo_put
 from .powerseries import TruncSeries
 from .sequences import GradedSequence, jt_minor, make_sequence
 from .shapes import SkewShape, as_parts, as_shape, conjugate, contains, partitions_of, subpartitions, trim
@@ -66,7 +68,7 @@ def quadric_schur_dim(ctx: QuadricContext, shape, method: str = "jt") -> int:
         nrows = len(lam)
         # alpha runs over shapes with lam/alpha a vertical strip, mu inside
         choices = [[lam[i] - 1, lam[i]] if lam[i] >= 1 else [0] for i in range(nrows)]
-        for pick in _cartesian(choices):
+        for pick in product(*choices):
             if any(pick[i] < pick[i + 1] for i in range(len(pick) - 1)):
                 continue
             alpha = trim(pick)
@@ -75,17 +77,7 @@ def quadric_schur_dim(ctx: QuadricContext, shape, method: str = "jt") -> int:
             value += dim_gl_skew(SkewShape(alpha, mu), ctx.m - 1)
     else:
         value = dim_super(lam, ctx.m - 1, 1, mu)
-    _QSD_CACHE.setdefault(key, value)
-    return value
-
-
-def _cartesian(choices):
-    if not choices:
-        yield ()
-        return
-    for first in choices[0]:
-        for rest in _cartesian(choices[1:]):
-            yield (first,) + rest
+    return memo_put(_QSD_CACHE, key, value)
 
 
 def quadric_term_class(d: int) -> SchurClass:
@@ -141,8 +133,7 @@ def chi_o_dim(mu, m: int) -> int:
                 c = lr_coefficient(mu, alpha, doubled)
                 if c:
                     total -= c * chi_o_dim(alpha, m)
-    _CHI_CACHE.setdefault(key, total)
-    return total
+    return memo_put(_CHI_CACHE, key, total)
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,16 @@ plain integers (dimensions) or SchurClass elements (virtual characters with
 a fixed number of tensor factors).  Negative degrees silently yield zero, so
 Toeplitz-style minors can index freely.
 
-Caches are write-once and per sequence instance.  The environment variable
-JTKIT_CACHE_SIZE caps the number of entries each cache will accept; once a
-cache is full new values are computed but not stored.
+Terms, minors and elementary classes are memoised per sequence instance,
+under the policy of jtkit.memo.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .determinant import det_bareiss, det_expand
+from .memo import memo_put
 from .powerseries import TruncSeries
 from .shapes import (
     SkewShape,
@@ -28,29 +27,6 @@ from .shapes import (
     trim,
 )
 from .symfunc import SchurClass, binom, external_product, pieri_extensions
-
-_CAP = None
-
-
-def _cache_cap() -> int:
-    global _CAP
-    if _CAP is None:
-        raw = os.environ.get("JTKIT_CACHE_SIZE", "")
-        try:
-            _CAP = max(0, int(raw)) if raw else 1 << 20
-        except ValueError:
-            _CAP = 1 << 20
-    return _CAP
-
-
-def _memo_put(memo: dict, key, value):
-    # write once: an existing entry wins, and a full cache skips storing
-    if key in memo:
-        return memo[key]
-    if len(memo) < _cache_cap():
-        memo[key] = value
-    return value
-
 
 class GradedSequence:
     """A graded sequence of integers or Schur classes, total in the degree."""
@@ -96,7 +72,7 @@ class GradedSequence:
         value = self._term_fn(self, d)
         if self.value_kind == "integer":
             value = int(value)
-        return _memo_put(self._terms, d, value)
+        return memo_put(self._terms, d, value)
 
     def dims(self, d: int) -> int:
         value = self.term(d)
@@ -342,21 +318,19 @@ def jt_minor(a: GradedSequence, shape, r: int | None = None):
     hit = a._minors.get(key)
     if hit is not None:
         return hit
-    if r == 0:
-        return _memo_put(a._minors, key, a.unit_value())
+    lam, mu = lam + (0,) * (r - len(lam)), mu + (0,) * (r - len(mu))
+    rows = [[a.term(lam[i] - mu[j] - i + j) for j in range(r)] for i in range(r)]
+    return memo_put(a._minors, key, _det(a, rows))
 
-    def lam_i(i):
-        return lam[i - 1] if i <= len(lam) else 0
 
-    def mu_j(j):
-        return mu[j - 1] if j <= len(mu) else 0
-
-    rows = [[a.term(lam_i(i) - mu_j(j) - i + j) for j in range(1, r + 1)] for i in range(1, r + 1)]
+def _det(a: GradedSequence, rows):
+    """Determinant of a square matrix of a's values: a's unit when empty,
+    Bareiss elimination for integers, det_expand for classes."""
+    if not rows:
+        return a.unit_value()
     if a.value_kind == "integer":
-        value = det_bareiss(rows)
-    else:
-        value = det_expand(rows, SchurClass.zero(a.factor_count))
-    return _memo_put(a._minors, key, value)
+        return det_bareiss(rows)
+    return det_expand(rows, a.zero_value())
 
 
 def index_to_shapes(j_idx, i_idx):
@@ -385,9 +359,7 @@ def minor_from_indices(a: GradedSequence, j_idx, i_idx):
     j_idx = tuple(int(x) for x in j_idx)
     i_idx = tuple(int(x) for x in i_idx)
     rows = [[a.term(i_idx[x] - j_idx[y]) for y in range(len(j_idx))] for x in range(len(i_idx))]
-    if a.value_kind == "integer":
-        return det_bareiss(rows)
-    return det_expand(rows, SchurClass.zero(a.factor_count))
+    return _det(a, rows)
 
 
 def _is_negative(a: GradedSequence, value) -> bool:
@@ -439,7 +411,7 @@ def e_class(a: GradedSequence, d: int):
                 t, e = a.term(k), es[n - k]
                 if t != zero and e != zero:
                     value = value - t * e if k % 2 == 0 else value + t * e
-            value = _memo_put(a._eclasses, n, value)
+            value = memo_put(a._eclasses, n, value)
         es.append(value)
     return es[d]
 
@@ -456,19 +428,9 @@ def jt_minor_dual(a: GradedSequence, shape, n: int | None = None):
     n = int(n)
     if n < need:
         raise ValueError(f"padding {n} smaller than the transposed shape needs ({need})")
-    if n == 0:
-        return a.unit_value()
-
-    def lt(i):
-        return lamt[i - 1] if i <= len(lamt) else 0
-
-    def mt(j):
-        return mut[j - 1] if j <= len(mut) else 0
-
-    rows = [[e_class(a, lt(i) - mt(j) - i + j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    if a.value_kind == "integer":
-        return det_bareiss(rows)
-    return det_expand(rows, SchurClass.zero(a.factor_count))
+    lamt, mut = lamt + (0,) * (n - len(lamt)), mut + (0,) * (n - len(mut))
+    rows = [[e_class(a, lamt[i] - mut[j] - i + j) for j in range(n)] for i in range(n)]
+    return _det(a, rows)
 
 
 def transpose_duality_check(a: GradedSequence, shape, n: int | None = None) -> bool:

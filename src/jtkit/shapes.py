@@ -79,7 +79,8 @@ class Partition:
 
     def part(self, i: int) -> int:
         """The i-th part, 1-based, zero beyond the length."""
-        assert i >= 1
+        if i < 1:
+            raise ValueError(f"part index is 1-based, got {i}")
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
     def transpose(self) -> "Partition":
@@ -112,11 +113,6 @@ class Partition:
 
     def __repr__(self):
         return f"Partition{self.parts!r}"
-
-
-def transpose(p: Partition) -> Partition:
-    """Transpose of a partition; involutive."""
-    return Partition(conjugate(as_parts(p)))
 
 
 class SkewShape:
@@ -186,14 +182,6 @@ def as_shape(s) -> SkewShape:
     if isinstance(s, SkewShape):
         return s
     return SkewShape(as_parts(s), ())
-
-
-def is_horizontal_strip(s: SkewShape) -> bool:
-    return as_shape(s).is_horizontal_strip()
-
-
-def is_vertical_strip(s: SkewShape) -> bool:
-    return as_shape(s).is_vertical_strip()
 
 
 def skew_from_boxes(boxes: Iterable[tuple[int, int]]) -> SkewShape:
@@ -317,7 +305,8 @@ class Permutation:
     def apply(self, v: Iterable[int]) -> tuple[int, ...]:
         """Permute a vector: result_i = v_{sigma(i)}."""
         v = tuple(v)
-        assert len(v) == len(self.word)
+        if len(v) != len(self.word):
+            raise ValueError(f"vector length {len(v)} != permutation size {len(self.word)}")
         return tuple(v[self.word[i] - 1] for i in range(len(v)))
 
     def __eq__(self, other):

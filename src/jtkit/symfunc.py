@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from math import comb
 
+from .memo import memo_put
 from .shapes import Partition, SkewShape, as_parts, as_shape, conjugate, contains, trim
 
 _MULT_CACHE: dict = {}
@@ -89,8 +90,7 @@ def mult_one(mu, nu) -> dict[tuple[int, ...], int]:
     out: dict[tuple[int, ...], int] = {}
     for (part, _), cnt in states.items():
         out[part] = out.get(part, 0) + cnt
-    _MULT_CACHE.setdefault(key, out)
-    return out
+    return memo_put(_MULT_CACHE, key, out)
 
 
 def pieri_extensions(lam, k: int) -> list[tuple[int, ...]]:
@@ -174,8 +174,7 @@ def skew_contents(shape) -> dict[tuple[int, ...], int]:
     key = (s.outer.parts, s.inner.parts)
     hit = _SKEW_CACHE.get(key)
     if hit is None:
-        hit = _lr_contents(key[0], key[1])
-        _SKEW_CACHE.setdefault(key, hit)
+        hit = memo_put(_SKEW_CACHE, key, _lr_contents(key[0], key[1]))
     return hit
 
 
@@ -187,14 +186,14 @@ def dim_gl(lam, m: int) -> int:
     """
     lam = as_parts(lam)
     m = int(m)
-    assert m >= 0
+    if m < 0:
+        raise ValueError(f"dim_gl needs m >= 0, got {m}")
+    if len(lam) > m:
+        return 0
     key = (lam, m)
     hit = _DIM_GL_CACHE.get(key)
     if hit is not None:
         return hit
-    if len(lam) > m:
-        _DIM_GL_CACHE.setdefault(key, 0)
-        return 0
     lamt = conjugate(lam)
     num = 1
     den = 1
@@ -204,8 +203,7 @@ def dim_gl(lam, m: int) -> int:
             den *= row - j + lamt[j - 1] - i + 1
     q, r = divmod(num, den)
     assert r == 0
-    _DIM_GL_CACHE.setdefault(key, q)
-    return q
+    return memo_put(_DIM_GL_CACHE, key, q)
 
 
 def dim_gl_skew(shape, m: int) -> int:
@@ -216,8 +214,7 @@ def dim_gl_skew(shape, m: int) -> int:
     if hit is not None:
         return hit
     total = sum(c * dim_gl(nu, m) for nu, c in skew_contents(s).items())
-    _DIM_SKEW_CACHE.setdefault(key, total)
-    return total
+    return memo_put(_DIM_SKEW_CACHE, key, total)
 
 
 def dim_super(lam, r: int, s: int, mu=()) -> int:
@@ -229,7 +226,8 @@ def dim_super(lam, r: int, s: int, mu=()) -> int:
     """
     lam, mu = as_parts(lam), as_parts(mu)
     r, s = int(r), int(s)
-    assert r >= 0 and s >= 0
+    if r < 0 or s < 0:
+        raise ValueError(f"dim_super needs r, s >= 0, got r={r}, s={s}")
     if not contains(lam, mu):
         raise ValueError(f"inner {mu} not inside outer {lam}")
     key = (lam, mu, r, s)
@@ -266,9 +264,7 @@ def dim_super(lam, r: int, s: int, mu=()) -> int:
             del grid[(row, c)]
         return total
 
-    count = rec(0)
-    _DIM_SUPER_CACHE.setdefault(key, count)
-    return count
+    return memo_put(_DIM_SUPER_CACHE, key, rec(0))
 
 
 class SchurClass:
@@ -427,13 +423,6 @@ class SchurClass:
         if len(items) > 6:
             body += f", ... ({len(items)} terms)"
         return f"SchurClass(k={self.k}, {{{body}}})"
-
-
-def multiply(a: SchurClass, b: SchurClass) -> SchurClass:
-    """Product of two classes with matching factor counts."""
-    if not isinstance(a, SchurClass) or not isinstance(b, SchurClass):
-        raise TypeError("multiply expects two SchurClass values")
-    return a * b
 
 
 def skew_to_straight(shape) -> SchurClass:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jtkit.powerseries import TruncSeries, geometric_univariate
+from jtkit.powerseries import TruncSeries
 
 
 def test_constructors():
@@ -69,6 +69,8 @@ def test_embed():
 
 
 def test_geometric():
-    g = geometric_univariate(3, 4)
+    t = TruncSeries.var(1, 4, 0)
+    g = (TruncSeries.one(1, 4) - 3 * t).inverse()
     assert g.univariate_coeffs() == [1, 3, 9, 27, 81]
-    assert geometric_univariate(1, 3).univariate_coeffs() == [1, 1, 1, 1]
+    t = TruncSeries.var(1, 3, 0)
+    assert (TruncSeries.one(1, 3) - t).inverse().univariate_coeffs() == [1, 1, 1, 1]

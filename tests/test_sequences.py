@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jtkit import memo
 from jtkit.sequences import (
     GradedSequence,
     e_class,
@@ -374,21 +375,107 @@ def test_hs_series():
     assert hs_series(POLY3, 3).univariate_coeffs() == [1, 3, 6, 10]
 
 
-def test_cache_size_env_round_trip():
-    code = (
-        "import jtkit\n"
-        "a = jtkit.make_sequence('quadric', m=3)\n"
-        "print(jtkit.jt_minor(a, (2, 1)))\n"
-    )
+# Touches every cache in the package and prints the cap, each cache's size
+# and every answer, as JSON.
+_CACHE_PROBE = """
+import json
+from jtkit import memo, quadric, symfunc
+from jtkit.quadric import METHODS, QuadricContext, orthogonal_stable_decomposition, quadric_schur_dim
+from jtkit.sequences import e_class, jt_minor, make_sequence
+from jtkit.shapes import SkewShape, scan_partitions, subpartitions
+from jtkit.symfunc import dim_gl_skew, dim_super, skew_to_straight
+
+poly, quad = make_sequence("poly", m=2), make_sequence("quadric", m=3)
+ctx, big = QuadricContext(3), QuadricContext(6)
+out = []
+for lam in scan_partitions(3, 3):
+    out += [jt_minor(poly, lam).to_json(), jt_minor(quad, lam)]
+    for mu in subpartitions(lam):
+        s = SkewShape(lam, mu)
+        out += [skew_to_straight(s).to_json(), dim_gl_skew(s, 3), dim_super(lam, 2, 1, mu)]
+        out += [quadric_schur_dim(ctx, s, method) for method in METHODS]
+    if 2 * len(lam) <= big.m:
+        dec = orthogonal_stable_decomposition(big, lam)
+        out += [dec.to_json(), dec.dimension()]
+out += [[e_class(poly, d).to_json(), e_class(quad, d)] for d in range(20)]
+caches = {name: len(cache) for mod in (symfunc, quadric) for name, cache in vars(mod).items() if name.endswith("_CACHE")}
+for seq in (poly, quad):
+    caches.update({f"{seq.name}.{name}": len(getattr(seq, name)) for name in ("_terms", "_minors", "_eclasses")})
+print(json.dumps({"cap": memo.CAP, "caches": caches, "answers": out}))
+"""
+
+
+def _probe_caches(raw_cap):
     env = dict(os.environ)
-    env["JTKIT_CACHE_SIZE"] = "4"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0
-    assert out.stdout.strip() == "8"
-    env["JTKIT_CACHE_SIZE"] = "not-a-number"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0
-    assert out.stdout.strip() == "8"
+    env.pop("JTKIT_CACHE_SIZE", None)
+    if raw_cap is not None:
+        env["JTKIT_CACHE_SIZE"] = raw_cap
+    out = subprocess.run([sys.executable, "-c", _CACHE_PROBE], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_cache_size_env_round_trip():
+    default = _probe_caches(None)
+    assert default["cap"] == 1 << 20
+    assert len(default["caches"]) == 13  # seven module caches, three for each of two sequences
+    assert min(default["caches"].values()) > 16  # the probe fills every cache past the small caps
+    for raw, cap in (("0", 0), ("16", 16)):
+        run = _probe_caches(raw)
+        assert run["cap"] == cap
+        assert {name: size for name, size in run["caches"].items() if size > cap} == {}
+        assert run["answers"] == default["answers"]
+    malformed = _probe_caches("not-a-number")
+    assert malformed["cap"] == 1 << 20
+    assert malformed["caches"] == default["caches"]
+    assert malformed["answers"] == default["answers"]
+
+
+def test_memo_put_is_write_once_and_capped(monkeypatch):
+    monkeypatch.setattr(memo, "CAP", 2)
+    cache = {}
+    assert memo.memo_put(cache, "a", 1) == 1
+    assert memo.memo_put(cache, "a", 2) == 1  # an existing entry wins
+    assert memo.memo_put(cache, "b", 3) == 3
+    assert memo.memo_put(cache, "c", 4) == 4  # full: returned, not stored
+    assert cache == {"a": 1, "b": 3}
+
+
+# Each input check below must raise ValueError even with asserts stripped.
+_OPTIMIZED_CHECKS = """
+from jtkit.powerseries import TruncSeries
+from jtkit.shapes import Partition, Permutation
+from jtkit.symfunc import dim_gl, dim_super
+
+assert not __debug__
+x = TruncSeries.var(2, 3, 0)
+checks = {
+    "TruncSeries nvars": lambda: TruncSeries(0, 3),
+    "TruncSeries trunc": lambda: TruncSeries(1, -1),
+    "TruncSeries exponent length": lambda: TruncSeries(2, 3, {(1,): 1}),
+    "TruncSeries exponent sign": lambda: TruncSeries(2, 3, {(1, -1): 1}),
+    "TruncSeries _check": lambda: x + TruncSeries.var(2, 4, 0),
+    "TruncSeries __pow__": lambda: x ** -1,
+    "TruncSeries embed": lambda: x.embed(3, (0,)),
+    "TruncSeries univariate_coeffs": lambda: x.univariate_coeffs(),
+    "dim_gl": lambda: dim_gl((1,), -1),
+    "dim_super": lambda: dim_super((1,), -1, 1),
+    "Partition.part": lambda: Partition((2, 1)).part(0),
+    "Permutation.apply": lambda: Permutation((2, 1)).apply((1, 2, 3)),
+}
+for name, check in checks.items():
+    try:
+        check()
+    except ValueError:
+        continue
+    print(name)
+"""
+
+
+def test_input_checks_survive_optimized_mode():
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ""
 
 
 def test_repeat_evaluation_deterministic():

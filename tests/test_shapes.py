@@ -15,15 +15,12 @@ from jtkit.shapes import (
     conjugate,
     contains,
     dotted_action,
-    is_horizontal_strip,
-    is_vertical_strip,
     partitions_of,
     permutations_by_length,
     ribbon_of,
     scan_partitions,
     skew_from_boxes,
     subpartitions,
-    transpose,
     trim,
 )
 
@@ -93,10 +90,10 @@ def test_as_shape():
 
 
 def test_strip_predicates():
-    assert is_horizontal_strip(SkewShape((3, 1), (1,)))
-    assert not is_horizontal_strip(SkewShape((2, 2), ()))
-    assert is_vertical_strip(SkewShape((2, 2), (1, 1)))
-    assert not is_vertical_strip(SkewShape((3, 1), (1,)))
+    assert SkewShape((3, 1), (1,)).is_horizontal_strip()
+    assert not SkewShape((2, 2), ()).is_horizontal_strip()
+    assert SkewShape((2, 2), (1, 1)).is_vertical_strip()
+    assert not SkewShape((3, 1), (1,)).is_vertical_strip()
 
 
 @given(PARTS.flatmap(lambda lam: st.tuples(st.just(lam), sub_partition(lam))))
@@ -104,7 +101,7 @@ def test_strip_predicates():
 def test_strip_transpose_duality(pair):
     lam, mu = pair
     s = SkewShape(lam, mu)
-    assert is_horizontal_strip(s) == is_vertical_strip(s.transpose())
+    assert s.is_horizontal_strip() == s.transpose().is_vertical_strip()
 
 
 def test_skew_from_boxes():
@@ -248,5 +245,5 @@ def test_contains_and_transpose(pair):
     lam, mu = pair
     assert contains(lam, mu)
     assert contains(conjugate(lam), conjugate(mu))
-    assert transpose(lam) == conjugate(lam)
+    assert Partition(lam).transpose() == conjugate(lam)
     assert as_parts(Partition(lam)) == lam

@@ -13,7 +13,6 @@ from jtkit.symfunc import (
     external_product,
     lr_coefficient,
     mult_one,
-    multiply,
     pieri_extensions,
     skew_contents,
     skew_to_straight,
@@ -165,7 +164,7 @@ def test_schur_class_algebra():
     assert (2 * prod).coefficient(((1, 1),)) == 2
     assert prod.is_nonnegative()
     unit = SchurClass.unit(1)
-    assert multiply(unit, prod) == prod
+    assert unit * prod == prod
 
 
 def test_schur_class_dim():
