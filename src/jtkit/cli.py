@@ -88,6 +88,7 @@ def _guard_cost(seq, lam, mu, pad, max_cost: int) -> None:
 
 def _cmd_pf_check(args):
     text, seq = args.seq
+    _guard_cost(seq, (), (), args.order, args.max_cost)
     rep = pf_check(seq, max_order=args.order, window=args.window, scan_skew=args.skew)
     payload = {"seq": text}
     payload.update(rep.to_json())

@@ -6,26 +6,29 @@ total-degree cutoff is discarded.  Arithmetic is exact.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 
+
+@dataclass(frozen=True, slots=True, repr=False)
 class TruncSeries:
-    __slots__ = ("nvars", "trunc", "coeffs")
+    """A power series in nvars variables, cut off above total degree trunc."""
 
-    def __init__(self, nvars: int, trunc: int, coeffs=None):
+    nvars: int
+    trunc: int
+    coeffs: dict | None = None
+
+    def __post_init__(self):
+        nvars, trunc = self.nvars, self.trunc
         if nvars < 1 or trunc < 0:
             raise ValueError(f"series need nvars >= 1 and trunc >= 0, got {nvars}, {trunc}")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "trunc", trunc)
         clean = {}
-        for exps, c in (coeffs or {}).items():
+        for exps, c in (self.coeffs or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"exponent {exps} is not {nvars} nonnegative integers")
             if sum(exps) <= trunc and c != 0:
                 clean[exps] = clean.get(exps, 0) + int(c)
         object.__setattr__(self, "coeffs", {e: c for e, c in clean.items() if c != 0})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
 
     @classmethod
     def zero(cls, nvars: int, trunc: int) -> "TruncSeries":
@@ -124,15 +127,6 @@ class TruncSeries:
                 break
             acc = acc + power
         return acc * c0
-
-    def __eq__(self, other):
-        if isinstance(other, TruncSeries):
-            return (
-                self.nvars == other.nvars
-                and self.trunc == other.trunc
-                and self.coeffs == other.coeffs
-            )
-        return NotImplemented
 
     def __hash__(self):
         return hash((self.nvars, self.trunc, tuple(sorted(self.coeffs.items()))))

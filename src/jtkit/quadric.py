@@ -7,7 +7,7 @@ The test suite runs them against each other; keep them independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .memo import memo_put
@@ -20,25 +20,22 @@ _CHI_CACHE: dict = {}
 _QSD_CACHE: dict = {}
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class QuadricContext:
     """The quadric hypersurface ring in m variables, with its coordinate
     sequence and the Koszul-type dual sequence."""
 
-    __slots__ = ("m", "sequence", "dual")
+    m: int
+    sequence: GradedSequence = field(init=False, repr=False)
+    dual: GradedSequence = field(init=False, repr=False)
 
-    def __init__(self, m: int):
-        m = int(m)
+    def __post_init__(self):
+        m = int(self.m)
         if m < 1:
             raise ValueError("quadric context needs m >= 1")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "sequence", make_sequence("quadric", m=m))
         object.__setattr__(self, "dual", make_sequence("qdual", m=m))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadricContext is immutable")
-
-    def __repr__(self):
-        return f"QuadricContext(m={self.m})"
 
 
 METHODS = ("jt", "vertical_strip", "super")

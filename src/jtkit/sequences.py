@@ -11,7 +11,8 @@ under the policy of jtkit.memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .determinant import det_bareiss, det_expand
 from .memo import memo_put
@@ -28,29 +29,34 @@ from .shapes import (
 )
 from .symfunc import SchurClass, binom, external_product, pieri_extensions
 
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class GradedSequence:
-    """A graded sequence of integers or Schur classes, total in the degree."""
+    """A graded sequence of integers or Schur classes, total in the degree.
+    Equality is identity, as each instance owns its memos."""
 
-    __slots__ = ("name", "value_kind", "factor_count", "factor_dims", "_term_fn", "_terms", "_minors", "_eclasses", "_dim_view")
+    name: str
+    value_kind: str
+    term_fn: Callable
+    factor_count: int = 1
+    factor_dims: tuple[int, ...] | None = None
+    _terms: dict = field(init=False, repr=False, default_factory=dict)
+    _minors: dict = field(init=False, repr=False, default_factory=dict)
+    _eclasses: dict = field(init=False, repr=False, default_factory=dict)
+    _dim_view: GradedSequence | None = field(init=False, repr=False, default=None)
 
-    def __init__(self, name: str, value_kind: str, term_fn, factor_count: int = 1, factor_dims=None):
-        if value_kind not in ("integer", "class"):
-            raise ValueError(f"unknown value kind {value_kind!r}")
-        if value_kind == "class":
-            if factor_dims is None or len(tuple(factor_dims)) != factor_count:
-                raise ValueError("class sequences need one dimension per factor")
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "value_kind", value_kind)
-        object.__setattr__(self, "factor_count", int(factor_count))
-        object.__setattr__(self, "factor_dims", tuple(int(x) for x in factor_dims) if factor_dims is not None else None)
-        object.__setattr__(self, "_term_fn", term_fn)
-        object.__setattr__(self, "_terms", {})
-        object.__setattr__(self, "_minors", {})
-        object.__setattr__(self, "_eclasses", {})
-        object.__setattr__(self, "_dim_view", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedSequence is immutable")
+    def __post_init__(self):
+        if self.value_kind not in ("integer", "class"):
+            raise ValueError(f"unknown value kind {self.value_kind!r}")
+        dims = self.factor_dims
+        if self.value_kind == "class" and (dims is None or len(tuple(dims)) != self.factor_count):
+            raise ValueError("class sequences need one dimension per factor")
+        object.__setattr__(self, "name", str(self.name))
+        object.__setattr__(self, "factor_count", int(self.factor_count))
+        object.__setattr__(self, "factor_dims", tuple(int(x) for x in dims) if dims is not None else None)
+        if self.value_kind == "class":
+            view = GradedSequence(f"dims({self.name})", "integer", lambda seq, d: self.dims(d))
+            object.__setattr__(self, "_dim_view", view)
 
     def zero_value(self):
         if self.value_kind == "integer":
@@ -69,7 +75,7 @@ class GradedSequence:
         hit = self._terms.get(d)
         if hit is not None:
             return hit
-        value = self._term_fn(self, d)
+        value = self.term_fn(self, d)
         if self.value_kind == "integer":
             value = int(value)
         return memo_put(self._terms, d, value)
@@ -82,14 +88,7 @@ class GradedSequence:
 
     def dim_view(self) -> "GradedSequence":
         """The same sequence with every class collapsed to its dimension."""
-        if self.value_kind == "integer":
-            return self
-        view = self._dim_view
-        if view is None:
-            src = self
-            view = GradedSequence(f"dims({self.name})", "integer", lambda seq, d: src.dims(d))
-            object.__setattr__(self, "_dim_view", view)
-        return view
+        return self._dim_view or self
 
     def __repr__(self):
         return f"GradedSequence({self.name!r}, {self.value_kind})"
@@ -308,12 +307,7 @@ def jt_minor(a: GradedSequence, shape, r: int | None = None):
     """
     s = as_shape(shape)
     lam, mu = s.outer.parts, s.inner.parts
-    need = max(len(lam), len(mu))
-    if r is None:
-        r = need
-    r = int(r)
-    if r < need:
-        raise ValueError(f"padding {r} smaller than the shape needs ({need})")
+    r = _padding(lam, mu, r)
     key = (lam, mu, r)
     hit = a._minors.get(key)
     if hit is not None:
@@ -321,6 +315,18 @@ def jt_minor(a: GradedSequence, shape, r: int | None = None):
     lam, mu = lam + (0,) * (r - len(lam)), mu + (0,) * (r - len(mu))
     rows = [[a.term(lam[i] - mu[j] - i + j) for j in range(r)] for i in range(r)]
     return memo_put(a._minors, key, _det(a, rows))
+
+
+def _padding(lam, mu, r, what="the shape") -> int:
+    """The order of a minor on lam/mu: r, or the rows needed when r is None.
+    Raises ValueError when r is smaller than that."""
+    need = max(len(lam), len(mu))
+    if r is None:
+        return need
+    r = int(r)
+    if r < need:
+        raise ValueError(f"padding {r} smaller than {what} needs ({need})")
+    return r
 
 
 def _det(a: GradedSequence, rows):
@@ -422,12 +428,7 @@ def jt_minor_dual(a: GradedSequence, shape, n: int | None = None):
     s = as_shape(shape)
     lam, mu = s.outer.parts, s.inner.parts
     lamt, mut = conjugate(lam), conjugate(mu)
-    need = max(len(lamt), len(mut))
-    if n is None:
-        n = need
-    n = int(n)
-    if n < need:
-        raise ValueError(f"padding {n} smaller than the transposed shape needs ({need})")
+    n = _padding(lamt, mut, n, "the transposed shape")
     lamt, mut = lamt + (0,) * (n - len(lamt)), mut + (0,) * (n - len(mut))
     rows = [[e_class(a, lamt[i] - mut[j] - i + j) for j in range(n)] for i in range(n)]
     return _det(a, rows)
@@ -443,12 +444,7 @@ def veronese_identity_check(a: GradedSequence, d: int, shape, r: int | None = No
     minor of the original sequence."""
     s = as_shape(shape)
     lam, mu = s.outer.parts, s.inner.parts
-    need = max(len(lam), len(mu))
-    if r is None:
-        r = need
-    r = int(r)
-    if r < need:
-        raise ValueError(f"padding {r} smaller than the shape needs ({need})")
+    r = _padding(lam, mu, r)
     d = int(d)
     if d < 1:
         raise ValueError("veronese needs d >= 1")

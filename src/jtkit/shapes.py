@@ -18,6 +18,7 @@ wrapper class and normalize immediately.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -60,16 +61,16 @@ def contains(outer, inner) -> bool:
     return all(i[k] <= o[k] for k in range(len(i)))
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Partition:
-    """A partition stored canonically (weakly decreasing, no trailing zeros)."""
+    """A partition stored canonically (weakly decreasing, no trailing zeros).
 
-    __slots__ = ("parts",)
+    It equals and hashes like its parts tuple."""
 
-    def __init__(self, parts: Iterable[int] = ()):
-        object.__setattr__(self, "parts", trim(parts))
+    parts: tuple[int, ...] = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "parts", trim(self.parts))
 
     def size(self) -> int:
         return sum(self.parts)
@@ -115,21 +116,19 @@ class Partition:
         return f"Partition{self.parts!r}"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SkewShape:
     """A skew shape outer/inner with inner contained in outer."""
 
-    __slots__ = ("outer", "inner")
+    outer: Partition
+    inner: Partition = Partition()
 
-    def __init__(self, outer, inner=()):
-        o = Partition(as_parts(outer))
-        i = Partition(as_parts(inner))
+    def __post_init__(self):
+        o, i = (p if isinstance(p, Partition) else Partition(p) for p in (self.outer, self.inner))
         if not o.contains(i):
             raise ValueError(f"inner {i.parts} not contained in outer {o.parts}")
         object.__setattr__(self, "outer", o)
         object.__setattr__(self, "inner", i)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewShape is immutable")
 
     def size(self) -> int:
         return self.outer.size() - self.inner.size()
@@ -164,14 +163,6 @@ class SkewShape:
         if not self.inner.parts:
             return o
         return o + "/(" + ",".join(map(str, self.inner.parts)) + ")"
-
-    def __eq__(self, other):
-        if isinstance(other, SkewShape):
-            return self.outer == other.outer and self.inner == other.inner
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.outer.parts, self.inner.parts))
 
     def __repr__(self):
         return f"SkewShape({self.outer.parts!r}, {self.inner.parts!r})"
@@ -273,19 +264,17 @@ def attach_dot(d: SkewShape, c) -> SkewShape:
     return _attach(as_shape(d), c, merge_row=False)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Permutation:
     """A permutation of {1..n} in one-line notation."""
 
-    __slots__ = ("word",)
+    word: tuple[int, ...]
 
-    def __init__(self, word: Iterable[int]):
-        w = tuple(int(x) for x in word)
+    def __post_init__(self):
+        w = tuple(int(x) for x in self.word)
         if sorted(w) != list(range(1, len(w) + 1)):
             raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
         object.__setattr__(self, "word", w)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -308,14 +297,6 @@ class Permutation:
         if len(v) != len(self.word):
             raise ValueError(f"vector length {len(v)} != permutation size {len(self.word)}")
         return tuple(v[self.word[i] - 1] for i in range(len(v)))
-
-    def __eq__(self, other):
-        if isinstance(other, Permutation):
-            return self.word == other.word
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.word)
 
     def __repr__(self):
         return f"Permutation{self.word!r}"

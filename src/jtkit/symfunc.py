@@ -12,6 +12,7 @@ The test suite plays them against each other; do not merge them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb
 
 from .memo import memo_put
@@ -267,6 +268,7 @@ def dim_super(lam, r: int, s: int, mu=()) -> int:
     return memo_put(_DIM_SUPER_CACHE, key, rec(0))
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SchurClass:
     """An integer combination of products of Schur functors.
 
@@ -274,14 +276,15 @@ class SchurClass:
     that many partitions to a nonzero integer coefficient.
     """
 
-    __slots__ = ("k", "terms")
+    k: int
+    terms: dict | None = None
 
-    def __init__(self, k: int, terms=None):
-        k = int(k)
+    def __post_init__(self):
+        k = int(self.k)
         if k < 1:
             raise ValueError("factor_count must be at least 1")
         clean: dict[tuple[tuple[int, ...], ...], int] = {}
-        for key, coeff in (terms or {}).items():
+        for key, coeff in (self.terms or {}).items():
             coeff = int(coeff)
             if coeff == 0:
                 continue
@@ -291,9 +294,6 @@ class SchurClass:
             clean[tkey] = clean.get(tkey, 0) + coeff
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", {key: c for key, c in clean.items() if c != 0})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SchurClass is immutable")
 
     @classmethod
     def zero(cls, k: int) -> "SchurClass":
@@ -389,11 +389,6 @@ class SchurClass:
     def __rmul__(self, other):
         if isinstance(other, int):
             return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, SchurClass):
-            return self.k == other.k and self.terms == other.terms
         return NotImplemented
 
     def __hash__(self):

@@ -208,6 +208,20 @@ def test_max_cost_is_a_budget_cap(capsys):
     assert code == 1
 
 
+def test_pf_check_honours_max_cost(capsys):
+    code, out, err = invoke(
+        capsys, "pf-check", "--seq", "poly:2", "--order", "4", "--window", "3", "--max-cost", "3"
+    )
+    assert code == 1 and out == ""
+    assert err.strip() == "error: determinant order 4 exceeds --max-cost 3"
+    payload = check_json(
+        capsys, "pf-check", "--seq", "poly:2", "--order", "3", "--window", "3", "--max-cost", "3"
+    )
+    assert payload["verdict"] == "positive-up-to-bounds"
+    # the cap bounds class determinants only; integer scans are cheap at any order
+    check_json(capsys, "pf-check", "--seq", "quadric:3", "--order", "4", "--window", "3", "--max-cost", "3")
+
+
 def test_repeat_invocations_byte_identical(capsys):
     args = ("resolve", "rnc", "--d", "3", "--shifts", "1,2,1")
     first = invoke(capsys, *args)
