@@ -12,6 +12,7 @@ under the policy of jtkit.memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable
 
 from .determinant import det_bareiss, det_expand
@@ -374,23 +375,118 @@ def _is_negative(a: GradedSequence, value) -> bool:
     return not value.is_nonnegative()
 
 
+# Largest row-subset level a minor sweep may hold; see _box_minors.
+_SWEEP_BOUND = 1 << 18
+
+
+def _box_minors(a: GradedSequence, r: int, w: int) -> dict:
+    """Every nonzero straight Jacobi-Trudi minor of the r x w box (shapes
+    with at most r rows and parts at most w), from one Laplace sweep, keyed
+    by the row subset that _shape_of_rows turns into the shape.
+
+    The (w+r) x r Toeplitz block T[k][c] = a_{k-r+1+c} holds them all: the
+    minor of lambda is the determinant of T's rows k_i = lambda_i + r - i,
+    i = 1..len(lambda) in decreasing order, on its first len(lambda)
+    columns, so row 0 is never used.  The sweep expands T column by column,
+    memoised on row subsets (bitmasks), as det_expand does on columns: after
+    column c it holds the partial minor of every (c+1)-subset of rows on
+    columns 0..c, and keeps the subsets whose lowest row is at least r - c,
+    which are the shapes with c+1 rows.  Zero entries and zero partial
+    minors are skipped, so the box costs at most sum_c c*C(w+r, c) ring
+    multiplications, r*C(w+r, r) when a_0 != 0, and no division.  Every
+    term up to degree w + r - 1 is read.  Raises ValueError when
+    C(w+r, min(r, (w+r)//2)), the largest level a (w+r)-row block allows,
+    exceeds _SWEEP_BOUND.
+    """
+    n = w + r
+    worst = comb(n, min(r, n // 2))
+    if worst > _SWEEP_BOUND:
+        raise ValueError(
+            f"a minor sweep at order {r}, window {w} may hold {worst} partial minors "
+            f"in one level, above the bound {_SWEEP_BOUND}"
+        )
+    zero = a.zero_value()
+    minors = {}
+    level = {0: a.unit_value()}
+    for c in range(r):
+        entries = [(k, a.term(k - r + 1 + c)) for k in range(1, n)]
+        entries = [(1 << k, (1 << k) - 1, t) for k, t in entries if t != zero]
+        nxt = {}
+        for rows, minor in level.items():
+            if minor == zero:
+                continue
+            for bit, below, entry in entries:
+                if rows & bit:
+                    continue
+                # the empty subset's minor is the unit
+                term = minor * entry if rows else entry
+                # the cofactor sign is the parity of the subset's rows below k
+                if (rows & below).bit_count() % 2:
+                    term = -term
+                key = rows | bit
+                nxt[key] = nxt[key] + term if key in nxt else term
+        level = nxt
+        # shapes with c+1 rows: lambda_{c+1} = k_{c+1} - r + c + 1 >= 1
+        low = (1 << (r - c)) - 1
+        minors.update((rows, m) for rows, m in level.items() if m != zero and not rows & low)
+    return minors
+
+
+def _shape_of_rows(rows: int, r: int) -> tuple[int, ...]:
+    """The shape lambda_i = k_i - r + i of a row subset k_1 > k_2 > ...
+    of _box_minors at order r."""
+    parts = []
+    while rows:
+        k = rows.bit_length() - 1
+        rows ^= 1 << k
+        parts.append(k - r + 1 + len(parts))
+    return tuple(parts)
+
+
 def pf_check(a: GradedSequence, max_order: int = 4, window: int = 8, scan_skew: bool = False) -> PFReport:
     """Scan Jacobi-Trudi minors for a negative value.
 
     Straight shapes lambda with at most max_order rows and parts at most
     window, in order of size then lexicographic; scan_skew additionally runs
     over every inner shape mu inside each lambda.  The first offender (under
-    that order) becomes the witness.
+    that order) becomes the witness, and checked counts the shapes scanned up
+    to and including it, or every shape of the scan when none is negative.
+
+    Straight scans evaluate the box by _box_minors at windows 1, 2, 4, ...
+    up to window, and stop at the first window whose least negative shape
+    has size at most that window: every shape before it in the scan order
+    lies in that smaller box, so it is the witness of the whole box.  Each
+    window's sweep reads terms up to degree window + max_order - 1, and
+    raises ValueError when its largest level could exceed _SWEEP_BOUND
+    subsets.  Skew scans evaluate one minor per pair of shapes.
     """
-    checked = 0
-    for lam in scan_partitions(max_order, window):
-        inners = subpartitions(lam) if scan_skew else iter([()])
-        for mu in inners:
-            value = jt_minor(a, SkewShape(lam, mu))
-            checked += 1
-            if _is_negative(a, value):
-                return PFReport("negative", max_order, window, checked, witness=(lam, mu, value))
-    return PFReport("positive-up-to-bounds", max_order, window, checked)
+    if scan_skew:
+        checked = 0
+        for lam in scan_partitions(max_order, window):
+            for mu in subpartitions(lam):
+                value = jt_minor(a, SkewShape(lam, mu))
+                checked += 1
+                if _is_negative(a, value):
+                    return PFReport("negative", max_order, window, checked, witness=(lam, mu, value))
+        return PFReport("positive-up-to-bounds", max_order, window, checked)
+    if max_order < 1 or window < 1:
+        return PFReport("positive-up-to-bounds", max_order, window, 0)
+    step = 1
+    while True:
+        step = min(step, window)
+        minors = _box_minors(a, max_order, step)
+        negative = {
+            _shape_of_rows(rows, max_order): value for rows, value in minors.items() if _is_negative(a, value)
+        }
+        if negative:
+            lam = min(negative, key=lambda p: (sum(p), p))
+            if sum(lam) <= step or step == window:
+                shapes = enumerate(scan_partitions(max_order, window), 1)
+                checked = next(i for i, shape in shapes if shape == lam)
+                return PFReport("negative", max_order, window, checked, witness=(lam, (), negative[lam]))
+        if step == window:
+            return PFReport("positive-up-to-bounds", max_order, window, comb(max_order + window, window) - 1)
+        step *= 2
 
 
 def e_class(a: GradedSequence, d: int):
@@ -507,26 +603,24 @@ def schur_dimension_profile(a: GradedSequence, r_max: int, s_max: int):
     """Look for a hook bound (r, s) whose vanishing law lambda_{r+1} > s
     matches the observed vanishing of minors at dimension level.
 
-    Scans the (r_max + 1) x (s_max + 1) box of shapes.  Returns the smallest
-    matching (r, s) in lexicographic order, or None when the vanishing locus
-    is not an upward-closed set or matches no hook."""
+    Scans the (r_max + 1) x (s_max + 1) box of shapes, whose minors come
+    from one sweep of _box_minors (ValueError above its bound).  Returns the
+    smallest matching (r, s) in lexicographic order, or None when the
+    vanishing locus is not closed under adding a box inside the box of
+    shapes (so not an upward-closed set) or matches no hook."""
     r_max, s_max = int(r_max), int(s_max)
     if r_max < 0 or s_max < 0:
         raise ValueError("profile bounds must be nonnegative")
-    av = a.dim_view()
+    nonzero = {_shape_of_rows(rows, r_max + 1) for rows in _box_minors(a.dim_view(), r_max + 1, s_max + 1)}
     box = list(scan_partitions(r_max + 1, s_max + 1))
-    vanish = {lam: jt_minor(av, lam) == 0 for lam in box}
-    for lam in box:
-        if not vanish[lam]:
-            continue
-        for other in box:
-            if not vanish[other] and contains(other, lam):
-                return None
+    in_box = set(box)
+    vanish = {lam for lam in box if lam not in nonzero}
+    for lam in vanish:
+        if any(up in in_box and up not in vanish for up in pieri_extensions(lam, 1)):
+            return None
     for r in range(r_max + 1):
         for s in range(s_max + 1):
-            expected = {lam for lam in box if (lam[r] if r < len(lam) else 0) > s}
-            actual = {lam for lam in box if vanish[lam]}
-            if expected == actual:
+            if vanish == {lam for lam in box if (lam[r] if r < len(lam) else 0) > s}:
                 return (r, s)
     return None
 

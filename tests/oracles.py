@@ -3,7 +3,8 @@
 Everything here recomputes library results by a different algorithm:
 tableau counts by direct chain recursion, determinants by fraction
 Gaussian elimination and by the permutation sum, elementary classes by the
-sum over compositions, Schur polynomials by brute monomial expansion.
+sum over compositions, Schur polynomials by brute monomial expansion,
+positivity scans and hook profiles by one Jacobi-Trudi minor per shape.
 None of these call the library code paths they check.
 """
 
@@ -178,3 +179,39 @@ def poly_combine(terms, nvars) -> dict:
         for k, c in schur_monomials(lam, (), nvars).items():
             out[k] = out.get(k, 0) + coeff * c
     return {k: c for k, c in out.items() if c}
+
+
+def pf_check_per_shape(seq, max_order: int, window: int):
+    """Straight positivity scan with one Jacobi-Trudi minor per shape, in
+    the scan order: the first negative minor is the witness."""
+    from jtkit.sequences import PFReport, jt_minor
+    from jtkit.shapes import scan_partitions
+
+    checked = 0
+    for lam in scan_partitions(max_order, window):
+        value = jt_minor(seq, lam)
+        checked += 1
+        negative = value < 0 if seq.value_kind == "integer" else not value.is_nonnegative()
+        if negative:
+            return PFReport("negative", max_order, window, checked, witness=(lam, (), value))
+    return PFReport("positive-up-to-bounds", max_order, window, checked)
+
+
+def schur_dimension_profile_pairwise(seq, r_max: int, s_max: int):
+    """Hook profile with one minor per shape and up-closure checked over
+    all pairs of shapes in the box."""
+    from jtkit.sequences import jt_minor
+    from jtkit.shapes import contains, scan_partitions
+
+    av = seq.dim_view()
+    box = list(scan_partitions(r_max + 1, s_max + 1))
+    vanish = {lam: jt_minor(av, lam) == 0 for lam in box}
+    for lam in box:
+        if vanish[lam] and any(not vanish[other] and contains(other, lam) for other in box):
+            return None
+    actual = {lam for lam in box if vanish[lam]}
+    for r in range(r_max + 1):
+        for s in range(s_max + 1):
+            if actual == {lam for lam in box if (lam[r] if r < len(lam) else 0) > s}:
+                return (r, s)
+    return None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import jsonschema
 import pytest
@@ -220,6 +221,21 @@ def test_pf_check_honours_max_cost(capsys):
     assert payload["verdict"] == "positive-up-to-bounds"
     # the cap bounds class determinants only; integer scans are cheap at any order
     check_json(capsys, "pf-check", "--seq", "quadric:3", "--order", "4", "--window", "3", "--max-cost", "3")
+
+
+def test_pf_check_sweep_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "pf-check", "--seq", "quadric:3", "--order", "14", "--window", "14")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    # windows 1, 2 and 4 pass; the window-8 sweep could hold C(22, 11) subsets in one level
+    assert err == (
+        "error: a minor sweep at order 14, window 8 may hold 705432 partial minors in one level, "
+        "above the bound 262144\n"
+    )
+    payload = check_json(capsys, "pf-check", "--seq", "heisenberg", "--order", "12", "--window", "30")
+    assert payload["witness"]["lambda"] == [1, 1, 1]
+    assert payload["checked"] == 4
 
 
 def test_repeat_invocations_byte_identical(capsys):

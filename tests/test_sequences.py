@@ -6,12 +6,15 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jtkit import memo
+from jtkit import memo, quadric, symfunc
+from jtkit.quadric import METHODS, QuadricContext, quadric_schur_dim
 from jtkit.sequences import (
     GradedSequence,
+    _box_minors,
+    _shape_of_rows,
     e_class,
     hadamard,
     hs_series,
@@ -32,10 +35,16 @@ from jtkit.sequences import (
     veronese_identity_check,
 )
 from jtkit.shapes import SkewShape, scan_partitions
-from jtkit.symfunc import SchurClass, binom, dim_gl
+from jtkit.symfunc import SchurClass, binom, dim_gl, dim_super
 
 from conftest import partitions, sub_partition
-from oracles import compositions_of, det_fraction, e_class_compositions
+from oracles import (
+    compositions_of,
+    det_fraction,
+    e_class_compositions,
+    pf_check_per_shape,
+    schur_dimension_profile_pairwise,
+)
 
 SHAPES = partitions(max_size=8, max_part=6, max_length=4)
 SKEW = SHAPES.flatmap(lambda lam: st.tuples(st.just(lam), sub_partition(lam)))
@@ -200,6 +209,112 @@ def test_pf_check_heisenberg():
     assert rep.verdict == "negative"
     assert rep.witness[0] == (1, 1, 1)
     assert rep.witness[2] == -2
+
+
+# Integer sequences of the benchmark's scan families, positive through order
+# 6 and window 8 or negative early; two list sequences whose a_0 is not 1, so
+# that a minor read at the wrong padding shows; and one whose first negative
+# shape (2) lies outside the window-1 box, where (1, 1, 1) is negative.
+SCAN_SPECS = (
+    "quadric:2", "quadric:4", "qdual:3", "super:2,1", "super:2,2",
+    "tensor:(quadric:2),(quadric:2)", "segre:quadric:2,qdual:2", "veronese:heisenberg,2",
+    "heisenberg", "hadamard:quadric:2,squares", "hadamard:quadric:3,qdual:2",
+    "hadamard:qdual:2,heisenberg", "segre:quadric:3,quadric:2", "segre:heisenberg,qdual:2",
+    "list:2,3,1,4,1,5,9,2,6,5,3", "list:0,1,1,2,3,5,8,13,21,34,55", "list:1,2,-1,-20,3,1,4,1,5,9,2",
+)
+# Class scans keep order + window <= 8: the per-shape oracle takes about 40 s
+# on tensoralg:2 at order 5, window 6.
+SCAN_CASES = st.one_of(
+    st.tuples(st.sampled_from(SCAN_SPECS), st.integers(1, 5), st.integers(1, 6)),
+    st.tuples(st.sampled_from(("poly:2", "tensoralg:2")), st.integers(1, 5)).flatmap(
+        lambda case: st.tuples(st.just(case[0]), st.just(case[1]), st.integers(1, min(6, 8 - case[1])))
+    ),
+)
+
+
+@given(SCAN_CASES)
+@settings(deadline=None, max_examples=60)
+def test_box_minors_match_jt_minor(case):
+    spec, order, window = case
+    a = parse_sequence_spec(spec)
+    minors = {_shape_of_rows(rows, order): value for rows, value in _box_minors(a, order, window).items()}
+    box = list(scan_partitions(order, window))
+    assert set(minors) <= set(box)
+    for lam in box:
+        assert minors.get(lam, a.zero_value()) == jt_minor(a, lam)
+
+
+@given(SCAN_CASES)
+@example(("list:1,2,-1,-20,3,1,4,1,5,9,2", 3, 2))
+@settings(deadline=None, max_examples=60)
+def test_pf_check_matches_per_shape_scan(case):
+    spec, order, window = case
+    rep = pf_check(parse_sequence_spec(spec), order, window)
+    assert rep == pf_check_per_shape(parse_sequence_spec(spec), order, window)
+
+
+@given(
+    st.sampled_from(SCAN_SPECS + ("poly:3", "tensoralg:2", "quadric:3", "super:1,2")),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+@settings(deadline=None, max_examples=40)
+def test_schur_profile_matches_pairwise(spec, r_max, s_max):
+    a = parse_sequence_spec(spec)
+    assert schur_dimension_profile(a, r_max, s_max) == schur_dimension_profile_pairwise(a, r_max, s_max)
+
+
+def test_schur_profile_sweep_budget():
+    # the 11 x 12 box's sweep could hold C(23, 11) = 1352078 subsets in one level
+    with pytest.raises(ValueError, match="order 11, window 12 may hold 1352078 .* bound 262144"):
+        schur_dimension_profile(Q3, 10, 11)
+
+
+def test_pf_check_reads_the_whole_block():
+    # the per-shape scan stops at (1, 1) = 1 - 2 and reads degrees up to 2;
+    # the sweep finds it at window 2 and order 3, whose block reads degree 4
+    short = parse_sequence_spec("list:1,1,2")
+    assert pf_check_per_shape(short, 3, 2).witness == ((1, 1), (), -1)
+    with pytest.raises(ValueError, match="beyond stored range"):
+        pf_check(short, 3, 2)
+    rep = pf_check(parse_sequence_spec("list:1,1,2,0,0"), 3, 2)
+    assert (rep.witness, rep.checked) == (((1, 1), (), -1), 2)
+
+
+def test_pf_check_class_above_expansion_bound():
+    # order-9 class minors are beyond det_expand's bound, not the sweep's
+    with pytest.raises(ValueError, match="exceeds expansion bound 8"):
+        pf_check_per_shape(make_sequence("poly", m=2), 9, 1)
+    rep = pf_check(make_sequence("poly", m=2), 9, 1)
+    assert (rep.verdict, rep.checked) == ("positive-up-to-bounds", 9)
+
+
+def _cap_answers(lam, d, m):
+    """Minors, elementary classes and dimensions from fresh sequences."""
+    poly, quad = make_sequence("poly", m=m), make_sequence("quadric", m=m + 1)
+    ctx = QuadricContext(m + 1)
+    return (
+        jt_minor(poly, lam).to_json(),
+        jt_minor(quad, lam),
+        e_class(poly, d).to_json(),
+        e_class(quad, d),
+        dim_super(lam, m, 1),
+        [quadric_schur_dim(ctx, lam, method) for method in METHODS],
+    )
+
+
+@given(partitions(max_size=6, max_part=3, max_length=3), st.integers(0, 8), st.integers(1, 3))
+@settings(deadline=None, max_examples=15)
+def test_answers_do_not_depend_on_cache_cap(lam, d, m):
+    answers = {}
+    for cap in (memo.CAP, 0, 1, 16):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(memo, "CAP", cap)
+            for mod in (symfunc, quadric):
+                for name in [name for name in vars(mod) if name.endswith("_CACHE")]:
+                    mp.setattr(mod, name, {})
+            answers[cap] = _cap_answers(lam, d, m)
+    assert answers[0] == answers[1] == answers[16] == answers[memo.CAP]
 
 
 def test_e_class_values():
