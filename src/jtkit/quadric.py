@@ -8,15 +8,15 @@ The test suite runs them against each other; keep them independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
+from math import prod
 
 from .memo import memo_put
 from .powerseries import TruncSeries
 from .sequences import GradedSequence, jt_minor, make_sequence
 from .shapes import SkewShape, as_parts, as_shape, conjugate, contains, partitions_of, subpartitions, trim
-from .symfunc import SchurClass, dim_gl, dim_gl_skew, dim_super, lr_coefficient
+from .symfunc import SchurClass, dim_gl_skew, dim_super, lr_coefficient
 
-_CHI_CACHE: dict = {}
 _QSD_CACHE: dict = {}
 
 
@@ -107,30 +107,27 @@ def qdual_term_class(d: int) -> SchurClass:
 def chi_o_dim(mu, m: int) -> int:
     """Dimension of the stable orthogonal character attached to mu.
 
-    Defined by peeling doubled-row partitions out of the GL dimension:
-    chi(mu) = dim_gl(mu, m) - sum over nonempty nu and alpha of
-    c^mu_{alpha, 2 nu} chi(alpha).  Requires the stable range 2 l(mu) <= m.
+    Weyl's dimension formula for SO(m), with n = m // 2 and
+    l_i = mu_i + n - i, plus 1/2 when m is odd: the product of
+    l_i^2 - l_j^2 over i < j, times the product of the l_i when m is odd,
+    divided by the same product at mu = 0.  When m is even and l(mu) = m/2,
+    mu and its reflection under O(m) give one character, so the value
+    doubles.  The l_i are doubled to keep every step in integers.  Requires
+    the stable range 2 l(mu) <= m.
     """
     mu = as_parts(mu)
     m = int(m)
     if 2 * len(mu) > m:
         raise ValueError(f"stable range needs 2*l(mu) <= m, got mu={mu}, m={m}")
-    key = (mu, m)
-    hit = _CHI_CACHE.get(key)
-    if hit is not None:
-        return hit
-    total = dim_gl(mu, m)
-    size = sum(mu)
-    for half in range(1, size // 2 + 1):
-        for nu in partitions_of(half):
-            doubled = tuple(2 * p for p in nu)
-            for alpha in subpartitions(mu):
-                if sum(alpha) != size - 2 * half:
-                    continue
-                c = lr_coefficient(mu, alpha, doubled)
-                if c:
-                    total -= c * chi_o_dim(alpha, m)
-    return memo_put(_CHI_CACHE, key, total)
+    n, odd = divmod(m, 2)
+
+    def weyl(parts):
+        ls = [2 * (p + n - i) + odd for i, p in enumerate(parts + (0,) * (n - len(parts)), start=1)]
+        return prod(a * a - b * b for a, b in combinations(ls, 2)) * (prod(ls) if odd else 1)
+
+    q, r = divmod(weyl(mu), weyl(()))
+    assert r == 0
+    return 2 * q if mu and 2 * len(mu) == m else q
 
 
 @dataclass(frozen=True)

@@ -298,8 +298,9 @@ def hadamard(a: GradedSequence, b: GradedSequence) -> GradedSequence:
 def jt_minor(a: GradedSequence, shape, r: int | None = None):
     """The Jacobi-Trudi minor det(A_{lambda_i - mu_j - i + j}) of order r.
 
-    r defaults to the number of rows needed and must not be smaller; any
-    larger padding gives the same value.  Integer sequences use Bareiss
+    r defaults to the number of rows needed, need, and must not be smaller.
+    Padding to r multiplies the minor by a_0^(r - need), so a larger r gives
+    the same value only when a_0 is the unit.  Integer sequences use Bareiss
     elimination.  Class-valued sequences use det_expand, a Laplace expansion
     memoised on column subsets: fewer than r*2^(r-1) ring multiplications at
     order r.  Its order bound of 8 remains; the CLI's --max-cost is still

@@ -13,6 +13,7 @@ The test suite plays them against each other; do not merge them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 
 from .memo import memo_put
@@ -218,12 +219,33 @@ def dim_gl_skew(shape, m: int) -> int:
     return memo_put(_DIM_SKEW_CACHE, key, total)
 
 
+def _add_horizontal_strips(counts: dict, outer: tuple[int, ...], letters: int) -> dict:
+    """Extend each chain in counts {shape: chains} by letters horizontal
+    strips inside outer.  Shapes are padded to len(outer) rows, and row i of
+    a new shape runs from alpha_i to min(outer_i, alpha_{i-1}), so each one
+    is a partition."""
+    for _ in range(letters):
+        nxt: dict = {}
+        for alpha, cnt in counts.items():
+            rows = [range(a, min(o, above) + 1) for a, o, above in zip(alpha, outer, outer[:1] + alpha)]
+            for nu in product(*rows):
+                nxt[nu] = nxt.get(nu, 0) + cnt
+        counts = nxt
+    return counts
+
+
 def dim_super(lam, r: int, s: int, mu=()) -> int:
     """Z/2-graded SSYT count for the hook-shaped general linear superalgebra.
 
     Letters 1..r are even, r+1..r+s odd.  Rows repeat only even letters,
     columns repeat only odd letters.  Vanishes on straight shapes exactly
     when lam_{r+1} > s.  A skew shape is accepted via mu.
+
+    Such a tableau is a chain of shapes from mu to lam: a horizontal strip
+    for each even letter, then a vertical strip for each odd one (Berele and
+    Regev's hook Schur functions).  The chains are counted by a DP over
+    shapes inside lam, and the vertical strips are added as horizontal
+    strips of the conjugates.
     """
     lam, mu = as_parts(lam), as_parts(mu)
     r, s = int(r), int(s)
@@ -235,37 +257,13 @@ def dim_super(lam, r: int, s: int, mu=()) -> int:
     hit = _DIM_SUPER_CACHE.get(key)
     if hit is not None:
         return hit
-    nrows = len(lam)
-    cells = []
-    for row in range(nrows):
-        lo = mu[row] if row < len(mu) else 0
-        cells.extend((row, c) for c in range(lo, lam[row]))
-    grid: dict[tuple[int, int], int] = {}
-
-    def in_shape(row: int, c: int) -> bool:
-        if row < 0 or row >= nrows:
-            return False
-        lo = mu[row] if row < len(mu) else 0
-        return lo <= c < lam[row]
-
-    def rec(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        row, c = cells[idx]
-        left = grid.get((row, c - 1)) if in_shape(row, c - 1) else None
-        above = grid.get((row - 1, c)) if in_shape(row - 1, c) else None
-        total = 0
-        for v in range(1, r + s + 1):
-            if left is not None and (v < left or (v == left and v > r)):
-                continue
-            if above is not None and (v < above or (v == above and v <= r)):
-                continue
-            grid[(row, c)] = v
-            total += rec(idx + 1)
-            del grid[(row, c)]
-        return total
-
-    return memo_put(_DIM_SUPER_CACHE, key, rec(0))
+    evens = _add_horizontal_strips({mu + (0,) * (len(lam) - len(mu)): 1}, lam, r)
+    lamt = conjugate(lam)
+    padt = (0,) * len(lamt)
+    odds = _add_horizontal_strips(
+        {(conjugate(alpha) + padt)[: len(lamt)]: cnt for alpha, cnt in evens.items()}, lamt, s
+    )
+    return memo_put(_DIM_SUPER_CACHE, key, odds.get(lamt, 0))
 
 
 @dataclass(frozen=True, slots=True, repr=False)

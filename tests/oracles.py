@@ -1,9 +1,11 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here recomputes library results by a different algorithm:
-tableau counts by direct chain recursion, determinants by fraction
-Gaussian elimination and by the permutation sum, elementary classes by the
-sum over compositions, Schur polynomials by brute monomial expansion,
+tableau counts by direct chain recursion and, for super tableaux, by
+filling the diagram cell by cell, determinants by fraction Gaussian
+elimination and by the permutation sum, elementary classes by the sum over
+compositions, Schur polynomials by brute monomial expansion, orthogonal
+character dimensions by peeling doubled rows off the GL dimension,
 positivity scans and hook profiles by one Jacobi-Trudi minor per shape.
 None of these call the library code paths they check.
 """
@@ -65,6 +67,64 @@ def super_count(lam, mu, r, s) -> int:
     total = 0
     for alpha in _betweens(lam, mu):
         total += ssyt_count(alpha, mu, r) * ssyt_count(_conj(lam), _conj(alpha), s)
+    return total
+
+
+def super_fillings(lam, mu, r, s) -> int:
+    """Super tableau count by filling lam/mu cell by cell in row-major order
+    with letters 1..r+s, where 1..r are even and r+1..r+s odd: rows repeat
+    only even letters, columns repeat only odd ones."""
+    lam = tuple(x for x in lam if x)
+    mu = tuple(x for x in mu if x) + (0,) * len(lam)
+    cells = [(row, c) for row in range(len(lam)) for c in range(mu[row], lam[row])]
+    grid = {}
+
+    def rec(idx):
+        if idx == len(cells):
+            return 1
+        row, c = cells[idx]
+        left = grid.get((row, c - 1))
+        above = grid.get((row - 1, c))
+        total = 0
+        for v in range(1, r + s + 1):
+            if left is not None and (v < left or (v == left and v > r)):
+                continue
+            if above is not None and (v < above or (v == above and v <= r)):
+                continue
+            grid[(row, c)] = v
+            total += rec(idx + 1)
+            del grid[(row, c)]
+        return total
+
+    return rec(0)
+
+
+_CHI_MEMO = {}
+
+
+def chi_o_peeling(mu, m) -> int:
+    """Stable orthogonal character dimension by peeling doubled-row LR terms
+    out of the GL dimension: chi(mu) = dim_gl(mu, m) minus the sum over
+    nonempty nu and alpha of c^mu_{alpha, 2 nu} chi(alpha)."""
+    from jtkit.shapes import partitions_of, subpartitions
+    from jtkit.symfunc import dim_gl, lr_coefficient
+
+    mu = tuple(x for x in mu if x)
+    key = (mu, m)
+    hit = _CHI_MEMO.get(key)
+    if hit is not None:
+        return hit
+    total = dim_gl(mu, m)
+    size = sum(mu)
+    for half in range(1, size // 2 + 1):
+        for nu in partitions_of(half):
+            doubled = tuple(2 * p for p in nu)
+            for alpha in subpartitions(mu):
+                if sum(alpha) == size - 2 * half:
+                    c = lr_coefficient(mu, alpha, doubled)
+                    if c:
+                        total -= c * chi_o_peeling(alpha, m)
+    _CHI_MEMO[key] = total
     return total
 
 

@@ -103,6 +103,9 @@ def test_ortho_decomp(capsys):
     assert payload["entries"] == [{"mu": [], "mult": 1}, {"mu": [1, 1], "mult": 1}]
     assert payload["dimension"] == 7
     assert payload["schur_dim"] == 7
+    # a large stable-range case, answered from closed forms
+    payload = check_json(capsys, "ortho-decomp", "--m", "40", "--lambda", "8,6,4,2")
+    assert payload["dimension"] == payload["schur_dim"]
 
 
 def test_hs_check(capsys):

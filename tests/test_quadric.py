@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jtkit.quadric import (
@@ -18,6 +18,7 @@ from jtkit.shapes import SkewShape, partitions_of
 from jtkit.symfunc import binom, dim_gl
 
 from conftest import partitions, sub_partition
+from oracles import chi_o_peeling
 
 CTX2 = QuadricContext(2)
 CTX3 = QuadricContext(3)
@@ -100,6 +101,8 @@ def test_chi_o_frozen():
     assert chi_o_dim((), 2) == 1
     assert chi_o_dim((1, 1), 4) == 6
     assert chi_o_dim((1,), 5) == 5
+    # a large stable-range case, which needs the closed form
+    assert chi_o_dim((8, 6, 4, 2), 40) == 4414185462816189175752
     for m in (2, 3, 4, 6):
         assert chi_o_dim((1,), m) == m
         assert chi_o_dim((2,), m) == binom(m + 1, 2) - 1
@@ -107,6 +110,26 @@ def test_chi_o_frozen():
         chi_o_dim((1, 1), 3)
     with pytest.raises(ValueError):
         chi_o_dim((2, 1, 1), 4)
+
+
+ORTHO = partitions(max_size=8, max_part=4, max_length=6).flatmap(
+    lambda mu: st.tuples(
+        st.just(mu),
+        st.one_of(st.just(max(2, 2 * len(mu))), st.integers(max(2, 2 * len(mu)), 12)),
+    )
+)
+
+
+@given(ORTHO)
+@example(((1, 1), 4))
+@example(((3, 2, 1), 6))
+@example(((2, 1, 1, 1, 1, 1), 12))
+@settings(deadline=None, max_examples=60)
+def test_chi_o_weyl_matches_peeling(pair):
+    """Weyl's formula against the doubled-row peeling, in the stable range
+    for m = 2..12; m = 2 l(mu) is the case the doubling rule covers."""
+    mu, m = pair
+    assert chi_o_dim(mu, m) == chi_o_peeling(mu, m)
 
 
 def test_ortho_decomposition_frozen():

@@ -53,6 +53,7 @@ POLY3 = make_sequence("poly", m=3)
 Q2 = make_sequence("quadric", m=2)
 Q3 = make_sequence("quadric", m=3)
 HEIS = make_sequence("heisenberg", u=2)
+LIST2 = make_sequence("list", dims=(2, 3, 1, 4) + (0,) * 12)
 
 
 def test_poly_dims():
@@ -166,10 +167,15 @@ def test_jt_minor_matches_fraction_determinant(pair):
 @given(SKEW, st.integers(0, 3))
 @settings(deadline=None, max_examples=40)
 def test_jt_minor_padding_stable(pair, extra):
+    """Each padding row multiplies the minor by a_0, so the value is stable
+    only when a_0 = 1, as for quadric:3."""
     lam, mu = pair
-    need = max(len(lam), len(mu), 1)
-    base = jt_minor(Q3, SkewShape(lam, mu))
-    assert jt_minor(Q3, SkewShape(lam, mu), need + extra) == base
+    need = max(len(lam), len(mu))
+    for seq in (Q3, LIST2):
+        base = jt_minor(seq, SkewShape(lam, mu))
+        assert jt_minor(seq, SkewShape(lam, mu), need + extra) == base * seq.term(0) ** extra
+    short = parse_sequence_spec("list:2,3,1,4")
+    assert [jt_minor(short, (1,), pad) for pad in (1, 2, 3)] == [3, 6, 12]
 
 
 def test_jt_minor_unit_and_errors():
@@ -533,7 +539,7 @@ def _probe_caches(raw_cap):
 def test_cache_size_env_round_trip():
     default = _probe_caches(None)
     assert default["cap"] == 1 << 20
-    assert len(default["caches"]) == 13  # seven module caches, three for each of two sequences
+    assert len(default["caches"]) == 12  # six module caches, three for each of two sequences
     assert min(default["caches"].values()) > 16  # the probe fills every cache past the small caps
     for raw, cap in (("0", 0), ("16", 16)):
         run = _probe_caches(raw)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jtkit.shapes import SkewShape, conjugate, subpartitions
@@ -19,7 +19,7 @@ from jtkit.symfunc import (
 )
 
 from conftest import partitions, sub_partition
-from oracles import poly_combine, poly_mul, schur_monomials, ssyt_count, super_count
+from oracles import poly_combine, poly_mul, schur_monomials, ssyt_count, super_count, super_fillings
 
 SMALL = partitions(max_size=6, max_part=5, max_length=4)
 MEDIUM = partitions(max_size=8, max_part=6, max_length=4)
@@ -115,6 +115,24 @@ def test_dim_super_hook_split(lam, r, s):
 def test_dim_super_skew_hook_split(pair, r, s):
     lam, mu = pair
     assert dim_super(lam, r, s, mu) == super_count(lam, mu, r, s)
+
+
+@given(SKEW, st.integers(0, 3), st.integers(0, 3))
+@example(((3, 2), ()), 2, 1)
+@example(((4, 3, 1), (2, 1)), 1, 2)
+@settings(deadline=None, max_examples=60)
+def test_dim_super_matches_direct_filling(pair, r, s):
+    """The strip-chain DP against the cell-by-cell backtracker, straight
+    and skew."""
+    lam, mu = pair
+    assert dim_super(lam, r, s, mu) == super_fillings(lam, mu, r, s)
+
+
+def test_dim_super_pinned():
+    # a count too large to enumerate quickly, and a shape outside the
+    # (4, 4) hook, which must vanish without a search
+    assert dim_super((5, 5, 4, 4), 4, 4) == 393216
+    assert dim_super((10, 9, 8, 7, 6), 4, 4) == 0
 
 
 @given(MEDIUM, st.integers(0, 3), st.integers(0, 3))
