@@ -31,6 +31,14 @@ at an early witness, so only a scan that reaches such a window fails:
 `--seq quadric:3 --order 14 --window 14` exits 1 at window 8, while
 `--seq heisenberg --order 12 --window 30` finds its witness at window 4.
 
+`hs-check` solves every coefficient of an n-variable series to degree
+`--trunc`, C(n + trunc, n) of them, after about n^2 series products.  More
+than 8 factors (`error: a check over N quadric factors is above the bound
+of 8 factors`) or more than 2^16 = 65,536 coefficients (`error: a series in
+N variables to degree T has C coefficients, above the bound 65536`) is a
+domain error, exit code 1, raised before any work: `--n 7 --trunc 12`
+(50,388 coefficients) runs, `--n 8 --trunc 12` (125,970) does not.
+
 Partitions are encoded as arrays of weakly decreasing positive integers.
 Class values (for sequences carrying symbolic terms) are arrays of
 `{"partitions": [...], "coeff": n}` entries; integer values stay bare.

@@ -1,12 +1,31 @@
-"""Dense truncated power series over the integers, in any number of variables.
+"""Truncated power series over the integers, in any number of variables.
 
-Coefficients live in a dict keyed by exponent tuples; everything past the
-total-degree cutoff is discarded.  Arithmetic is exact.
+Coefficients live in a dict keyed by exponent tuples, nonzero terms only;
+everything past the total-degree cutoff is discarded.  Arithmetic is exact,
+and division by a series with constant term +1 or -1 is exact too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import add
+
+
+def _int_terms(coeffs: dict, nvars: int) -> bool:
+    """True when every key is a tuple of nvars nonnegative ints and every
+    coefficient an int, so construction needs no coercion."""
+    keys = coeffs.keys()
+    if set(map(type, keys)) - {tuple} or set(map(len, keys)) - {nvars}:
+        return False
+    exps = list(chain.from_iterable(keys))
+    return set(map(type, chain(exps, coeffs.values()))) <= {int} and min(exps, default=0) >= 0
+
+
+def _by_degree(coeffs: dict) -> list:
+    """(total degree, exponents, coefficient) for each term, lowest degree
+    first."""
+    return sorted((sum(e), e, c) for e, c in coeffs.items())
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -21,14 +40,17 @@ class TruncSeries:
         nvars, trunc = self.nvars, self.trunc
         if nvars < 1 or trunc < 0:
             raise ValueError(f"series need nvars >= 1 and trunc >= 0, got {nvars}, {trunc}")
-        clean = {}
-        for exps, c in (self.coeffs or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
-                raise ValueError(f"exponent {exps} is not {nvars} nonnegative integers")
-            if sum(exps) <= trunc and c != 0:
-                clean[exps] = clean.get(exps, 0) + int(c)
-        object.__setattr__(self, "coeffs", {e: c for e, c in clean.items() if c != 0})
+        coeffs = self.coeffs or {}
+        if not _int_terms(coeffs, nvars):
+            clean = {}
+            for exps, c in coeffs.items():
+                exps = tuple(int(e) for e in exps)
+                if len(exps) != nvars or any(e < 0 for e in exps):
+                    raise ValueError(f"exponent {exps} is not {nvars} nonnegative integers")
+                if sum(exps) <= trunc and c != 0:
+                    clean[exps] = clean.get(exps, 0) + int(c)
+            coeffs = clean
+        object.__setattr__(self, "coeffs", {e: c for e, c in coeffs.items() if c != 0 and sum(e) <= trunc})
 
     @classmethod
     def zero(cls, nvars: int, trunc: int) -> "TruncSeries":
@@ -85,15 +107,51 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check(other)
+        graded = _by_degree(other.coeffs)
         out: dict = {}
+        get = out.get
         for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            for e2, c2 in other.coeffs.items():
-                if d1 + sum(e2) > self.trunc:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
+            room = self.trunc - sum(e1)
+            for d2, e2, c2 in graded:
+                if d2 > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
         return TruncSeries(self.nvars, self.trunc, out)
+
+    def __truediv__(self, other):
+        """The exact quotient q with q * other == self; other needs constant
+        term +1 or -1.
+
+        The quotient is solved degree by degree: its coefficient at e is c0
+        times what is left of self at e once every quotient term of lower
+        degree has been pushed through the nonconstant terms of other.  That
+        costs |quotient| * |other| pair visits and no powers of other.
+        """
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
+        self._check(other)
+        c0 = other.constant()
+        if c0 not in (1, -1):
+            raise ValueError(f"inverse needs unit constant term, got {c0}")
+        trunc = self.trunc
+        tail = [t for t in _by_degree(other.coeffs) if t[0]]
+        rest = [{} for _ in range(trunc + 1)]
+        for e, c in self.coeffs.items():
+            rest[sum(e)][e] = c
+        quotient = {}
+        for d, row in enumerate(rest):
+            for e, c in row.items():
+                if not c:
+                    continue
+                q = quotient[e] = c * c0
+                for d2, e2, c2 in tail:
+                    if d + d2 > trunc:
+                        break
+                    later = rest[d + d2]
+                    k = tuple(map(add, e, e2))
+                    later[k] = later.get(k, 0) - q * c2
+        return TruncSeries(self.nvars, trunc, quotient)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -113,20 +171,9 @@ class TruncSeries:
         return result
 
     def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; requires constant term +1 or -1."""
-        c0 = self.constant()
-        if c0 not in (1, -1):
-            raise ValueError(f"inverse needs unit constant term, got {c0}")
-        # self = c0 (1 - r) with r of positive order, so 1/self = c0 sum r^k
-        r = TruncSeries.one(self.nvars, self.trunc) - (self * c0)
-        acc = TruncSeries.one(self.nvars, self.trunc)
-        power = TruncSeries.one(self.nvars, self.trunc)
-        for _ in range(self.trunc):
-            power = power * r
-            if not power.coeffs:
-                break
-            acc = acc + power
-        return acc * c0
+        """Multiplicative inverse, the exact quotient one / self; requires
+        constant term +1 or -1."""
+        return TruncSeries.one(self.nvars, self.trunc) / self
 
     def __hash__(self):
         return hash((self.nvars, self.trunc, tuple(sorted(self.coeffs.items()))))

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 
 from .memo import memo_put
 from .powerseries import TruncSeries
 from .sequences import GradedSequence, jt_minor, make_sequence
-from .shapes import SkewShape, as_parts, as_shape, conjugate, contains, partitions_of, subpartitions, trim
-from .symfunc import SchurClass, dim_gl_skew, dim_super, lr_coefficient
+from .shapes import SkewShape, as_parts, as_shape, conjugate, contains, subpartitions, trim
+from .symfunc import SchurClass, _lr_contents, dim_gl_skew, dim_super
 
 _QSD_CACHE: dict = {}
 
@@ -146,20 +146,18 @@ class OrthogonalDecomposition:
 def orthogonal_stable_decomposition(ctx: QuadricContext, lam) -> OrthogonalDecomposition:
     """Decompose a stable-range Schur functor of the quadric into orthogonal
     characters: the multiplicity of mu is the count of LR tableaux pairing mu
-    with a transposed doubled partition."""
+    with a transposed doubled partition, that is, the sum of c^lam_{mu,nu}
+    over the nu whose columns all have even length, read off one content
+    tally of lam/mu."""
     lam = as_parts(lam)
     if 2 * len(lam) > ctx.m:
         raise ValueError(f"stable range needs 2*l(lambda) <= m, got lambda={lam}, m={ctx.m}")
     size = sum(lam)
     entries = []
     for mu in subpartitions(lam):
-        rem = size - sum(mu)
-        if rem % 2:
+        if (size - sum(mu)) % 2:
             continue
-        mult = 0
-        for nu in partitions_of(rem // 2):
-            doubled_cols = conjugate(tuple(2 * p for p in nu))
-            mult += lr_coefficient(lam, mu, doubled_cols)
+        mult = sum(_lr_contents(lam, mu, paired=True).values())
         if mult:
             entries.append((mu, mult))
     entries.sort(key=lambda e: (sum(e[0]), e[0]))
@@ -167,7 +165,10 @@ def orthogonal_stable_decomposition(ctx: QuadricContext, lam) -> OrthogonalDecom
 
 
 def _quadric_hs_factor(m: int, trunc: int, nvars: int, var: int) -> TruncSeries:
-    """(1 - x^2) / (1 - x)^m in the given variable, as an n-variable series."""
+    """(1 - x^2) / (1 - x)^m in the given variable, as an n-variable series.
+
+    Built from inverse() and a power, not by division, so the two sides of
+    multigraded_hs_check's factorization come from different routes."""
     one = TruncSeries.one(nvars, trunc)
     x = TruncSeries.var(nvars, trunc, var)
     num = one - x * x
@@ -177,7 +178,13 @@ def _quadric_hs_factor(m: int, trunc: int, nvars: int, var: int) -> TruncSeries:
 
 def _multigraded_hs(m: int, n: int, trunc: int) -> TruncSeries:
     """The uncancelled numerator-over-denominator form of the multigraded
-    Hilbert series for n quadric factors."""
+    Hilbert series for n quadric factors.
+
+    The numerator and denominator products are built as written, the first
+    divided exactly by the second, and the quotient divided by (1 - x_i)^m
+    for each i; the mixed factors the two products share are never
+    cancelled by hand, since the check exists to verify that form.
+    """
     one = TruncSeries.one(n, trunc)
     xs = [TruncSeries.var(n, trunc, i) for i in range(n)]
     num = one
@@ -193,26 +200,43 @@ def _multigraded_hs(m: int, n: int, trunc: int) -> TruncSeries:
             den = den * (one - xs[i] * xs[j])
     for i in range(n - 1):
         den = den * (one - xs[i] * xs[n - 1])
-    series = num * den.inverse()
+    series = num / den
     for i in range(n):
-        series = series * ((one - xs[i]).inverse()) ** m
+        series = series / (one - xs[i]) ** m
     return series
+
+
+# The check multiplies about n^2 factors over series with C(n + trunc, n)
+# coefficients of n exponents each, so both counts are bounded: n = 7 at
+# trunc 12 has 50,388 coefficients, and n = 8 at trunc 10 has 43,758.
+_HS_MAX_FACTORS = 8
+_HS_BOUND = 1 << 16
 
 
 def multigraded_hs_check(m: int, n: int, trunc: int = 8) -> dict:
     """Verify the closed multigraded Hilbert series of a product of quadric
     rings against its factored form, coefficient by coefficient.
 
-    Checks that the n-variable series splits off the last variable as a
-    univariate quadric factor, and that every coefficient is the product of
-    the per-factor dimensions.  Symmetric powers of the defining space are
-    read at dimension level throughout.
+    Checks that the n-variable series, computed by exact division from its
+    uncancelled form, splits off the last variable as a univariate quadric
+    factor built from inverse(), and that every coefficient is the product
+    of the per-factor dimensions.  Symmetric powers of the defining space
+    are read at dimension level throughout.  Raises ValueError, before any
+    work, when n exceeds _HS_MAX_FACTORS or the series has more than
+    _HS_BOUND coefficients.
     """
     m, n, trunc = int(m), int(n), int(trunc)
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     if trunc < 0 or trunc > 12:
         raise ValueError("trunc must be between 0 and 12")
+    if n > _HS_MAX_FACTORS:
+        raise ValueError(f"a check over {n} quadric factors is above the bound of {_HS_MAX_FACTORS} factors")
+    count = comb(n + trunc, n)
+    if count > _HS_BOUND:
+        raise ValueError(
+            f"a series in {n} variables to degree {trunc} has {count} coefficients, above the bound {_HS_BOUND}"
+        )
     series = _multigraded_hs(m, n, trunc)
     if n == 1:
         factorization = series == _quadric_hs_factor(m, trunc, 1, 0)

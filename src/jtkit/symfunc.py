@@ -13,7 +13,7 @@ The test suite plays them against each other; do not merge them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from math import comb
 
 from .memo import memo_put
@@ -101,13 +101,17 @@ def pieri_extensions(lam, k: int) -> list[tuple[int, ...]]:
     return sorted({p for p, _ in _add_strip(lam, int(k), None)})
 
 
-def _lr_contents(outer, inner, cap=None) -> dict[tuple[int, ...], int]:
+def _lr_contents(outer, inner, cap=None, paired=False) -> dict[tuple[int, ...], int]:
     """Tally the contents of all LR (lattice-word) tableaux on outer/inner.
 
     Cells are visited in reverse reading order, rows top to bottom and right
     to left within a row, so the ballot prefix property can be checked as
     each letter is placed.  cap bounds the count of each letter (used when a
-    single coefficient is wanted).
+    single coefficient is wanted).  paired keeps only contents whose columns
+    all have even length, nu_1 = nu_2, nu_3 = nu_4 and so on: the ballot
+    property keeps each count of letter 2i at most that of letter 2i - 1,
+    and a filling is cut once that shortfall, summed over i, exceeds the
+    cells left.
     """
     outer, inner = as_parts(outer), as_parts(inner)
     if not contains(outer, inner):
@@ -128,15 +132,17 @@ def _lr_contents(outer, inner, cap=None) -> dict[tuple[int, ...], int]:
         lo = inner[r] if r < len(inner) else 0
         return lo <= c < outer[r]
 
-    def rec(idx: int):
+    def rec(idx: int, shortfall: int):
         if idx == len(cells):
-            content = trim(counts)
-            tally[content] = tally.get(content, 0) + 1
+            if not shortfall:
+                content = trim(counts)
+                tally[content] = tally.get(content, 0) + 1
             return
         r, c = cells[idx]
         hi = min(r + 1, nletters)
         above = grid.get((r - 1, c)) if in_shape(r - 1, c) else None
         right = grid.get((r, c + 1)) if in_shape(r, c + 1) else None
+        left = len(cells) - idx - 1
         for v in range(1, hi + 1):
             if above is not None and v <= above:
                 continue
@@ -146,13 +152,16 @@ def _lr_contents(outer, inner, cap=None) -> dict[tuple[int, ...], int]:
                 continue
             if cap is not None and counts[v - 1] + 1 > cap[v - 1]:
                 continue
+            short = shortfall + (1 if v % 2 else -1) if paired else 0
+            if short > left:
+                continue
             counts[v - 1] += 1
             grid[(r, c)] = v
-            rec(idx + 1)
+            rec(idx + 1, short)
             del grid[(r, c)]
             counts[v - 1] -= 1
 
-    rec(0)
+    rec(0, 0)
     return tally
 
 
@@ -223,15 +232,26 @@ def _add_horizontal_strips(counts: dict, outer: tuple[int, ...], letters: int) -
     """Extend each chain in counts {shape: chains} by letters horizontal
     strips inside outer.  Shapes are padded to len(outer) rows, and row i of
     a new shape runs from alpha_i to min(outer_i, alpha_{i-1}), so each one
-    is a partition."""
-    for _ in range(letters):
+    is a partition.
+
+    Most strips are empty when letters is large: the chains are grown by
+    nonempty strips only, at most |outer| passes, and a chain of k nonempty
+    strips is spread over the letters in C(letters, k) ways."""
+    total = dict(counts)
+    for k in range(1, letters + 1):
         nxt: dict = {}
         for alpha, cnt in counts.items():
             rows = [range(a, min(o, above) + 1) for a, o, above in zip(alpha, outer, outer[:1] + alpha)]
-            for nu in product(*rows):
+            # the first shape product yields is alpha itself, the empty strip
+            for nu in islice(product(*rows), 1, None):
                 nxt[nu] = nxt.get(nu, 0) + cnt
         counts = nxt
-    return counts
+        if not counts:
+            break
+        ways = comb(letters, k)
+        for nu, cnt in counts.items():
+            total[nu] = total.get(nu, 0) + ways * cnt
+    return total
 
 
 def dim_super(lam, r: int, s: int, mu=()) -> int:
@@ -245,7 +265,8 @@ def dim_super(lam, r: int, s: int, mu=()) -> int:
     for each even letter, then a vertical strip for each odd one (Berele and
     Regev's hook Schur functions).  The chains are counted by a DP over
     shapes inside lam, and the vertical strips are added as horizontal
-    strips of the conjugates.
+    strips of the conjugates.  Only nonempty strips are added, weighted by
+    binomials, so the cost does not grow with r or s.
     """
     lam, mu = as_parts(lam), as_parts(mu)
     r, s = int(r), int(s)

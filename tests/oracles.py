@@ -6,8 +6,9 @@ filling the diagram cell by cell, determinants by fraction Gaussian
 elimination and by the permutation sum, elementary classes by the sum over
 compositions, Schur polynomials by brute monomial expansion, orthogonal
 character dimensions by peeling doubled rows off the GL dimension,
-positivity scans and hook profiles by one Jacobi-Trudi minor per shape.
-None of these call the library code paths they check.
+positivity scans and hook profiles by one Jacobi-Trudi minor per shape,
+series inverses by summing geometric powers, and the multigraded Hilbert
+series by multiplying with those inverses instead of dividing.  None of these call the library code paths they check.
 """
 
 from __future__ import annotations
@@ -275,3 +276,64 @@ def schur_dimension_profile_pairwise(seq, r_max: int, s_max: int):
             if actual == {lam for lam in box if (lam[r] if r < len(lam) else 0) > s}:
                 return (r, s)
     return None
+
+
+def inverse_geometric(f):
+    """1/f for a truncated series with constant term c0 = +1 or -1: f is
+    c0 (1 - r) with r of positive order, so 1/f is c0 times the sum of the
+    powers of r, each a full product, up to the truncation degree."""
+    from jtkit.powerseries import TruncSeries
+
+    c0 = f.constant()
+    if c0 not in (1, -1):
+        raise ValueError(f"inverse needs unit constant term, got {c0}")
+    one = TruncSeries.one(f.nvars, f.trunc)
+    r = one - f * c0
+    acc = power = one
+    for _ in range(f.trunc):
+        power = power * r
+        if not power.coeffs:
+            break
+        acc = acc + power
+    return acc * c0
+
+
+def multigraded_hs_by_inverses(m: int, n: int, trunc: int):
+    """The uncancelled multigraded Hilbert series of n quadric factors as
+    num * inverse(den) * prod_i inverse(1 - x_i)^m, where num is the product
+    of 1 - x_i x_j over i <= j and den the same over i < j, with
+    geometric-sum inverses and no division."""
+    from jtkit.powerseries import TruncSeries
+
+    one = TruncSeries.one(n, trunc)
+    xs = [TruncSeries.var(n, trunc, i) for i in range(n)]
+    num = den = one
+    for i in range(n):
+        for j in range(i, n):
+            num = num * (one - xs[i] * xs[j])
+            if i < j:
+                den = den * (one - xs[i] * xs[j])
+    series = num * inverse_geometric(den)
+    for x in xs:
+        series = series * inverse_geometric(one - x) ** m
+    return series
+
+
+def ortho_multiplicities_by_lr(lam) -> dict:
+    """Stable orthogonal multiplicities of a GL shape: for each mu inside
+    lam, the sum over nu of c^lam_{mu, (2 nu)'} with one lr_coefficient call
+    per pair, the transposed doubled partitions enumerated directly."""
+    from jtkit.shapes import conjugate, partitions_of, subpartitions
+    from jtkit.symfunc import lr_coefficient
+
+    out = {}
+    for mu in subpartitions(lam):
+        rem = sum(lam) - sum(mu)
+        if rem % 2:
+            continue
+        mult = sum(
+            lr_coefficient(lam, mu, conjugate(tuple(2 * p for p in nu))) for nu in partitions_of(rem // 2)
+        )
+        if mult:
+            out[mu] = mult
+    return out

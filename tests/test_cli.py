@@ -241,6 +241,21 @@ def test_pf_check_sweep_budget(capsys):
     assert payload["checked"] == 4
 
 
+def test_hs_check_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "hs-check", "--m", "3", "--n", "8", "--trunc", "12")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == (
+        "error: a series in 8 variables to degree 12 has 125970 coefficients, above the bound 65536\n"
+    )
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "hs-check", "--m", "3", "--n", "300", "--trunc", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "error: a check over 300 quadric factors is above the bound of 8 factors\n"
+
+
 def test_repeat_invocations_byte_identical(capsys):
     args = ("resolve", "rnc", "--d", "3", "--shifts", "1,2,1")
     first = invoke(capsys, *args)

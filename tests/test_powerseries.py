@@ -6,6 +6,31 @@ from hypothesis import strategies as st
 
 from jtkit.powerseries import TruncSeries
 
+from oracles import inverse_geometric
+
+
+def _sparse(n):
+    return st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), st.integers(-3, 3), max_size=5)
+
+
+def _series_pairs(constants):
+    """(a, b): random sparse series in 1-4 variables cut off at degree 0-10,
+    b with its constant term drawn from constants."""
+
+    def build(drawn):
+        (n, trunc), a, b, c0 = drawn
+        return TruncSeries(n, trunc, a), TruncSeries(n, trunc, {**b, (0,) * n: c0})
+
+    return (
+        st.tuples(st.integers(1, 4), st.integers(0, 10))
+        .flatmap(lambda nt: st.tuples(st.just(nt), _sparse(nt[0]), _sparse(nt[0]), constants))
+        .map(build)
+    )
+
+
+UNIT_PAIRS = _series_pairs(st.sampled_from((1, -1)))
+NONUNIT_PAIRS = _series_pairs(st.integers(-3, 3).filter(lambda c: c not in (1, -1)))
+
 
 def test_constructors():
     one = TruncSeries.one(2, 4)
@@ -47,6 +72,48 @@ def test_inverse_round_trip(coeffs, trunc):
     coeffs = [1] + coeffs
     f = TruncSeries.univariate(coeffs, trunc)
     assert (f * f.inverse()).univariate_coeffs() == [1] + [0] * trunc
+
+
+@given(UNIT_PAIRS)
+@settings(deadline=None, max_examples=80)
+def test_division_is_exact(pair):
+    a, b = pair
+    q = a / b
+    assert q * b == a
+    assert q == a * inverse_geometric(b)
+    assert b.inverse() == inverse_geometric(b)
+
+
+@given(NONUNIT_PAIRS)
+@settings(deadline=None, max_examples=40)
+def test_division_needs_unit_constant(pair):
+    a, b = pair
+    message = f"^inverse needs unit constant term, got {b.constant()}$"
+    with pytest.raises(ValueError, match=message):
+        a / b
+    with pytest.raises(ValueError, match=message):
+        b.inverse()
+
+
+def test_division_checks_operands():
+    one = TruncSeries.one(2, 3)
+    with pytest.raises(ValueError):
+        one / TruncSeries.one(2, 4)
+    with pytest.raises(TypeError):
+        one / 2
+    x = TruncSeries.var(2, 3, 0)
+    assert (x / (one - x)).coeffs == {(1, 0): 1, (2, 0): 1, (3, 0): 1}
+
+
+def test_construction_coerces_and_checks():
+    s = TruncSeries(2, 3, {(1.0, 0): 3, (True, 1): 2.0, (3, 1): 5, (0, 2): 0})
+    assert s.coeffs == {(1, 0): 3, (1, 1): 2}
+    assert all(type(e) is int for exps in s.coeffs for e in exps)
+    assert all(type(c) is int for c in s.coeffs.values())
+    with pytest.raises(ValueError, match="not 2 nonnegative"):
+        TruncSeries(2, 3, {(1, -1): 1})
+    with pytest.raises(ValueError, match="not 2 nonnegative"):
+        TruncSeries(2, 3, {(1,): 1})
 
 
 def test_multivariate_truncation():

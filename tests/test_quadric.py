@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from jtkit.quadric import (
     METHODS,
     QuadricContext,
+    _multigraded_hs,
     chi_o_dim,
     multigraded_hs_check,
     orthogonal_stable_decomposition,
@@ -18,7 +19,7 @@ from jtkit.shapes import SkewShape, partitions_of
 from jtkit.symfunc import binom, dim_gl
 
 from conftest import partitions, sub_partition
-from oracles import chi_o_peeling
+from oracles import chi_o_peeling, multigraded_hs_by_inverses, ortho_multiplicities_by_lr
 
 CTX2 = QuadricContext(2)
 CTX3 = QuadricContext(3)
@@ -154,6 +155,16 @@ def test_ortho_decomposition_dimension(lam):
         assert all(mult > 0 for _, mult in dec.entries)
 
 
+@given(partitions(max_size=12, max_part=6, max_length=4))
+@example((6, 4, 2))
+@settings(deadline=None, max_examples=40)
+def test_ortho_decomposition_matches_lr_pairs(lam):
+    """The paired content tally per mu against one LR coefficient per
+    (mu, nu)."""
+    dec = orthogonal_stable_decomposition(QuadricContext(2 * max(len(lam), 1)), lam)
+    assert dict(dec.entries) == ortho_multiplicities_by_lr(lam)
+
+
 @given(partitions(max_size=6, max_part=4, max_length=3))
 @settings(deadline=None, max_examples=25)
 def test_littlewood_branching_dimension(lam):
@@ -186,6 +197,21 @@ def test_multigraded_hs():
         multigraded_hs_check(2, 2, trunc=13)
     with pytest.raises(ValueError):
         multigraded_hs_check(2, 2, trunc=-1)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 8))
+@example(4, 4, 8)
+@settings(deadline=None, max_examples=30)
+def test_multigraded_hs_division_matches_inverses(m, n, trunc):
+    assert _multigraded_hs(m, n, trunc) == multigraded_hs_by_inverses(m, n, trunc)
+
+
+def test_multigraded_hs_budget():
+    assert multigraded_hs_check(2, 8, trunc=1)["ok"]
+    with pytest.raises(ValueError, match="^a check over 9 quadric factors is above the bound of 8 factors$"):
+        multigraded_hs_check(2, 9, trunc=0)
+    with pytest.raises(ValueError, match="^a series in 8 variables to degree 11 has 75582 coefficients, above"):
+        multigraded_hs_check(2, 8, trunc=11)
 
 
 def test_multigraded_hs_payload_shape():

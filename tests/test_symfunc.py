@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -133,6 +135,17 @@ def test_dim_super_pinned():
     # (4, 4) hook, which must vanish without a search
     assert dim_super((5, 5, 4, 4), 4, 4) == 393216
     assert dim_super((10, 9, 8, 7, 6), 4, 4) == 0
+
+
+def test_dim_super_many_letters():
+    """Far more letters than boxes: only the nonempty strips are added, so
+    the cost does not grow with r or s."""
+    start = time.perf_counter()
+    assert dim_super((1,), 200000, 0) == 200000
+    assert time.perf_counter() - start < 0.1
+    assert dim_super((3, 2, 1), 1000, 0) == dim_gl((3, 2, 1), 1000)
+    assert dim_super((3, 2, 1), 0, 1000) == dim_gl((3, 2, 1), 1000)
+    assert dim_super((4, 2), 40, 3, (1,)) == super_count((4, 2), (1,), 40, 3)
 
 
 @given(MEDIUM, st.integers(0, 3), st.integers(0, 3))
