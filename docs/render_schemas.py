@@ -39,6 +39,12 @@ N variables to degree T has C coefficients, above the bound 65536`) is a
 domain error, exit code 1, raised before any work: `--n 7 --trunc 12`
 (50,388 coefficients) runs, `--n 8 --trunc 12` (125,970) does not.
 
+`ortho-decomp` fills lambda/mu with LR tableaux for every mu inside lambda.
+A shape with more than 30 boxes (`error: a decomposition of a shape with N
+boxes is above the bound of 30 boxes`) is a domain error, exit code 1,
+raised before any work and after the stable-range check: `--m 10 --lambda
+6,6,6,6,6` runs, `--m 40 --lambda 12,10,8,6,4,2` (42 boxes) does not.
+
 Partitions are encoded as arrays of weakly decreasing positive integers.
 Class values (for sequences carrying symbolic terms) are arrays of
 `{"partitions": [...], "coeff": n}` entries; integer values stay bare.

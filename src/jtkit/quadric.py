@@ -143,15 +143,27 @@ class OrthogonalDecomposition:
         return sum(mult * chi_o_dim(mu, self.m) for mu, mult in self.entries)
 
 
+# The decomposition fills lam/mu with LR tableaux for every mu inside lam,
+# and that count grows about twentyfold with each added row: shapes of 30
+# boxes take up to about 1 s (7,6,5,4,3,2,1,1,1 and 6,5,4,3,3,2,2,2,1,1,1
+# on a 2-vCPU Xeon), while (12,10,8,6,4,2), 42 boxes, takes 3.6 s.
+_ORTHO_MAX_BOXES = 30
+
+
 def orthogonal_stable_decomposition(ctx: QuadricContext, lam) -> OrthogonalDecomposition:
     """Decompose a stable-range Schur functor of the quadric into orthogonal
     characters: the multiplicity of mu is the count of LR tableaux pairing mu
     with a transposed doubled partition, that is, the sum of c^lam_{mu,nu}
     over the nu whose columns all have even length, read off one content
-    tally of lam/mu."""
+    tally of lam/mu.  Raises ValueError, before any work, when lam has more
+    than _ORTHO_MAX_BOXES boxes."""
     lam = as_parts(lam)
     if 2 * len(lam) > ctx.m:
         raise ValueError(f"stable range needs 2*l(lambda) <= m, got lambda={lam}, m={ctx.m}")
+    if sum(lam) > _ORTHO_MAX_BOXES:
+        raise ValueError(
+            f"a decomposition of a shape with {sum(lam)} boxes is above the bound of {_ORTHO_MAX_BOXES} boxes"
+        )
     size = sum(lam)
     entries = []
     for mu in subpartitions(lam):

@@ -8,6 +8,13 @@ Two deliberately independent routes compute LR numbers:
   order, checking tableau and ballot constraints locally.
 
 The test suite plays them against each other; do not merge them.
+
+mult_one memoises each product once: c^lam_{mu,nu} = c^lam_{nu,mu}, so the
+key puts its arguments in one total order (fewer rows, then fewer boxes,
+then the parts) and the strips come from the first.  SchurClass products
+read that memo directly and call mult_one only on a miss, so mult_one stays
+the one kernel and the one writer of the memo.  Arithmetic results skip the
+constructor's per-key checks, since their keys are canonical already.
 """
 
 from __future__ import annotations
@@ -34,65 +41,77 @@ def _add_strip(cur: tuple[int, ...], k: int, prev_cum):
     imposes the lattice condition: boxes of this letter through row r may not
     outnumber boxes of the previous letter through row r-1.  None means this
     is the first letter (no condition).
+
+    cur must be canonical.  Row r takes at most room[r] boxes, so the strip
+    stays under row r-1 of cur, and each row takes at least what the rows
+    below it cannot hold; the new last row takes what is left.
     """
-    nrows = len(cur) + 1
+    last = len(cur)
+    room = (k,) + tuple(a - b for a, b in zip(cur, cur[1:] + (0,)))
+    below = [0] * (last + 2)
+    for r in range(last, -1, -1):
+        below[r] = below[r + 1] + room[r]
+    if prev_cum is None:
+        limit = (k,) * (last + 1)
+    else:
+        limit = ((0,) + prev_cum + (prev_cum[-1],) * last)[: last + 1]
     out = []
     newparts: list[int] = []
     cum: list[int] = []
 
-    def rec(r: int, rem: int):
-        if r == nrows:
-            if rem == 0:
-                out.append((trim(newparts), tuple(cum)))
+    def rec(r: int, rem: int, added: int):
+        if r == last:
+            if rem <= room[r] and added + rem <= limit[r]:
+                parts = tuple(newparts) + (rem,) if rem else tuple(newparts)
+                out.append((parts, tuple(cum) + (added + rem,)))
             return
-        cur_r = cur[r] if r < len(cur) else 0
-        if r == 0:
-            cap = rem
-        else:
-            above = cur[r - 1] if r - 1 < len(cur) else 0
-            cap = min(rem, above - cur_r)
-        if prev_cum is not None:
-            j = r - 1
-            if j < 0:
-                p = 0
-            elif j < len(prev_cum):
-                p = prev_cum[j]
-            else:
-                p = prev_cum[-1] if prev_cum else 0
-            cap = min(cap, p - (cum[-1] if cum else 0))
-        for c in range(cap + 1):
-            newparts.append(cur_r + c)
-            cum.append((cum[-1] if cum else 0) + c)
-            rec(r + 1, rem - c)
+        for c in range(max(0, rem - below[r + 1]), min(rem, room[r], limit[r] - added) + 1):
+            newparts.append(cur[r] + c)
+            cum.append(added + c)
+            rec(r + 1, rem - c, added + c)
             newparts.pop()
             cum.pop()
 
-    rec(0, k)
+    rec(0, k, 0)
     return out
+
+
+def _mult_key(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The memo key (base, strips) of s_mu * s_nu for canonical parts.
+
+    The strips come from the partition that is first in one total order:
+    fewer rows, then fewer boxes, then the smaller parts.  Since
+    c^lam_{mu,nu} = c^lam_{nu,mu}, both argument orders share one entry, and
+    the chain has as few letters as the pair allows.
+    """
+    if (len(mu), sum(mu), mu) < (len(nu), sum(nu), nu):
+        return nu, mu
+    return mu, nu
 
 
 def mult_one(mu, nu) -> dict[tuple[int, ...], int]:
     """Expand the product s_mu * s_nu in the Schur basis.
 
-    Keys are partitions, values the (positive) LR multiplicities.
+    Keys are partitions, values the (positive) LR multiplicities.  The
+    result is a fresh dict; the memoised one is never handed out.
     """
-    mu, nu = as_parts(mu), as_parts(nu)
-    key = (mu, nu)
+    key = _mult_key(as_parts(mu), as_parts(nu))
     hit = _MULT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    states: dict[tuple, int] = {(mu, None): 1}
-    for k in nu:
-        nxt: dict[tuple, int] = {}
-        for (part, cum), cnt in states.items():
-            for newpart, newcum in _add_strip(part, k, cum):
-                skey = (newpart, newcum)
-                nxt[skey] = nxt.get(skey, 0) + cnt
-        states = nxt
-    out: dict[tuple[int, ...], int] = {}
-    for (part, _), cnt in states.items():
-        out[part] = out.get(part, 0) + cnt
-    return memo_put(_MULT_CACHE, key, out)
+    if hit is None:
+        base, strips = key
+        states: dict[tuple, int] = {(base, None): 1}
+        for k in strips:
+            nxt: dict[tuple, int] = {}
+            for (part, cum), cnt in states.items():
+                for newpart, newcum in _add_strip(part, k, cum):
+                    skey = (newpart, newcum)
+                    nxt[skey] = nxt.get(skey, 0) + cnt
+            states = nxt
+        out: dict[tuple[int, ...], int] = {}
+        for (part, _), cnt in states.items():
+            out[part] = out.get(part, 0) + cnt
+        hit = memo_put(_MULT_CACHE, key, out)
+    return dict(hit)
 
 
 def pieri_extensions(lam, k: int) -> list[tuple[int, ...]]:
@@ -180,13 +199,14 @@ def lr_coefficient(lam, mu, nu) -> int:
 
 
 def skew_contents(shape) -> dict[tuple[int, ...], int]:
-    """Content tally nu -> c^lam_{mu,nu} for a skew shape lam/mu, memoized."""
+    """Content tally nu -> c^lam_{mu,nu} for a skew shape lam/mu, memoized;
+    the result is a fresh dict."""
     s = as_shape(shape)
     key = (s.outer.parts, s.inner.parts)
     hit = _SKEW_CACHE.get(key)
     if hit is None:
         hit = memo_put(_SKEW_CACHE, key, _lr_contents(key[0], key[1]))
-    return hit
+    return dict(hit)
 
 
 def dim_gl(lam, m: int) -> int:
@@ -287,12 +307,22 @@ def dim_super(lam, r: int, s: int, mu=()) -> int:
     return memo_put(_DIM_SUPER_CACHE, key, odds.get(lamt, 0))
 
 
+class _Canonical(dict):
+    """Terms that SchurClass arithmetic built from the keys of canonical
+    classes: every key is already a tuple of k canonical partitions, and only
+    the zero coefficients, left where terms cancelled, remain to be dropped."""
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class SchurClass:
     """An integer combination of products of Schur functors.
 
-    factor_count is the number of tensor factors; each term maps a tuple of
-    that many partitions to a nonzero integer coefficient.
+    k is the number of tensor factors; each term maps a tuple of that many
+    partitions to a nonzero integer coefficient.  The constructor checks and
+    normalises every key and coefficient.  Sums, negatives, integer
+    multiples, products and external products combine keys that are already
+    canonical, so they hand their terms over as a _Canonical dict, from
+    which the constructor only drops the zero coefficients.
     """
 
     k: int
@@ -302,17 +332,21 @@ class SchurClass:
         k = int(self.k)
         if k < 1:
             raise ValueError("factor_count must be at least 1")
-        clean: dict[tuple[tuple[int, ...], ...], int] = {}
-        for key, coeff in (self.terms or {}).items():
-            coeff = int(coeff)
-            if coeff == 0:
-                continue
-            tkey = tuple(as_parts(p) for p in key)
-            if len(tkey) != k:
-                raise ValueError(f"term {tkey} has {len(tkey)} factors, expected {k}")
-            clean[tkey] = clean.get(tkey, 0) + coeff
+        if type(self.terms) is _Canonical:
+            clean = {key: c for key, c in self.terms.items() if c}
+        else:
+            merged: dict[tuple[tuple[int, ...], ...], int] = {}
+            for key, coeff in (self.terms or {}).items():
+                coeff = int(coeff)
+                if coeff == 0:
+                    continue
+                tkey = tuple(as_parts(p) for p in key)
+                if len(tkey) != k:
+                    raise ValueError(f"term {tkey} has {len(tkey)} factors, expected {k}")
+                merged[tkey] = merged.get(tkey, 0) + coeff
+            clean = {key: c for key, c in merged.items() if c != 0}
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "terms", {key: c for key, c in clean.items() if c != 0})
+        object.__setattr__(self, "terms", clean)
 
     @classmethod
     def zero(cls, k: int) -> "SchurClass":
@@ -368,13 +402,13 @@ class SchurClass:
             return NotImplemented
         if other.k != self.k:
             raise ValueError("factor_count mismatch")
-        out = dict(self.terms)
+        out = _Canonical(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
         return SchurClass(self.k, out)
 
     def __neg__(self):
-        return SchurClass(self.k, {key: -c for key, c in self.terms.items()})
+        return SchurClass(self.k, _Canonical({key: -c for key, c in self.terms.items()}))
 
     def __sub__(self, other):
         if not isinstance(other, SchurClass):
@@ -383,19 +417,22 @@ class SchurClass:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return SchurClass(self.k, {key: c * other for key, c in self.terms.items()})
+            return SchurClass(self.k, _Canonical({key: c * other for key, c in self.terms.items()}))
         if not isinstance(other, SchurClass):
             return NotImplemented
         if other.k != self.k:
             raise ValueError("factor_count mismatch")
-        out: dict[tuple, int] = {}
+        out = _Canonical()
         for key1, c1 in self.terms.items():
             for key2, c2 in other.terms.items():
                 # expand factorwise, then take the cartesian product of the
                 # per-factor Schur expansions
                 partials = [((), c1 * c2)]
-                for f in range(self.k):
-                    expansion = mult_one(key1[f], key2[f])
+                for mu, nu in zip(key1, key2):
+                    key = _mult_key(mu, nu)
+                    expansion = _MULT_CACHE.get(key)
+                    if expansion is None:
+                        expansion = mult_one(*key)
                     partials = [
                         (built + (lam,), coeff * lr)
                         for built, coeff in partials
@@ -447,7 +484,7 @@ def skew_to_straight(shape) -> SchurClass:
 
 def external_product(a: SchurClass, b: SchurClass) -> SchurClass:
     """Tensor the factor lists of two classes (no LR expansion)."""
-    out: dict[tuple, int] = {}
+    out = _Canonical()
     for key1, c1 in a.terms.items():
         for key2, c2 in b.terms.items():
             key = key1 + key2

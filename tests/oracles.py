@@ -6,7 +6,9 @@ filling the diagram cell by cell, determinants by fraction Gaussian
 elimination and by the permutation sum, elementary classes by the sum over
 compositions, Schur polynomials by brute monomial expansion, orthogonal
 character dimensions by peeling doubled rows off the GL dimension,
-positivity scans and hook profiles by one Jacobi-Trudi minor per shape,
+Schur products by strip chains taken in the argument order given, each
+strip picked from a product of row ranges, positivity scans and hook
+profiles by one Jacobi-Trudi minor per shape,
 series inverses by summing geometric powers, and the multigraded Hilbert
 series by multiplying with those inverses instead of dividing.  None of these call the library code paths they check.
 """
@@ -58,6 +60,39 @@ def _conj(parts):
     if not parts:
         return ()
     return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
+
+
+def mult_one_given_order(mu, nu) -> dict:
+    """s_mu * s_nu by adding the rows of nu to mu as horizontal strips, in
+    the order given and without a memo.
+
+    Letter i adds nu_i boxes, at most one per column, so row r of the new
+    shape stays within row r - 1 of the old.  Its boxes in rows 1..r never
+    outnumber those of letter i - 1 in rows 1..r - 1 (the lattice condition;
+    no later letter enters row 1).  Each strip is picked from the product of
+    the row ranges and kept when its size is nu_i.
+    """
+    states = {(tuple(x for x in mu if x), None): 1}
+    for k in (x for x in nu if x):
+        nxt = {}
+        for (shape, prev), cnt in states.items():
+            padded = shape + (0,)
+            ranges = [range(k + 1)] + [range(min(k, padded[r - 1] - padded[r]) + 1) for r in range(1, len(padded))]
+            for add in itertools.product(*ranges):
+                if sum(add) != k:
+                    continue
+                cum = tuple(itertools.accumulate(add))
+                if prev is not None:
+                    limits = (0,) + prev + (prev[-1],) * len(cum)
+                    if any(c > limit for c, limit in zip(cum, limits)):
+                        continue
+                new = tuple(x for x in (p + a for p, a in zip(padded, add)) if x)
+                nxt[(new, cum)] = nxt.get((new, cum), 0) + cnt
+        states = nxt
+    out = {}
+    for (shape, _), cnt in states.items():
+        out[shape] = out.get(shape, 0) + cnt
+    return out
 
 
 def super_count(lam, mu, r, s) -> int:

@@ -256,6 +256,19 @@ def test_hs_check_budget(capsys):
     assert err == "error: a check over 300 quadric factors is above the bound of 8 factors\n"
 
 
+def test_ortho_decomp_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "ortho-decomp", "--m", "40", "--lambda", "12,10,8,6,4,2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "error: a decomposition of a shape with 42 boxes is above the bound of 30 boxes\n"
+    code, out, err = invoke(capsys, "ortho-decomp", "--m", "12", "--lambda", "7,6,6,6,6")
+    assert code == 1 and out == ""
+    assert err == "error: a decomposition of a shape with 31 boxes is above the bound of 30 boxes\n"
+    payload = check_json(capsys, "ortho-decomp", "--m", "10", "--lambda", "6,6,6,6,6")
+    assert payload["dimension"] == payload["schur_dim"]
+
+
 def test_repeat_invocations_byte_identical(capsys):
     args = ("resolve", "rnc", "--d", "3", "--shifts", "1,2,1")
     first = invoke(capsys, *args)

@@ -145,6 +145,17 @@ def test_ortho_decomposition_frozen():
         orthogonal_stable_decomposition(CTX3, (1, 1))
 
 
+def test_ortho_decomposition_budget():
+    """Shapes above 30 boxes are refused before any filling; the stable
+    range is checked first."""
+    with pytest.raises(ValueError, match="^a decomposition of a shape with 31 boxes is above the bound of 30 boxes$"):
+        orthogonal_stable_decomposition(QuadricContext(62), (1,) * 31)
+    with pytest.raises(ValueError, match="^stable range needs"):
+        orthogonal_stable_decomposition(QuadricContext(40), (1,) * 31)
+    dec = orthogonal_stable_decomposition(QuadricContext(60), (1,) * 30)
+    assert dec.dimension() == quadric_schur_dim(QuadricContext(60), (1,) * 30)
+
+
 @given(partitions(max_size=6, max_part=4, max_length=3))
 @settings(deadline=None, max_examples=30)
 def test_ortho_decomposition_dimension(lam):

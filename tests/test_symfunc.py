@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jtkit.shapes import SkewShape, conjugate, subpartitions
+from jtkit.shapes import SkewShape, as_parts, conjugate, subpartitions
 from jtkit.symfunc import (
+    _MULT_CACHE,
     SchurClass,
     dim_gl,
     dim_gl_skew,
@@ -21,7 +22,15 @@ from jtkit.symfunc import (
 )
 
 from conftest import partitions, sub_partition
-from oracles import poly_combine, poly_mul, schur_monomials, ssyt_count, super_count, super_fillings
+from oracles import (
+    mult_one_given_order,
+    poly_combine,
+    poly_mul,
+    schur_monomials,
+    ssyt_count,
+    super_count,
+    super_fillings,
+)
 
 SMALL = partitions(max_size=6, max_part=5, max_length=4)
 MEDIUM = partitions(max_size=8, max_part=6, max_length=4)
@@ -37,7 +46,31 @@ def test_mult_one_hand_values():
 @given(SMALL, SMALL)
 @settings(deadline=None, max_examples=60)
 def test_mult_one_symmetric(mu, nu):
+    """mult_one swaps its arguments into one canonical order; the strip
+    chains taken in each given order must both agree with it."""
+    want = mult_one(mu, nu)
+    assert mult_one(nu, mu) == want
+    assert mult_one_given_order(mu, nu) == want
+    assert mult_one_given_order(nu, mu) == want
+
+
+def test_mult_one_shares_one_cache_entry():
+    mu, nu = (4, 2, 1), (3, 3)
+    for key in ((mu, nu), (nu, mu)):
+        _MULT_CACHE.pop(key, None)
+    size = len(_MULT_CACHE)
     assert mult_one(mu, nu) == mult_one(nu, mu)
+    assert len(_MULT_CACHE) == size + 1
+    assert ((mu, nu) in _MULT_CACHE) != ((nu, mu) in _MULT_CACHE)
+
+
+def test_mult_one_result_is_a_copy():
+    """Mutating a returned expansion must not reach the memo, and so must
+    not change later products."""
+    got = mult_one((1,), (1,))
+    got[(2,)] = 5
+    assert mult_one((1,), (1,)) == {(2,): 1, (1, 1): 1}
+    assert (SchurClass.schur((1,)) * SchurClass.schur((1,))).coefficient(((2,),)) == 1
 
 
 @given(SMALL, SMALL)
@@ -80,6 +113,14 @@ def test_skew_contents_match_lr(pair):
     for nu, coeff in tally.items():
         assert coeff == lr_coefficient(lam, mu, nu)
     assert sum(c * dim_gl(nu, 3) for nu, c in tally.items()) == dim_gl_skew(SkewShape(lam, mu), 3)
+
+
+def test_skew_contents_result_is_a_copy():
+    shape = SkewShape((2, 1), (1,))
+    tally = skew_contents(shape)
+    tally[(2,)] = 7
+    assert skew_contents(shape) == {(2,): 1, (1, 1): 1}
+    assert skew_to_straight(shape) == SchurClass(1, {((2,),): 1, ((1, 1),): 1})
 
 
 def test_dim_gl_values():
@@ -248,3 +289,32 @@ def test_lr_transpose_symmetry(pair):
         c = lr_coefficient(lam, mu, nu)
         ct = lr_coefficient(conjugate(lam), conjugate(mu), conjugate(nu))
         assert c == ct
+
+
+def _class_pair(k):
+    """Two classes over one small pool of keys, with coefficients in -2..2,
+    so that sums, differences and products often cancel terms."""
+    key = st.tuples(*[partitions(max_size=3, max_part=3, max_length=2)] * k)
+    pool = st.lists(key, min_size=1, max_size=4, unique=True)
+    coeffs = st.dictionaries(st.sampled_from(range(4)), st.integers(-2, 2), max_size=4)
+    return pool.flatmap(
+        lambda keys: st.tuples(
+            *[coeffs.map(lambda d: SchurClass(k, {keys[i % len(keys)]: c for i, c in d.items()}))] * 2
+        )
+    )
+
+
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), _class_pair(k))), st.integers(-2, 2))
+@settings(deadline=None, max_examples=80)
+def test_arithmetic_results_are_canonical(k_pair, n):
+    """Sums, differences, negatives, integer multiples and products skip the
+    constructor's checks; their results must be what the checked
+    constructor makes of the same terms."""
+    k, (a, b) = k_pair
+    for result in (a * b, a + b, a - b, -a, a * n):
+        assert type(result.terms) is dict
+        assert result == SchurClass(k, dict(result.terms))
+        assert all(type(c) is int and c != 0 for c in result.terms.values())
+        for key in result.terms:
+            assert type(key) is tuple and len(key) == k
+            assert all(type(p) is tuple and p == as_parts(p) and all(x > 0 for x in p) for p in key)
