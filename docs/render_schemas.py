@@ -39,6 +39,15 @@ N variables to degree T has C coefficients, above the bound 65536`) is a
 domain error, exit code 1, raised before any work: `--n 7 --trunc 12`
 (50,388 coefficients) runs, `--n 8 --trunc 12` (125,970) does not.
 
+`hk-solve` solves two square systems of n - 1 equations, n the number of
+twists, by fraction-free elimination, whose cost grows with the size of the
+system: (n - 1)^2 times the bit length B of the largest twist.  A size above
+2^14 = 16,384 (`error: a rank system of N twists up to T has size (n - 1)^2
+* B bits = S, above the bound 16384`) is a domain error, exit code 1, raised
+before any work: `--twists 0,2,...,78` (40 twists, size 10,647) and
+`--twists 0,1,1000000000` (size 120) run, `--twists 0,1,...,53` (54 twists,
+size 16,854) does not.
+
 `ortho-decomp` fills lambda/mu with LR tableaux for every mu inside lambda.
 A shape with more than 30 boxes (`error: a decomposition of a shape with N
 boxes is above the bound of 30 boxes`) is a domain error, exit code 1,
@@ -51,7 +60,8 @@ Class values (for sequences carrying symbolic terms) are arrays of
 """
 
 
-def main() -> int:
+def render() -> str:
+    """The text of cli-schema.md: the header, then one section per schema."""
     parser = _build_parser()
     sub = next(a for a in parser._actions if a.__class__.__name__ == "_SubParsersAction")
     helps = {a.dest: a.help for a in sub._choices_actions}
@@ -67,8 +77,12 @@ def main() -> int:
         lines.append(json.dumps(SCHEMAS[name], indent=2, sort_keys=True))
         lines.append("```")
         lines.append("")
+    return "\n".join(lines)
+
+
+def main() -> int:
     target = Path(__file__).resolve().parent / "cli-schema.md"
-    target.write_text("\n".join(lines))
+    target.write_text(render())
     print(f"wrote {target}")
     return 0
 

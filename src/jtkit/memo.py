@@ -1,4 +1,5 @@
-"""The memo policy shared by every jtkit cache.
+"""The memo policy shared by every jtkit cache, and the marker for terms
+that value arithmetic has already made canonical.
 
 Every cache is a plain dict written only through memo_put.  Entries are
 write-once: an existing entry wins over a new value for the same key.  The
@@ -35,3 +36,10 @@ def memo_put(memo: dict, key, value):
     if len(memo) < CAP:
         memo[key] = value
     return value
+
+
+class _Canonical(dict):
+    """Terms that value arithmetic (SchurClass, TruncSeries) built from the
+    keys of canonical values: every key is already in canonical form, and
+    only the zero coefficients, left where terms cancelled, remain to be
+    dropped by the constructor."""

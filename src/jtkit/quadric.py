@@ -12,7 +12,7 @@ from itertools import combinations, product
 from math import comb, prod
 
 from .memo import memo_put
-from .powerseries import TruncSeries
+from .powerseries import TruncSeries, _packed_div, _packed_mul, _packed_pow, _packing, _unpack
 from .sequences import GradedSequence, jt_minor, make_sequence
 from .shapes import SkewShape, as_parts, as_shape, conjugate, contains, subpartitions, trim
 from .symfunc import SchurClass, _lr_contents, dim_gl_skew, dim_super
@@ -192,30 +192,29 @@ def _multigraded_hs(m: int, n: int, trunc: int) -> TruncSeries:
     """The uncancelled numerator-over-denominator form of the multigraded
     Hilbert series for n quadric factors.
 
-    The numerator and denominator products are built as written, the first
-    divided exactly by the second, and the quotient divided by (1 - x_i)^m
-    for each i; the mixed factors the two products share are never
-    cancelled by hand, since the check exists to verify that form.
+    The numerator and denominator products, of 1 - x_i x_j over i <= j and
+    over i < j, are built as written, the first divided exactly by the
+    second, and the quotient divided by (1 - x_i)^m for each i; the mixed
+    factors the two products share are never cancelled by hand, since the
+    check exists to verify that form.  The whole chain runs on packed keys
+    (powerseries), where x_i is weights[i], and is unpacked once.
     """
-    one = TruncSeries.one(n, trunc)
-    xs = [TruncSeries.var(n, trunc, i) for i in range(n)]
-    num = one
-    for i in range(n - 1):
-        for j in range(i, n - 1):
-            num = num * (one - xs[i] * xs[j])
-    for i in range(n - 1):
-        num = num * (one - xs[i] * xs[n - 1])
-    num = num * (one - xs[n - 1] * xs[n - 1])
-    den = one
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            den = den * (one - xs[i] * xs[j])
-    for i in range(n - 1):
-        den = den * (one - xs[i] * xs[n - 1])
-    series = num / den
+    weights, limit = _packing(n, trunc)
+
+    def one_minus(key):
+        return {0: 1, key: -1} if key < limit else {0: 1}
+
+    num = den = {0: 1}
     for i in range(n):
-        series = series / (one - xs[i]) ** m
-    return series
+        for j in range(i, n):
+            factor = one_minus(weights[i] + weights[j])
+            num = _packed_mul(num, factor, limit)
+            if i < j:
+                den = _packed_mul(den, factor, limit)
+    series = _packed_div(num, den, trunc, limit)
+    for w in weights:
+        series = _packed_div(series, _packed_pow(one_minus(w), m, limit), trunc, limit)
+    return TruncSeries(n, trunc, _unpack(series, n, trunc))
 
 
 # The check multiplies about n^2 factors over series with C(n + trunc, n)
@@ -256,15 +255,11 @@ def multigraded_hs_check(m: int, n: int, trunc: int = 8) -> dict:
         smaller = _multigraded_hs(m, n - 1, trunc).embed(n, tuple(range(n - 1)))
         last = _quadric_hs_factor(m, trunc, n, n - 1)
         factorization = series == smaller * last
-    seq = make_sequence("quadric", m=m)
-    coefficients = True
-    for exps in _all_exponents(n, trunc):
-        expected = 1
-        for e in exps:
-            expected *= seq.term(e)
-        if series.coefficient(exps) != expected:
-            coefficients = False
-            break
+    terms = [make_sequence("quadric", m=m).term(d) for d in range(trunc + 1)]
+    coeffs = series.coeffs
+    coefficients = all(
+        coeffs.get(exps, 0) == prod(map(terms.__getitem__, exps)) for exps in _all_exponents(n, trunc)
+    )
     return {
         "m": m,
         "n": n,
@@ -275,15 +270,10 @@ def multigraded_hs_check(m: int, n: int, trunc: int = 8) -> dict:
     }
 
 
-def _all_exponents(n: int, trunc: int) -> dict:
-    out = {}
-
-    def rec(prefix, rem):
-        if len(prefix) == n:
-            out[tuple(prefix)] = True
-            return
-        for e in range(rem + 1):
-            rec(prefix + [e], rem - e)
-
-    rec([], trunc)
+def _all_exponents(n: int, trunc: int) -> list:
+    """Every exponent tuple of n variables with total degree at most trunc,
+    in lexicographic order."""
+    out = [()]
+    for _ in range(n):
+        out = [e + (k,) for e in out for k in range(trunc + 1 - sum(e))]
     return out

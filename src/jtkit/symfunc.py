@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from math import comb
 
-from .memo import memo_put
+from .memo import _Canonical, memo_put
 from .shapes import Partition, SkewShape, as_parts, as_shape, conjugate, contains, trim
 
 _MULT_CACHE: dict = {}
@@ -305,12 +305,6 @@ def dim_super(lam, r: int, s: int, mu=()) -> int:
         {(conjugate(alpha) + padt)[: len(lamt)]: cnt for alpha, cnt in evens.items()}, lamt, s
     )
     return memo_put(_DIM_SUPER_CACHE, key, odds.get(lamt, 0))
-
-
-class _Canonical(dict):
-    """Terms that SchurClass arithmetic built from the keys of canonical
-    classes: every key is already a tuple of k canonical partitions, and only
-    the zero coefficients, left where terms cancelled, remain to be dropped."""
 
 
 @dataclass(frozen=True, slots=True, repr=False)

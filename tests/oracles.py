@@ -10,13 +10,19 @@ Schur products by strip chains taken in the argument order given, each
 strip picked from a product of row ranges, positivity scans and hook
 profiles by one Jacobi-Trudi minor per shape,
 series inverses by summing geometric powers, and the multigraded Hilbert
-series by multiplying with those inverses instead of dividing.  None of these call the library code paths they check.
+series by multiplying with those inverses instead of dividing, series
+products and quotients on exponent tuples instead of packed keys,
+Taylor coefficients at t = 1 by repeated synthetic division, and linear
+systems, hk_solve's among them, by Gauss-Jordan over Fraction.  None of
+these call the library code paths they check.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
 _SSYT_MEMO = {}
 
@@ -372,3 +378,116 @@ def ortho_multiplicities_by_lr(lam) -> dict:
         if mult:
             out[mu] = mult
     return out
+
+
+def _by_degree(coeffs: dict) -> list:
+    """(total degree, exponents, coefficient) for each term, lowest degree
+    first."""
+    return sorted((sum(e), e, c) for e, c in coeffs.items())
+
+
+def series_mul_tuples(a, b):
+    """a * b on exponent tuples: each term of a meets the terms of b in
+    degree order until the pair passes the cutoff."""
+    from jtkit.powerseries import TruncSeries
+
+    graded = _by_degree(b.coeffs)
+    out: dict = {}
+    for e1, c1 in a.coeffs.items():
+        room = a.trunc - sum(e1)
+        for d2, e2, c2 in graded:
+            if d2 > room:
+                break
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return TruncSeries(a.nvars, a.trunc, out)
+
+
+def series_div_tuples(a, b):
+    """The exact quotient a / b on exponent tuples, solved degree by degree
+    with one remainder dict per degree; b needs constant term +1 or -1."""
+    from jtkit.powerseries import TruncSeries
+
+    c0 = b.constant()
+    if c0 not in (1, -1):
+        raise ValueError(f"inverse needs unit constant term, got {c0}")
+    trunc = a.trunc
+    tail = [t for t in _by_degree(b.coeffs) if t[0]]
+    rest = [{} for _ in range(trunc + 1)]
+    for e, c in a.coeffs.items():
+        rest[sum(e)][e] = c
+    quotient = {}
+    for d, row in enumerate(rest):
+        for e, c in row.items():
+            if not c:
+                continue
+            q = quotient[e] = c * c0
+            for d2, e2, c2 in tail:
+                if d + d2 > trunc:
+                    break
+                k = tuple(map(add, e, e2))
+                rest[d + d2][k] = rest[d + d2].get(k, 0) - q * c2
+    return TruncSeries(a.nvars, trunc, quotient)
+
+
+def taylor_remainders(coeffs, count: int) -> list[Fraction]:
+    """First count coefficients of the expansion around t = 1 of the
+    polynomial with the given coefficient list, by repeated synthetic
+    division by (t - 1)."""
+    p = [Fraction(c) for c in coeffs]
+    out = []
+    for _ in range(count):
+        # Horner pass: remainder is p(1), quotient stays in the list
+        acc = Fraction(0)
+        for j in range(len(p) - 1, -1, -1):
+            acc += p[j]
+            p[j] = acc
+        out.append(p[0])
+        p = p[1:] or [Fraction(0)]
+    return out
+
+
+def solve_fraction(matrix, rhs) -> list[Fraction]:
+    """Gauss-Jordan elimination over Fraction, pivot rescaled to 1."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular system")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return [m[i][n] for i in range(n)]
+
+
+def hk_solve_by_fractions(twists):
+    """(tail, finite, tail_raw) of the Herzog-Kuhl rank conditions: each
+    branch's polynomials are expanded around t = 1 by synthetic division and
+    the square system solved over Fraction, last rank fixed at 1."""
+    n = len(twists)
+    signs = [(-1) ** i for i in range(n)]
+
+    def branch(patterns):
+        rems = []
+        for pat in patterns:
+            coeffs = [0] * (max(pat) + 1)
+            for j, c in pat.items():
+                coeffs[j] += c
+            rems.append(taylor_remainders(coeffs, n - 1))
+        matrix = [[rems[i][k] for i in range(n - 1)] for k in range(n - 1)]
+        return solve_fraction(matrix, [-rems[n - 1][k] for k in range(n - 1)]) + [Fraction(1)]
+
+    def primitive(vec):
+        ints = [int(x * lcm(*[f.denominator for f in vec])) for x in vec]
+        g = gcd(*ints)
+        ints = [x // g for x in ints]
+        return tuple(-x for x in ints) if ints[0] < 0 else tuple(ints)
+
+    tail_raw = branch([{t: s, t + 1: s} for t, s in zip(twists[:-1], signs)] + [{twists[-1]: signs[-1]}])
+    finite = branch([{t: s} for t, s in zip(twists, signs)])
+    return primitive(tail_raw), primitive(finite), tuple(tail_raw)

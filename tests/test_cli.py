@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -254,6 +256,29 @@ def test_hs_check_budget(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert err == "error: a check over 300 quadric factors is above the bound of 8 factors\n"
+
+
+def test_hk_solve_budget(capsys):
+    twists = ",".join(str(t) for t in range(54))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "hk-solve", "--twists", twists)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == "error: a rank system of 54 twists up to 53 has size (n - 1)^2 * 6 bits = 16854, above the bound 16384\n"
+    payload = check_json(capsys, "hk-solve", "--twists", ",".join(str(t) for t in range(0, 80, 2)))
+    assert len(payload["tail"]) == 40
+    payload = check_json(capsys, "hk-solve", "--twists", "0,1,1000000000")
+    assert payload["finite"] == [999999999, 1000000000, 1]
+
+
+def test_schema_doc_matches_cli():
+    """docs/cli-schema.md is what docs/render_schemas.py renders from the
+    schemas and the CLI's help texts, budget prose included."""
+    path = Path(__file__).resolve().parent.parent / "docs" / "render_schemas.py"
+    spec = importlib.util.spec_from_file_location("render_schemas", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert (path.parent / "cli-schema.md").read_text() == module.render()
 
 
 def test_ortho_decomp_budget(capsys):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from jtkit.powerseries import TruncSeries
 
-from oracles import inverse_geometric
+from oracles import inverse_geometric, series_div_tuples, series_mul_tuples
 
 
 def _sparse(n):
@@ -141,3 +141,65 @@ def test_geometric():
     assert g.univariate_coeffs() == [1, 3, 9, 27, 81]
     t = TruncSeries.var(1, 3, 0)
     assert (TruncSeries.one(1, 3) - t).inverse().univariate_coeffs() == [1, 1, 1, 1]
+
+
+def _cancelling_pairs(constants):
+    """(a, b) in 1-4 variables cut off at degree 0-12, their terms drawn from
+    one pool of at most four exponents with coefficients in -2..2, so sums
+    and products often cancel; b's constant term comes from constants."""
+
+    def build(drawn):
+        (n, trunc, pool), a, b, c0 = drawn
+        a = TruncSeries(n, trunc, {pool[i % len(pool)]: c for i, c in a.items()})
+        b = TruncSeries(n, trunc, {**{pool[i % len(pool)]: c for i, c in b.items()}, (0,) * n: c0})
+        return a, b
+
+    coeffs = st.dictionaries(st.integers(0, 3), st.integers(-2, 2), max_size=4)
+    return (
+        st.tuples(st.integers(1, 4), st.integers(0, 12))
+        .flatmap(
+            lambda nt: st.tuples(
+                st.just(nt[0]),
+                st.just(nt[1]),
+                st.lists(st.tuples(*[st.integers(0, 6)] * nt[0]), min_size=1, max_size=4, unique=True),
+            )
+        )
+        .flatmap(lambda ntp: st.tuples(st.just(ntp), coeffs, coeffs, constants))
+        .map(build)
+    )
+
+
+@given(_cancelling_pairs(st.integers(-2, 2)))
+@settings(deadline=None, max_examples=150)
+def test_packed_product_matches_tuple_product(pair):
+    a, b = pair
+    assert a * b == series_mul_tuples(a, b)
+    assert b * a == series_mul_tuples(b, a)
+    assert a * a == series_mul_tuples(a, a)
+    assert b**3 == series_mul_tuples(series_mul_tuples(b, b), b)
+
+
+@given(_cancelling_pairs(st.sampled_from((1, -1))))
+@settings(deadline=None, max_examples=150)
+def test_packed_quotient_matches_tuple_quotient(pair):
+    a, b = pair
+    assert a / b == series_div_tuples(a, b)
+    assert (a * b) / b == a
+    assert b.inverse() == series_div_tuples(TruncSeries.one(b.nvars, b.trunc), b)
+
+
+@given(_cancelling_pairs(st.sampled_from((1, -1))), st.integers(-2, 2))
+@settings(deadline=None, max_examples=80)
+def test_arithmetic_results_are_canonical(pair, n):
+    """Sums, differences, negatives, integer multiples, products, quotients,
+    powers and embeddings skip the constructor's checks; their results must
+    be what the checked constructor makes of the same terms."""
+    a, b = pair
+    nvars, trunc = a.nvars, a.trunc
+    for result in (a + b, a - b, -a, a * n, n * a, a * b, a / b, b**2, a.embed(nvars + 1, range(nvars))):
+        assert type(result.coeffs) is dict
+        assert result == TruncSeries(result.nvars, trunc, dict(result.coeffs))
+        assert all(type(c) is int and c != 0 for c in result.coeffs.values())
+        for e in result.coeffs:
+            assert type(e) is tuple and len(e) == result.nvars
+            assert all(type(x) is int and x >= 0 for x in e) and sum(e) <= trunc

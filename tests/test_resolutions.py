@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+import time
 from math import gcd, lcm
 
 import pytest
@@ -19,7 +20,10 @@ from jtkit.resolutions import (
     rnc_sequence,
     validate_purity,
 )
+from jtkit import resolutions
 from jtkit.sequences import jt_minor, make_sequence
+
+from oracles import det_fraction, hk_solve_by_fractions, solve_fraction, taylor_remainders
 
 Q3 = make_sequence("quadric", m=3)
 
@@ -422,3 +426,93 @@ def test_hk_against_closed_forms(tw_set):
     assert tail_system_holds(twists, s.tail_raw)
     assert all(x > 0 for x in s.tail)
     assert gcd(*s.tail) == 1
+
+
+def test_hk_budget():
+    # 54 twists 0..53 are the smallest that reach size 53^2 * 6 = 16854
+    with pytest.raises(
+        ValueError, match=r"^a rank system of 54 twists up to 53 has size \(n - 1\)\^2 \* 6 bits = 16854, above the bound 16384$"
+    ):
+        hk_solve(range(54))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^a rank system of 40 twists up to 1000000000 has size .* = 45630, above"):
+        hk_solve([k * 25641025 for k in range(39)] + [10**9])
+    assert time.perf_counter() - start < 0.1
+    assert hk_solve(range(53)).finite[0] == 1
+    assert len(hk_solve(range(0, 80, 2)).tail) == 40
+
+
+def test_hk_cost_does_not_grow_with_twist_size():
+    start = time.perf_counter()
+    s = hk_solve((0, 1, 10**9))
+    assert time.perf_counter() - start < 0.1
+    assert s.finite == finite_betti_oracle((0, 1, 10**9))
+    assert tail_system_holds((0, 1, 10**9), s.tail_raw)
+
+
+@given(st.sets(st.integers(0, 60), min_size=2, max_size=8))
+@settings(deadline=None, max_examples=60)
+def test_hk_matches_fraction_route(tw_set):
+    twists = tuple(sorted(tw_set))
+    s = hk_solve(twists)
+    assert (s.tail, s.finite, s.tail_raw) == hk_solve_by_fractions(twists)
+
+
+@given(st.dictionaries(st.integers(0, 40), st.integers(-3, 3).filter(bool), min_size=1, max_size=2), st.integers(1, 8))
+@settings(deadline=None, max_examples=80)
+def test_taylor_at_one_matches_synthetic_division(pattern, count):
+    coeffs = [pattern.get(j, 0) for j in range(max(pattern) + 1)]
+    assert resolutions._taylor_at_one(pattern, count) == taylor_remainders(coeffs, count)
+
+
+def _system(order):
+    entries = st.integers(-9, 9)
+    return st.tuples(
+        st.lists(st.lists(entries, min_size=order, max_size=order), min_size=order, max_size=order),
+        st.lists(entries, min_size=order, max_size=order),
+    )
+
+
+@given(st.integers(1, 6).flatmap(_system))
+@settings(deadline=None, max_examples=150)
+def test_bareiss_solve_matches_fraction_solve(system):
+    matrix, rhs = system
+    if det_fraction(matrix) == 0:
+        with pytest.raises(ValueError, match="^singular system$"):
+            resolutions._solve_square(matrix, rhs)
+        return
+    assert resolutions._solve_square(matrix, rhs) == solve_fraction(matrix, rhs)
+
+
+def test_broken_quadric_tail_raises(monkeypatch):
+    real, calls = resolutions.quadric_schur_dim, []
+
+    def drifting(ctx, shape):
+        # the true ranks for the m head rows, one more for every tail row
+        calls.append(shape)
+        return real(ctx, shape) + (len(calls) > ctx.m)
+
+    monkeypatch.setattr(resolutions, "quadric_schur_dim", drifting)
+    with pytest.raises(RuntimeError, match="^tail rank 5 at step 1 breaks constancy 4$"):
+        quadric_pure_resolution(3, (1, 1, 1))
+
+
+def test_broken_rnc_tail_raises(monkeypatch):
+    real, calls = resolutions.jt_minor, []
+
+    def drifting(seq, shape):
+        calls.append(shape)
+        return real(seq, shape) + (len(calls) > 3)
+
+    monkeypatch.setattr(resolutions, "jt_minor", drifting)
+    with pytest.raises(RuntimeError, match="^tail rank 19 at step 1, expected 18$"):
+        rnc_pure_resolution(3, (1, 2, 1))
+
+
+def test_nonpositive_head_rank_raises(monkeypatch):
+    monkeypatch.setattr(resolutions, "quadric_schur_dim", lambda ctx, shape: 0)
+    with pytest.raises(RuntimeError, match="^head rank 0 at index 0 is not positive$"):
+        quadric_pure_resolution(3, (1, 1, 2))
+    monkeypatch.setattr(resolutions, "jt_minor", lambda seq, shape: -1)
+    with pytest.raises(RuntimeError, match="^head rank -1 at index 0 is not positive$"):
+        rnc_pure_resolution(3, (1, 2, 2))
