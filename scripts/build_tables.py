@@ -28,6 +28,11 @@ def shift_grid(n: int, top: int):
     return itertools.product(range(1, top + 1), repeat=n)
 
 
+def _require_pure(report, what: str) -> None:
+    if not (report.is_polynomial and report.nonnegative):
+        raise RuntimeError(f"{what}: table failed its purity check")
+
+
 def write_table(out_dir: Path, name: str, table, report=None) -> None:
     payload = {"table": table.to_json()}
     if report is not None:
@@ -52,7 +57,7 @@ def main(argv=None) -> int:
         for e in shift_grid(m, args.max_shift):
             table = quadric_pure_resolution(m, e, tail_terms=args.tail)
             rep = validate_purity(table, seq)
-            assert rep.is_polynomial and rep.nonnegative, (m, e)
+            _require_pure(rep, f"quadric m={m} shifts {e}")
             write_table(args.out, "quadric_m%d_e%s" % (m, "".join(map(str, e))), table, rep)
             count += 1
     for d in range(1, args.max_d + 1):
@@ -60,7 +65,7 @@ def main(argv=None) -> int:
         for e in shift_grid(3, args.max_shift):
             table = rnc_pure_resolution(d, e, tail_terms=args.tail)
             rep = validate_purity(table, seq)
-            assert rep.is_polynomial and rep.nonnegative, (d, e)
+            _require_pure(rep, f"rnc d={d} shifts {e}")
             write_table(args.out, "rnc_d%d_e%s" % (d, "".join(map(str, e))), table, rep)
             count += 1
     for e_dim in (2, 3):

@@ -4,8 +4,9 @@ Quick experiment driver: pair up a few named sequences, run the minor scan
 on each termwise product, and print whichever witness shows up first.
 """
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from jtkit.sequences import hadamard, make_sequence, parse_sequence_spec, pf_check
 

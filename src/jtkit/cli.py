@@ -40,7 +40,7 @@ from .sequences import (
     veronese_identity_check,
 )
 from .shapes import SkewShape, trim
-from .symfunc import SchurClass, dim_gl, dim_gl_skew, dim_super, lr_coefficient, skew_to_straight
+from .symfunc import dim_gl, dim_gl_skew, dim_super, lr_coefficient, skew_to_straight, value_json
 from .zelevinsky import euler_characteristic, jt_complex_layout
 
 
@@ -73,12 +73,6 @@ def _seq_arg(text: str):
         raise argparse.ArgumentTypeError(str(e))
 
 
-def _value_json(v):
-    if isinstance(v, SchurClass):
-        return v.to_json()
-    return v
-
-
 def _guard_cost(seq, lam, mu, pad, max_cost: int) -> None:
     need = max(len(lam), len(mu), 1)
     r = need if pad is None else int(pad)
@@ -95,17 +89,22 @@ def _cmd_pf_check(args):
     return payload, None
 
 
+def _minor(args, seq, head: dict, check=None):
+    """The payload of a minor command: head, the shape and padding, seq's
+    minor on them and, given check, whether check(shape) holds.  Text output
+    prints the keys in this order."""
+    _guard_cost(seq, args.lam, args.mu, args.pad, args.max_cost)
+    shape = SkewShape(args.lam, args.mu)
+    value = value_json(jt_minor(seq, shape, args.pad))
+    payload = {**head, "lambda": list(args.lam), "mu": list(args.mu), "pad": args.pad, "value": value}
+    if check is not None:
+        payload["identity_ok"] = check(shape)
+    return payload, None
+
+
 def _cmd_jt_minor(args):
     text, seq = args.seq
-    _guard_cost(seq, args.lam, args.mu, args.pad, args.max_cost)
-    value = jt_minor(seq, SkewShape(args.lam, args.mu), args.pad)
-    return {
-        "seq": text,
-        "lambda": list(args.lam),
-        "mu": list(args.mu),
-        "pad": args.pad,
-        "value": _value_json(value),
-    }, None
+    return _minor(args, seq, {"seq": text})
 
 
 def _cmd_lr(args):
@@ -146,61 +145,25 @@ def _cmd_veronese(args):
     text, seq = args.seq
     if args.d < 1:
         raise UsageError("--d must be at least 1")
-    derived = veronese(seq, args.d)
-    _guard_cost(derived, args.lam, args.mu, args.pad, args.max_cost)
-    shape = SkewShape(args.lam, args.mu)
-    value = jt_minor(derived, shape, args.pad)
-    ok = veronese_identity_check(seq, args.d, shape, args.pad)
-    return {
-        "seq": text,
-        "d": args.d,
-        "lambda": list(args.lam),
-        "mu": list(args.mu),
-        "pad": args.pad,
-        "value": _value_json(value),
-        "identity_ok": ok,
-    }, None
+    head = {"seq": text, "d": args.d}
+    return _minor(args, veronese(seq, args.d), head, lambda s: veronese_identity_check(seq, args.d, s, args.pad))
 
 
 def _cmd_tensor(args):
-    atext, a = args.a
-    btext, b = args.b
-    derived = tensor_product(a, b)
-    _guard_cost(derived, args.lam, args.mu, args.pad, args.max_cost)
-    shape = SkewShape(args.lam, args.mu)
-    value = jt_minor(derived, shape, args.pad)
-    ok = tensor_identity_check(a, b, shape, args.pad)
-    return {
-        "a": atext,
-        "b": btext,
-        "lambda": list(args.lam),
-        "mu": list(args.mu),
-        "pad": args.pad,
-        "value": _value_json(value),
-        "identity_ok": ok,
-    }, None
+    (atext, a), (btext, b) = args.a, args.b
+    head = {"a": atext, "b": btext}
+    return _minor(args, tensor_product(a, b), head, lambda s: tensor_identity_check(a, b, s, args.pad))
 
 
 def _cmd_segre(args):
-    atext, a = args.a
-    btext, b = args.b
-    derived = segre(a, b)
-    _guard_cost(derived, args.lam, args.mu, args.pad, args.max_cost)
-    value = jt_minor(derived, SkewShape(args.lam, args.mu), args.pad)
-    return {
-        "a": atext,
-        "b": btext,
-        "lambda": list(args.lam),
-        "mu": list(args.mu),
-        "pad": args.pad,
-        "value": _value_json(value),
-    }, None
+    (atext, a), (btext, b) = args.a, args.b
+    return _minor(args, segre(a, b), {"a": atext, "b": btext})
 
 
 def _cmd_e_class(args):
     text, seq = args.seq
     value = e_class(seq, args.d)
-    return {"seq": text, "d": args.d, "value": _value_json(value)}, None
+    return {"seq": text, "d": args.d, "value": value_json(value)}, None
 
 
 def _cmd_schur_profile(args):
@@ -295,7 +258,7 @@ def _cmd_zelevinsky(args):
     chi = euler_characteristic(layout)
     payload = layout.to_json()
     payload["seq"] = text
-    payload["euler"] = _value_json(chi)
+    payload["euler"] = value_json(chi)
     payload["ok"] = chi == layout.minor
     return payload, None
 
@@ -445,7 +408,10 @@ def _render_text(obj, indent: int, out: list) -> None:
     pad = " " * indent
     if isinstance(obj, dict):
         for k, v in obj.items():
-            if _is_flat(v):
+            if k == "table" and isinstance(v, dict) and "rows" in v:
+                out.append(f"{pad}{k}:")
+                out.extend(f"{pad}  {line}" for line in _table_text(v))
+            elif _is_flat(v):
                 out.append(f"{pad}{k}: {_scalar_text(v)}")
             else:
                 out.append(f"{pad}{k}:")
@@ -496,15 +462,7 @@ def run(argv) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "text":
         lines = []
-        for k, v in payload.items():
-            if k == "table" and isinstance(v, dict) and "rows" in v:
-                lines.append("table:")
-                lines.extend("  " + line for line in _table_text(v))
-            elif _is_flat(v):
-                lines.append(f"{k}: {_scalar_text(v)}")
-            else:
-                lines.append(f"{k}:")
-                _render_text(v, 2, lines)
+        _render_text(payload, 0, lines)
         print("\n".join(lines))
     else:
         if csv_text is None:

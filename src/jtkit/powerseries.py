@@ -253,10 +253,14 @@ class TruncSeries:
 
     def embed(self, nvars: int, positions) -> "TruncSeries":
         """Reinterpret in a larger variable set; positions[k] is the new index
-        of the current k-th variable."""
+        of the current k-th variable; the positions must be distinct indices
+        in range(nvars)."""
         positions = tuple(positions)
         if len(positions) != self.nvars or nvars < self.nvars:
             raise ValueError(f"embed needs one position per variable and nvars >= {self.nvars}")
+        in_range = all(isinstance(p, int) and 0 <= p < nvars for p in positions)
+        if not in_range or len(set(positions)) != len(positions):
+            raise ValueError(f"embed positions {positions} are not distinct indices in range({nvars})")
         out = {}
         for e, c in self.coeffs.items():
             ne = [0] * nvars

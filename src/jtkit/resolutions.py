@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .quadric import QuadricContext, quadric_schur_dim
-from .sequences import GradedSequence, hs_series, jt_minor, make_sequence, veronese
+from .sequences import GradedSequence, hs_series, jt_minor
 from .shapes import Partition, SkewShape, attach_dot
 from .symfunc import dim_gl
 from .powerseries import TruncSeries
@@ -224,8 +224,7 @@ def rnc_sequence(d: int) -> GradedSequence:
     d = int(d)
     if d < 1:
         raise ValueError("need d >= 1")
-    base = make_sequence("poly", m=2).dim_view()
-    return veronese(base, d)
+    return GradedSequence(f"veronese(dims(poly:2),{d})", "integer", lambda seq, i: d * i + 1)
 
 
 def rnc_pure_resolution(d: int, e, tail_terms: int = 4) -> BettiTable:

@@ -5,8 +5,8 @@ plain integers (dimensions) or SchurClass elements (virtual characters with
 a fixed number of tensor factors).  Negative degrees silently yield zero, so
 Toeplitz-style minors can index freely.
 
-Terms, minors and elementary classes are memoised per sequence instance,
-under the policy of jtkit.memo.
+Terms and elementary classes are memoised per sequence instance, under the
+policy of jtkit.memo.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .shapes import (
     subpartitions,
     trim,
 )
-from .symfunc import SchurClass, binom, external_product, pieri_extensions
+from .symfunc import SchurClass, binom, external_product, pieri_extensions, value_json
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -42,7 +42,6 @@ class GradedSequence:
     factor_count: int = 1
     factor_dims: tuple[int, ...] | None = None
     _terms: dict = field(init=False, repr=False, default_factory=dict)
-    _minors: dict = field(init=False, repr=False, default_factory=dict)
     _eclasses: dict = field(init=False, repr=False, default_factory=dict)
     _dim_view: GradedSequence | None = field(init=False, repr=False, default=None)
 
@@ -109,11 +108,7 @@ class PFReport:
         wit = None
         if self.witness is not None:
             lam, mu, value = self.witness
-            wit = {
-                "lambda": list(lam),
-                "mu": list(mu),
-                "value": value.to_json() if isinstance(value, SchurClass) else value,
-            }
+            wit = {"lambda": list(lam), "mu": list(mu), "value": value_json(value)}
         return {
             "verdict": self.verdict,
             "order": self.order,
@@ -123,14 +118,81 @@ class PFReport:
         }
 
 
-def _poly_term(seq, d):
-    return SchurClass(1, {(trim((d,)),): 1})
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
 
 
-def _tensoralg_term(seq, d):
-    if d == 0:
-        return SchurClass.unit(1)
-    return seq.term(d - 1) * SchurClass.schur((1,))
+def _poly(m):
+    _check(m >= 1, "poly needs m >= 1")
+    return lambda seq, d: SchurClass(1, {(trim((d,)),): 1})
+
+
+def _tensoralg(m):
+    _check(m >= 1, "tensoralg needs m >= 1")
+    return lambda seq, d: seq.term(d - 1) * SchurClass.schur((1,)) if d else SchurClass.unit(1)
+
+
+def _quadric(m):
+    _check(m >= 1, "quadric needs m >= 1")
+    return lambda seq, d: binom(m + d - 1, d) - binom(m + d - 3, d - 2)
+
+
+def _qdual(m):
+    _check(m >= 1, "qdual needs m >= 1")
+    return lambda seq, d: sum(binom(m, d - 2 * k) for k in range(d // 2 + 1))
+
+
+def _super(r, s):
+    _check(r >= 0 and s >= 0 and r + s >= 1, "super needs r, s >= 0 with r + s >= 1")
+
+    def term(seq, d):
+        total = 0
+        for i in range(d + 1):
+            even = binom(r + i - 1, i) if r >= 1 else (1 if i == 0 else 0)
+            total += even * binom(s, d - i)
+        return total
+
+    return term
+
+
+def _heisenberg(u):
+    _check(u >= 1, "heisenberg needs u >= 1")
+    return lambda seq, d: sum(binom(d - 2 * k + u - 1, u - 1) for k in range(d // 2 + 1))
+
+
+def _squares():
+    return lambda seq, d: (d + 1) ** 2
+
+
+def _list(dims):
+    _check(len(dims) > 0, "list needs at least one value")
+
+    def term(seq, d):
+        if d >= len(dims):
+            raise ValueError(f"degree {d} beyond stored range of list sequence (length {len(dims)})")
+        return dims[d]
+
+    return term
+
+
+# The named kinds, read by make_sequence and parse_sequence_spec alike:
+# kind -> (value kind, parameter names, parameter defaults, term builder).
+# A builder takes the parameters as ints, in order, raises ValueError when
+# they are out of range and returns the term function.  list's one
+# parameter, dims, is a tuple of ints and takes every value of a spec.  A
+# class kind's parameters are the dimensions of its one tensor factor.
+_KINDS = {
+    "poly": ("class", ("m",), {}, _poly),
+    "tensoralg": ("class", ("m",), {}, _tensoralg),
+    "quadric": ("integer", ("m",), {}, _quadric),
+    "qdual": ("integer", ("m",), {}, _qdual),
+    "super": ("integer", ("r", "s"), {}, _super),
+    "heisenberg": ("integer", ("u",), {"u": 2}, _heisenberg),
+    "squares": ("integer", (), {}, _squares),
+    "list": ("integer", ("dims",), {}, _list),
+}
+_ALIASES = {"polynomial": "poly", "tensor_algebra": "tensoralg", "quadric_dual": "qdual"}
 
 
 def make_sequence(kind: str, **params) -> GradedSequence:
@@ -140,90 +202,23 @@ def make_sequence(kind: str, **params) -> GradedSequence:
     squares(), list(dims).  Class-valued kinds: poly(m), tensoralg(m).
     """
     kind = kind.lower()
-    if kind in ("poly", "polynomial"):
-        m = int(_require(kind, params, "m"))
-        _no_extra(kind, params)
-        if m < 1:
-            raise ValueError("poly needs m >= 1")
-        return GradedSequence(f"poly:{m}", "class", _poly_term, 1, (m,))
-    if kind in ("tensoralg", "tensor_algebra"):
-        m = int(_require(kind, params, "m"))
-        _no_extra(kind, params)
-        if m < 1:
-            raise ValueError("tensoralg needs m >= 1")
-        return GradedSequence(f"tensoralg:{m}", "class", _tensoralg_term, 1, (m,))
-    if kind == "quadric":
-        m = int(_require(kind, params, "m"))
-        _no_extra(kind, params)
-        if m < 1:
-            raise ValueError("quadric needs m >= 1")
-        return GradedSequence(
-            f"quadric:{m}",
-            "integer",
-            lambda seq, d: binom(m + d - 1, d) - binom(m + d - 3, d - 2),
-        )
-    if kind in ("qdual", "quadric_dual"):
-        m = int(_require(kind, params, "m"))
-        _no_extra(kind, params)
-        if m < 1:
-            raise ValueError("qdual needs m >= 1")
-        return GradedSequence(
-            f"qdual:{m}",
-            "integer",
-            lambda seq, d: sum(binom(m, d - 2 * k) for k in range(d // 2 + 1)),
-        )
-    if kind == "super":
-        r = int(_require(kind, params, "r"))
-        s = int(_require(kind, params, "s"))
-        _no_extra(kind, params)
-        if r < 0 or s < 0 or r + s < 1:
-            raise ValueError("super needs r, s >= 0 with r + s >= 1")
-
-        def term(seq, d, r=r, s=s):
-            total = 0
-            for i in range(d + 1):
-                even = binom(r + i - 1, i) if r >= 1 else (1 if i == 0 else 0)
-                total += even * binom(s, d - i)
-            return total
-
-        return GradedSequence(f"super:{r},{s}", "integer", term)
-    if kind == "heisenberg":
-        u = int(params.pop("u", 2))
-        _no_extra(kind, params)
-        if u < 1:
-            raise ValueError("heisenberg needs u >= 1")
-        return GradedSequence(
-            f"heisenberg:{u}",
-            "integer",
-            lambda seq, d: sum(binom(d - 2 * k + u - 1, u - 1) for k in range(d // 2 + 1)),
-        )
-    if kind == "squares":
-        _no_extra(kind, params)
-        return GradedSequence("squares", "integer", lambda seq, d: (d + 1) ** 2)
-    if kind == "list":
-        dims = tuple(int(x) for x in _require(kind, params, "dims"))
-        _no_extra(kind, params)
-        if not dims:
-            raise ValueError("list needs at least one value")
-
-        def term(seq, d, dims=dims):
-            if d >= len(dims):
-                raise ValueError(f"degree {d} beyond stored range of list sequence (length {len(dims)})")
-            return dims[d]
-
-        return GradedSequence("list:" + ",".join(map(str, dims)), "integer", term)
-    raise ValueError(f"unknown sequence kind {kind!r}")
-
-
-def _no_extra(kind, params):
-    if params:
-        raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
-
-
-def _require(kind, params, name):
-    if name not in params:
-        raise ValueError(f"{kind} needs parameter {name!r}")
-    return params.pop(name)
+    name = _ALIASES.get(kind, kind)
+    if name not in _KINDS:
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    value_kind, names, defaults, build = _KINDS[name]
+    params = {**defaults, **params}
+    values = []
+    for p in names:
+        _check(p in params, f"{kind} needs parameter {p!r}")
+        value = params.pop(p)
+        values.append(tuple(int(x) for x in value) if p == "dims" else int(value))
+    _check(not params, f"unexpected parameters for {kind}: {sorted(params)}")
+    term = build(*values)
+    flat = values[0] if names == ("dims",) else values
+    if flat:
+        name += ":" + ",".join(map(str, flat))
+    dims = tuple(values) if value_kind == "class" else None
+    return GradedSequence(name, value_kind, term, 1, dims)
 
 
 def veronese(a: GradedSequence, d: int) -> GradedSequence:
@@ -310,13 +305,8 @@ def jt_minor(a: GradedSequence, shape, r: int | None = None):
     s = as_shape(shape)
     lam, mu = s.outer.parts, s.inner.parts
     r = _padding(lam, mu, r)
-    key = (lam, mu, r)
-    hit = a._minors.get(key)
-    if hit is not None:
-        return hit
     lam, mu = lam + (0,) * (r - len(lam)), mu + (0,) * (r - len(mu))
-    rows = [[a.term(lam[i] - mu[j] - i + j) for j in range(r)] for i in range(r)]
-    return memo_put(a._minors, key, _det(a, rows))
+    return _det(a, [[a.term(lam[i] - mu[j] - i + j) for j in range(r)] for i in range(r)])
 
 
 def _padding(lam, mu, r, what="the shape") -> int:
@@ -626,19 +616,6 @@ def schur_dimension_profile(a: GradedSequence, r_max: int, s_max: int):
     return None
 
 
-_SIMPLE_KINDS = {
-    "poly": ("m",),
-    "polynomial": ("m",),
-    "quadric": ("m",),
-    "qdual": ("m",),
-    "quadric_dual": ("m",),
-    "tensoralg": ("m",),
-    "tensor_algebra": ("m",),
-    "super": ("r", "s"),
-    "heisenberg": ("u",),
-}
-
-
 def parse_sequence_spec(text: str) -> GradedSequence:
     """Parse the colon-and-comma mini grammar for sequences.
 
@@ -690,25 +667,20 @@ def _parse_spec(text: str):
         return None
     head, sep, rest = text.partition(":")
     head = head.strip().lower()
-    if head == "squares":
-        return make_sequence("squares") if not sep else None
-    if head in _SIMPLE_KINDS:
+    head = _ALIASES.get(head, head)
+    if head in _KINDS:
+        _, names, defaults, _ = _KINDS[head]
         if not sep:
-            if head == "heisenberg":
-                return make_sequence("heisenberg")
-            return None
+            return make_sequence(head) if set(names) <= set(defaults) else None
         parts = [p.strip() for p in rest.split(",")]
-        names = _SIMPLE_KINDS[head]
-        if len(parts) != len(names) or not all(_is_int(p) for p in parts):
+        if not all(_is_int(p) for p in parts):
             return None
-        return make_sequence(head, **{n: int(p) for n, p in zip(names, parts)})
-    if head == "list":
-        if not sep:
+        values = [int(p) for p in parts]
+        if names == ("dims",):
+            return make_sequence(head, dims=values)
+        if len(values) != len(names):
             return None
-        parts = [p.strip() for p in rest.split(",")]
-        if not parts or not all(_is_int(p) for p in parts):
-            return None
-        return make_sequence("list", dims=[int(p) for p in parts])
+        return make_sequence(head, **dict(zip(names, values)))
     if head == "veronese":
         if not sep:
             return None

@@ -470,6 +470,11 @@ class SchurClass:
         return f"SchurClass(k={self.k}, {{{body}}})"
 
 
+def value_json(v):
+    """A sequence value as JSON: a SchurClass's to_json(), an integer as is."""
+    return v.to_json() if isinstance(v, SchurClass) else v
+
+
 def skew_to_straight(shape) -> SchurClass:
     """Expand a skew Schur functor into straight ones, one tensor factor."""
     s = as_shape(shape)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .sequences import GradedSequence, jt_minor
 from .shapes import SkewShape, as_parts, dotted_action, permutations_by_length
-from .symfunc import SchurClass
+from .symfunc import SchurClass, value_json
 
 
 @dataclass(frozen=True)
@@ -23,12 +23,7 @@ class ComplexTerm:
     value: object
 
     def to_json(self) -> dict:
-        val = self.value.to_json() if isinstance(self.value, SchurClass) else self.value
-        return {
-            "sigma": list(self.sigma),
-            "weight": list(self.weight),
-            "value": val,
-        }
+        return {"sigma": list(self.sigma), "weight": list(self.weight), "value": value_json(self.value)}
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,6 @@ class ComplexLayout:
         return out
 
     def to_json(self) -> dict:
-        minor = self.minor.to_json() if isinstance(self.minor, SchurClass) else self.minor
         degrees = []
         for i in range(self.max_degree() + 1):
             degrees.append({"degree": i, "terms": [t.to_json() for t in self.terms_at(i)]})
@@ -75,7 +69,7 @@ class ComplexLayout:
             "n": self.n,
             "lambda": list(self.lam),
             "mu": list(self.mu),
-            "minor": minor,
+            "minor": value_json(self.minor),
             "degrees": degrees,
         }
 

@@ -135,6 +135,16 @@ def test_embed():
     assert g.coefficient((0, 0, 0)) == 1
 
 
+@pytest.mark.parametrize("positions", [(0, 0), (0, -1), (0, 3), (1, 5), (0, 1.0)])
+def test_embed_rejects_bad_positions(positions):
+    # a repeated position would silently turn a variable into 1, a negative
+    # one would count from the end
+    f = TruncSeries(2, 3, {(1, 0): 1, (0, 1): 2})
+    with pytest.raises(ValueError, match="distinct indices"):
+        f.embed(3, positions)
+    assert f.embed(3, (2, 0)).coeffs == {(0, 0, 1): 1, (1, 0, 0): 2}
+
+
 def test_geometric():
     t = TruncSeries.var(1, 4, 0)
     g = (TruncSeries.one(1, 4) - 3 * t).inverse()

@@ -106,14 +106,22 @@ def test_squares_and_list():
 
 
 def test_make_sequence_errors():
-    with pytest.raises(ValueError):
-        make_sequence("nope")
-    with pytest.raises(ValueError):
-        make_sequence("poly")
-    with pytest.raises(ValueError):
-        make_sequence("poly", m=0)
-    with pytest.raises(ValueError):
-        make_sequence("quadric", m=2, extra=1)
+    for kind, params, message in [
+        ("nope", {}, "unknown sequence kind 'nope'"),
+        ("poly", {}, "poly needs parameter 'm'"),
+        ("Polynomial", {}, "polynomial needs parameter 'm'"),
+        ("poly", {"m": 0}, "poly needs m >= 1"),
+        ("tensor_algebra", {"m": 0}, "tensoralg needs m >= 1"),
+        ("quadric", {"m": 2, "extra": 1}, "unexpected parameters for quadric: ['extra']"),
+        ("super", {"r": 1}, "super needs parameter 's'"),
+        ("super", {"r": 0, "s": 0}, "super needs r, s >= 0 with r + s >= 1"),
+        ("heisenberg", {"u": 0}, "heisenberg needs u >= 1"),
+        ("squares", {"m": 1}, "unexpected parameters for squares: ['m']"),
+        ("list", {"dims": ()}, "list needs at least one value"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            make_sequence(kind, **params)
+        assert str(err.value) == message
 
 
 def test_derived_sequences():
@@ -475,9 +483,39 @@ def test_parse_sequence_spec():
     assert s.term(2) == 4
     n = parse_sequence_spec("hadamard:list:1,2,3,squares")
     assert [n.term(i) for i in range(3)] == [1, 8, 27]
-    for bad in ("", "poly", "poly:x", "quadric:0", "veronese:poly:2", "what:3"):
-        with pytest.raises(ValueError):
+    unparsable = ("", "poly", "poly:x", "veronese:poly:2", "what:3", "squares:3", "heisenberg:", "list:", "poly:2,3")
+    for bad, message in [(b, f"cannot parse sequence spec {b!r}") for b in unparsable] + [
+        ("quadric:0", "quadric needs m >= 1"),
+        ("quadric_dual:0", "qdual needs m >= 1"),
+    ]:
+        with pytest.raises(ValueError) as err:
             parse_sequence_spec(bad)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind, params, name",
+    [
+        ("poly", {"m": 2}, "poly:2"),
+        ("polynomial", {"m": 3}, "poly:3"),
+        ("tensoralg", {"m": 2}, "tensoralg:2"),
+        ("tensor_algebra", {"m": 3}, "tensoralg:3"),
+        ("quadric", {"m": 3}, "quadric:3"),
+        ("qdual", {"m": 3}, "qdual:3"),
+        ("quadric_dual", {"m": 4}, "qdual:4"),
+        ("super", {"r": 0, "s": 2}, "super:0,2"),
+        ("heisenberg", {}, "heisenberg:2"),
+        ("heisenberg", {"u": 3}, "heisenberg:3"),
+        ("squares", {}, "squares"),
+        ("list", {"dims": (1, 2, 2, 2)}, "list:1,2,2,2"),
+    ],
+)
+def test_every_kind_round_trips_through_its_spec(kind, params, name):
+    built = make_sequence(kind, **params)
+    parsed = parse_sequence_spec(built.name)
+    assert built.name == parsed.name == name
+    assert (built.value_kind, built.factor_dims) == (parsed.value_kind, parsed.factor_dims)
+    assert [built.term(d) for d in range(4)] == [parsed.term(d) for d in range(4)]
 
 
 def test_schur_profiles():
@@ -521,7 +559,7 @@ for lam in scan_partitions(3, 3):
 out += [[e_class(poly, d).to_json(), e_class(quad, d)] for d in range(20)]
 caches = {name: len(cache) for mod in (symfunc, quadric) for name, cache in vars(mod).items() if name.endswith("_CACHE")}
 for seq in (poly, quad):
-    caches.update({f"{seq.name}.{name}": len(getattr(seq, name)) for name in ("_terms", "_minors", "_eclasses")})
+    caches.update({f"{seq.name}.{name}": len(getattr(seq, name)) for name in ("_terms", "_eclasses")})
 print(json.dumps({"cap": memo.CAP, "caches": caches, "answers": out}))
 """
 
@@ -539,7 +577,7 @@ def _probe_caches(raw_cap):
 def test_cache_size_env_round_trip():
     default = _probe_caches(None)
     assert default["cap"] == 1 << 20
-    assert len(default["caches"]) == 12  # six module caches, three for each of two sequences
+    assert len(default["caches"]) == 10  # six module caches, two for each of two sequences
     assert min(default["caches"].values()) > 16  # the probe fills every cache past the small caps
     for raw, cap in (("0", 0), ("16", 16)):
         run = _probe_caches(raw)
