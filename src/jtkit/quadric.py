@@ -10,12 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb, prod
+from operator import lt
 
 from .memo import memo_put
 from .powerseries import TruncSeries, _packed_div, _packed_mul, _packed_pow, _packing, _unpack
 from .sequences import GradedSequence, jt_minor, make_sequence
-from .shapes import SkewShape, as_parts, as_shape, conjugate, contains, subpartitions, trim
-from .symfunc import SchurClass, _lr_contents, dim_gl_skew, dim_super
+from .shapes import SkewShape, _fits, as_parts, as_shape, subpartitions, trim
+from .symfunc import _lr_contents, dim_gl_skew, dim_super
 
 _QSD_CACHE: dict = {}
 
@@ -62,46 +63,17 @@ def quadric_schur_dim(ctx: QuadricContext, shape, method: str = "jt") -> int:
         value = jt_minor(ctx.sequence, s)
     elif method == "vertical_strip":
         value = 0
-        nrows = len(lam)
         # alpha runs over shapes with lam/alpha a vertical strip, mu inside
-        choices = [[lam[i] - 1, lam[i]] if lam[i] >= 1 else [0] for i in range(nrows)]
-        for pick in product(*choices):
-            if any(pick[i] < pick[i + 1] for i in range(len(pick) - 1)):
+        for pick in product(*[(p - 1, p) for p in lam]):
+            if any(map(lt, pick, pick[1:])):
                 continue
             alpha = trim(pick)
-            if not contains(alpha, mu):
+            if not _fits(alpha, mu):
                 continue
             value += dim_gl_skew(SkewShape(alpha, mu), ctx.m - 1)
     else:
         value = dim_super(lam, ctx.m - 1, 1, mu)
     return memo_put(_QSD_CACHE, key, value)
-
-
-def quadric_term_class(d: int) -> SchurClass:
-    """The degree-d component of the quadric ring as a virtual GL class,
-    h_d - h_{d-2}.  Used by tests to cross dimension formulas; the working
-    sequence itself stays integer valued."""
-    d = int(d)
-    if d < 0:
-        return SchurClass.zero(1)
-    terms = {(trim((d,)),): 1}
-    if d >= 2:
-        key = (trim((d - 2,)),)
-        terms[key] = terms.get(key, 0) - 1
-    return SchurClass(1, terms)
-
-
-def qdual_term_class(d: int) -> SchurClass:
-    """Degree-d component of the dual sequence as a sum of exterior powers."""
-    d = int(d)
-    if d < 0:
-        return SchurClass.zero(1)
-    terms = {}
-    k = d
-    while k >= 0:
-        terms[((1,) * k,)] = 1
-        k -= 2
-    return SchurClass(1, terms)
 
 
 def chi_o_dim(mu, m: int) -> int:

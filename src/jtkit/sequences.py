@@ -20,7 +20,6 @@ from .memo import memo_put
 from .powerseries import TruncSeries
 from .shapes import (
     SkewShape,
-    as_parts,
     as_shape,
     conjugate,
     contains,
@@ -521,11 +520,6 @@ def jt_minor_dual(a: GradedSequence, shape, n: int | None = None):
     return _det(a, rows)
 
 
-def transpose_duality_check(a: GradedSequence, shape, n: int | None = None) -> bool:
-    """Whether the h-type and e-type minors of the same shape agree."""
-    return jt_minor(a, shape) == jt_minor_dual(a, shape, n)
-
-
 def veronese_identity_check(a: GradedSequence, d: int, shape, r: int | None = None) -> bool:
     """Whether the order-r minor of the d-Veronese equals the stretched-shape
     minor of the original sequence."""
@@ -562,26 +556,6 @@ def tensor_identity_check(a: GradedSequence, b: GradedSequence, shape, r: int | 
             if not contains(nu, mu):
                 continue
             rhs += jt_minor(av, SkewShape(lam, nu), r) * jt_minor(bv, SkewShape(nu, mu), r)
-    return lhs == rhs
-
-
-def pieri_identity_check(a: GradedSequence, lam, d: int, bound: int | None = None) -> bool:
-    """Multiplying a straight minor by a term matches the horizontal-strip sum."""
-    lam = as_parts(lam)
-    d = int(d)
-    if d < 0:
-        raise ValueError("pieri needs d >= 0")
-    if bound is None:
-        bound = len(lam) + 1
-    bound = int(bound)
-    if bound < len(lam) + 1:
-        raise ValueError(f"bound {bound} too small, need at least {len(lam) + 1}")
-    lhs = jt_minor(a, lam, bound) * a.term(d)
-    rhs = a.zero_value()
-    for mu in pieri_extensions(lam, d):
-        if len(mu) > bound:
-            continue
-        rhs = rhs + jt_minor(a, mu, bound)
     return lhs == rhs
 
 

@@ -3,7 +3,9 @@
 Conventions used throughout the package:
 
 * partitions are tuples of weakly decreasing positive integers; the empty
-  tuple is the empty partition.  Trailing zeros are trimmed on construction.
+  tuple is the empty partition.  trim builds one from raw parts: it takes
+  ints and other integer types (bools, anything with __index__), refuses
+  floats, strings and fractions, and drops trailing zeros.
 * compositions are tuples of positive integers (order matters).
 * weights are plain integer tuples of a fixed length; entries may be
   negative.  They are produced by the dotted action and never validated
@@ -11,30 +13,41 @@ Conventions used throughout the package:
 * box coordinates are 0-based (row, col) pairs in English orientation
   (row 0 on top, columns growing to the right).
 
-Most functions in this module accept either a raw tuple or the matching
-wrapper class and normalize immediately.
+The public functions accept either a raw tuple or the matching wrapper
+class and normalize it once, at that boundary.  The private helpers _fits
+and _conj take canonical tuples (_conj also zero-padded ones) and check
+nothing again, so kernels that already hold canonical parts call them
+instead of contains and conjugate.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import gt, index, lt
 from typing import Iterable, Iterator
 
 
 def trim(parts: Iterable[int]) -> tuple[int, ...]:
     """Canonicalize a weakly decreasing sequence by dropping trailing zeros.
 
-    Raises ValueError if the sequence increases anywhere or dips below zero.
+    Raises ValueError if a part is not an integer (ints, bools and types
+    with __index__ are), if the sequence increases anywhere, or if it dips
+    below zero, checked in that order.
     """
-    t = tuple(int(p) for p in parts)
-    for a, b in zip(t, t[1:]):
-        if a < b:
-            raise ValueError(f"parts not weakly decreasing: {t}")
+    raw = tuple(parts)
+    try:
+        t = tuple(map(index, raw))
+    except TypeError:
+        bad = tuple(p for p in raw if not hasattr(type(p), "__index__"))
+        raise ValueError(f"parts must be integers, got {bad} in {raw}") from None
+    if any(map(lt, t, t[1:])):
+        raise ValueError(f"parts not weakly decreasing: {t}")
     if t and t[-1] < 0:
         raise ValueError(f"negative part in {t}")
-    while t and t[-1] == 0:
-        t = t[:-1]
+    if t and not t[-1]:
+        # weakly decreasing and nonnegative, so the zeros are a suffix
+        t = t[: t.index(0)]
     return t
 
 
@@ -45,20 +58,33 @@ def as_parts(p) -> tuple[int, ...]:
     return trim(p)
 
 
+def _conj(t: tuple[int, ...]) -> tuple[int, ...]:
+    """Column lengths of a canonical parts tuple, which may also carry
+    trailing zeros.  Reading the rows bottom up, the columns that row i
+    (1-based) ends beyond the row below it have length i."""
+    out: list[int] = []
+    prev = 0
+    for i in range(len(t), 0, -1):
+        p = t[i - 1]
+        if p > prev:
+            out += [i] * (p - prev)
+            prev = p
+    return tuple(out)
+
+
+def _fits(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
+    """Whether canonical inner fits inside canonical outer componentwise."""
+    return len(inner) <= len(outer) and not any(map(gt, inner, outer))
+
+
 def conjugate(parts) -> tuple[int, ...]:
     """Transpose of a partition as a raw tuple: column lengths of the diagram."""
-    t = as_parts(parts)
-    if not t:
-        return ()
-    return tuple(sum(1 for p in t if p >= c + 1) for c in range(t[0]))
+    return _conj(as_parts(parts))
 
 
 def contains(outer, inner) -> bool:
     """Whether inner fits inside outer componentwise (after zero padding)."""
-    o, i = as_parts(outer), as_parts(inner)
-    if len(i) > len(o):
-        return False
-    return all(i[k] <= o[k] for k in range(len(i)))
+    return _fits(as_parts(outer), as_parts(inner))
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -85,10 +111,10 @@ class Partition:
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
     def transpose(self) -> "Partition":
-        return Partition(conjugate(self.parts))
+        return Partition(_conj(self.parts))
 
     def contains(self, other) -> bool:
-        return contains(self.parts, other)
+        return _fits(self.parts, as_parts(other))
 
     def to_json(self) -> list[int]:
         return list(self.parts)
@@ -125,7 +151,7 @@ class SkewShape:
 
     def __post_init__(self):
         o, i = (p if isinstance(p, Partition) else Partition(p) for p in (self.outer, self.inner))
-        if not o.contains(i):
+        if not _fits(o.parts, i.parts):
             raise ValueError(f"inner {i.parts} not contained in outer {o.parts}")
         object.__setattr__(self, "outer", o)
         object.__setattr__(self, "inner", i)
@@ -152,7 +178,7 @@ class SkewShape:
         return all(o.part(r) - i.part(r) <= 1 for r in range(1, len(o) + 1))
 
     def transpose(self) -> "SkewShape":
-        return SkewShape(conjugate(self.outer.parts), conjugate(self.inner.parts))
+        return SkewShape(_conj(self.outer.parts), _conj(self.inner.parts))
 
     def to_json(self) -> dict:
         return {"outer": list(self.outer.parts), "inner": list(self.inner.parts)}
@@ -172,7 +198,7 @@ def as_shape(s) -> SkewShape:
     """Coerce a SkewShape, Partition, or raw tuple (straight shape) to SkewShape."""
     if isinstance(s, SkewShape):
         return s
-    return SkewShape(as_parts(s), ())
+    return SkewShape(s if isinstance(s, Partition) else Partition(s))
 
 
 def skew_from_boxes(boxes: Iterable[tuple[int, int]]) -> SkewShape:

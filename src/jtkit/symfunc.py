@@ -24,7 +24,7 @@ from itertools import islice, product
 from math import comb
 
 from .memo import _Canonical, memo_put
-from .shapes import Partition, SkewShape, as_parts, as_shape, conjugate, contains, trim
+from .shapes import _conj, _fits, as_parts, as_shape, trim
 
 _MULT_CACHE: dict = {}
 _SKEW_CACHE: dict = {}
@@ -130,10 +130,9 @@ def _lr_contents(outer, inner, cap=None, paired=False) -> dict[tuple[int, ...], 
     all have even length, nu_1 = nu_2, nu_3 = nu_4 and so on: the ballot
     property keeps each count of letter 2i at most that of letter 2i - 1,
     and a filling is cut once that shortfall, summed over i, exceeds the
-    cells left.
+    cells left.  outer and inner must be canonical parts tuples.
     """
-    outer, inner = as_parts(outer), as_parts(inner)
-    if not contains(outer, inner):
+    if not _fits(outer, inner):
         raise ValueError(f"inner {inner} not inside outer {outer}")
     nrows = len(outer)
     nletters = min(nrows, len(cap)) if cap is not None else nrows
@@ -192,7 +191,7 @@ def lr_coefficient(lam, mu, nu) -> int:
     lam, mu, nu = as_parts(lam), as_parts(mu), as_parts(nu)
     if sum(lam) != sum(mu) + sum(nu):
         return 0
-    if not contains(lam, mu):
+    if not _fits(lam, mu):
         return 0
     tally = _lr_contents(lam, mu, cap=nu)
     return tally.get(nu, 0)
@@ -225,7 +224,7 @@ def dim_gl(lam, m: int) -> int:
     hit = _DIM_GL_CACHE.get(key)
     if hit is not None:
         return hit
-    lamt = conjugate(lam)
+    lamt = _conj(lam)
     num = 1
     den = 1
     for i, row in enumerate(lam, start=1):
@@ -292,17 +291,17 @@ def dim_super(lam, r: int, s: int, mu=()) -> int:
     r, s = int(r), int(s)
     if r < 0 or s < 0:
         raise ValueError(f"dim_super needs r, s >= 0, got r={r}, s={s}")
-    if not contains(lam, mu):
+    if not _fits(lam, mu):
         raise ValueError(f"inner {mu} not inside outer {lam}")
     key = (lam, mu, r, s)
     hit = _DIM_SUPER_CACHE.get(key)
     if hit is not None:
         return hit
     evens = _add_horizontal_strips({mu + (0,) * (len(lam) - len(mu)): 1}, lam, r)
-    lamt = conjugate(lam)
+    lamt = _conj(lam)
     padt = (0,) * len(lamt)
     odds = _add_horizontal_strips(
-        {(conjugate(alpha) + padt)[: len(lamt)]: cnt for alpha, cnt in evens.items()}, lamt, s
+        {(_conj(alpha) + padt)[: len(lamt)]: cnt for alpha, cnt in evens.items()}, lamt, s
     )
     return memo_put(_DIM_SUPER_CACHE, key, odds.get(lamt, 0))
 

@@ -1,6 +1,7 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here recomputes library results by a different algorithm:
+shape canonicalization, conjugates and containment one part at a time,
 tableau counts by direct chain recursion and, for super tableaux, by
 filling the diagram cell by cell, determinants by fraction Gaussian
 elimination and by the permutation sum, elementary classes by the sum over
@@ -15,6 +16,10 @@ products and quotients on exponent tuples instead of packed keys,
 Taylor coefficients at t = 1 by repeated synthetic division, and linear
 systems, hk_solve's among them, by Gauss-Jordan over Fraction.  None of
 these call the library code paths they check.
+
+The last few helpers instead cross two library routes against each other:
+the h-type and e-type minors of one shape, the Pieri rule on minors, and
+the quadric sequences as virtual GL classes read at dimension level.
 """
 
 from __future__ import annotations
@@ -23,6 +28,38 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
+
+
+def trim_by_loop(parts) -> tuple[int, ...]:
+    """Shape canonicalization one part at a time: the same checks, in the
+    same order and with the same messages, as jtkit.shapes.trim on integer
+    parts."""
+    t = tuple(int(p) for p in parts)
+    for a, b in zip(t, t[1:]):
+        if a < b:
+            raise ValueError(f"parts not weakly decreasing: {t}")
+    if t and t[-1] < 0:
+        raise ValueError(f"negative part in {t}")
+    while t and t[-1] == 0:
+        t = t[:-1]
+    return t
+
+
+def conjugate_by_count(parts) -> tuple[int, ...]:
+    """Column lengths, each counted over the rows."""
+    t = trim_by_loop(parts)
+    if not t:
+        return ()
+    return tuple(sum(1 for p in t if p >= c + 1) for c in range(t[0]))
+
+
+def contains_by_index(outer, inner) -> bool:
+    """Whether inner fits inside outer, compared row by row."""
+    o, i = trim_by_loop(outer), trim_by_loop(inner)
+    if len(i) > len(o):
+        return False
+    return all(i[k] <= o[k] for k in range(len(i)))
+
 
 _SSYT_MEMO = {}
 
@@ -59,13 +96,6 @@ def ssyt_count(lam, mu, m) -> int:
                 val += ssyt_count(alpha, mu, m - 1)
     _SSYT_MEMO[key] = val
     return val
-
-
-def _conj(parts):
-    parts = tuple(x for x in parts if x)
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
 
 
 def mult_one_given_order(mu, nu) -> dict:
@@ -108,7 +138,7 @@ def super_count(lam, mu, r, s) -> int:
     mu = tuple(x for x in mu if x)
     total = 0
     for alpha in _betweens(lam, mu):
-        total += ssyt_count(alpha, mu, r) * ssyt_count(_conj(lam), _conj(alpha), s)
+        total += ssyt_count(alpha, mu, r) * ssyt_count(conjugate_by_count(lam), conjugate_by_count(alpha), s)
     return total
 
 
@@ -491,3 +521,45 @@ def hk_solve_by_fractions(twists):
     tail_raw = branch([{t: s, t + 1: s} for t, s in zip(twists[:-1], signs)] + [{twists[-1]: signs[-1]}])
     finite = branch([{t: s} for t, s in zip(twists, signs)])
     return primitive(tail_raw), primitive(finite), tuple(tail_raw)
+
+
+def transpose_duality_check(a, shape, n=None) -> bool:
+    """Whether the h-type and e-type minors of the same shape agree."""
+    from jtkit.sequences import jt_minor, jt_minor_dual
+
+    return jt_minor(a, shape) == jt_minor_dual(a, shape, n)
+
+
+def pieri_identity_check(a, lam, d: int) -> bool:
+    """Multiplying a straight minor by a term matches the horizontal-strip
+    sum, with every minor padded to one more row than lam has."""
+    from jtkit.sequences import jt_minor
+    from jtkit.symfunc import pieri_extensions
+
+    bound = len(lam) + 1
+    lhs = jt_minor(a, lam, bound) * a.term(d)
+    rhs = a.zero_value()
+    for mu in pieri_extensions(lam, d):
+        if len(mu) <= bound:
+            rhs = rhs + jt_minor(a, mu, bound)
+    return lhs == rhs
+
+
+def quadric_term_class(d: int):
+    """The degree-d component of the quadric ring as a virtual GL class,
+    h_d - h_{d-2}; the library's quadric sequence stays integer valued."""
+    from jtkit.symfunc import SchurClass
+
+    terms = {}
+    if d >= 0:
+        terms[((d,) if d else (),)] = 1
+    if d >= 2:
+        terms[((d - 2,) if d > 2 else (),)] = -1
+    return SchurClass(1, terms)
+
+
+def qdual_term_class(d: int):
+    """Degree-d component of the dual sequence as a sum of exterior powers."""
+    from jtkit.symfunc import SchurClass
+
+    return SchurClass(1, {((1,) * k,): 1 for k in range(d, -1, -2)})

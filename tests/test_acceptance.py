@@ -27,17 +27,17 @@ from jtkit.sequences import (
     jt_minor,
     make_sequence,
     pf_check,
-    pieri_identity_check,
     schur_dimension_profile,
     segre,
     tensor_identity_check,
     tensor_product,
-    transpose_duality_check,
     veronese_identity_check,
 )
 from jtkit.shapes import SkewShape, partitions_of, scan_partitions, subpartitions
 from jtkit.symfunc import binom, dim_gl
 from jtkit.zelevinsky import euler_check
+
+from oracles import pieri_identity_check, transpose_duality_check
 
 
 def _report(num, desc, start, budget=None):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jtkit import quadric
 from jtkit.quadric import (
     METHODS,
     QuadricContext,
@@ -11,15 +14,19 @@ from jtkit.quadric import (
     chi_o_dim,
     multigraded_hs_check,
     orthogonal_stable_decomposition,
-    qdual_term_class,
     quadric_schur_dim,
-    quadric_term_class,
 )
 from jtkit.shapes import SkewShape, partitions_of
 from jtkit.symfunc import binom, dim_gl
 
 from conftest import partitions, sub_partition
-from oracles import chi_o_peeling, multigraded_hs_by_inverses, ortho_multiplicities_by_lr
+from oracles import (
+    chi_o_peeling,
+    multigraded_hs_by_inverses,
+    ortho_multiplicities_by_lr,
+    qdual_term_class,
+    quadric_term_class,
+)
 
 CTX2 = QuadricContext(2)
 CTX3 = QuadricContext(3)
@@ -82,6 +89,29 @@ def test_three_routes_agree(m, pair):
     values = {method: quadric_schur_dim(ctx, shape, method) for method in METHODS}
     assert len(set(values.values())) == 1, values
     assert values["jt"] >= 0
+
+
+def test_routes_reach_kernels_through_quadric_bindings(monkeypatch):
+    """The vertical-strip and super routes call dim_gl_skew and dim_super by
+    quadric's own names, so a wrapper bound there (as the benchmark's tracer
+    binds one) sees every call the routes make."""
+    calls = Counter()
+    for name in ("dim_gl_skew", "dim_super"):
+
+        def counting(*args, _fn=getattr(quadric, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(quadric, name, counting)
+    monkeypatch.setattr(quadric, "_QSD_CACHE", {})
+    shape = SkewShape((3, 2, 1), (1,))
+    jt = quadric_schur_dim(CTX3, shape, "jt")
+    assert not calls
+    assert quadric_schur_dim(CTX3, shape, "vertical_strip") == jt
+    # one call per shape alpha with lam/alpha a vertical strip and mu inside alpha
+    assert calls == Counter(dim_gl_skew=8)
+    assert quadric_schur_dim(CTX3, shape, "super") == jt
+    assert calls == Counter(dim_gl_skew=8, dim_super=1)
 
 
 def test_term_class_matches_sequence():

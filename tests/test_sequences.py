@@ -25,12 +25,10 @@ from jtkit.sequences import (
     minor_from_indices,
     parse_sequence_spec,
     pf_check,
-    pieri_identity_check,
     schur_dimension_profile,
     segre,
     tensor_identity_check,
     tensor_product,
-    transpose_duality_check,
     veronese,
     veronese_identity_check,
 )
@@ -43,7 +41,9 @@ from oracles import (
     det_fraction,
     e_class_compositions,
     pf_check_per_shape,
+    pieri_identity_check,
     schur_dimension_profile_pairwise,
+    transpose_duality_check,
 )
 
 SHAPES = partitions(max_size=8, max_part=6, max_length=4)

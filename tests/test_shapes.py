@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,8 @@ from jtkit.shapes import (
     Partition,
     Permutation,
     SkewShape,
+    _conj,
+    _fits,
     as_parts,
     as_shape,
     attach_dot,
@@ -23,10 +27,27 @@ from jtkit.shapes import (
     subpartitions,
     trim,
 )
+from jtkit.symfunc import dim_gl
 
 from conftest import partitions, sub_partition
+from oracles import conjugate_by_count, contains_by_index, trim_by_loop
 
 PARTS = partitions(max_size=12, max_part=8, max_length=5)
+PAIRS = PARTS.flatmap(lambda lam: st.tuples(st.just(lam), sub_partition(lam)))
+# raw part lists: increasing, negative, zero-padded and empty ones, plus
+# weakly decreasing ones so that the zero strip is reached often
+RAW = st.one_of(
+    st.lists(st.integers(-2, 6), max_size=6),
+    st.lists(st.integers(-1, 6), max_size=6).map(lambda xs: sorted(xs, reverse=True)),
+)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the text of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return ("ValueError", str(e))
 
 
 def test_trim():
@@ -37,6 +58,62 @@ def test_trim():
         trim((1, 2))
     with pytest.raises(ValueError):
         trim((2, -1))
+
+
+def test_trim_refuses_non_integral_parts():
+    for raw in ((2.5, 1), ("3", 1), (Fraction(3, 2),), (2.0,)):
+        with pytest.raises(ValueError, match="parts must be integers"):
+            trim(raw)
+    with pytest.raises(ValueError, match=r"got \(2\.5,\) in \(2\.5, 1\)"):
+        Partition((2.5, 1))
+    with pytest.raises(ValueError, match=r"2\.7"):
+        dim_gl((2.7, 1), 3)
+
+    class Two:
+        def __index__(self):
+            return 2
+
+    assert trim((Two(), True, False)) == (2, 1)
+    assert all(type(p) is int for p in trim((Two(), True)))
+
+
+@given(RAW)
+@settings(deadline=None)
+def test_trim_matches_oracle(raw):
+    assert _outcome(trim, raw) == _outcome(trim_by_loop, raw)
+
+
+@given(PARTS, st.integers(0, 3))
+@settings(deadline=None)
+def test_conj_of_padded_matches_oracle(lam, pad):
+    assert _conj(lam + (0,) * pad) == conjugate_by_count(lam)
+    assert conjugate(lam) == conjugate_by_count(lam)
+
+
+@given(PARTS, PARTS, PAIRS)
+@settings(deadline=None)
+def test_fits_matches_oracle(outer, inner, pair):
+    lam, mu = pair
+    assert _fits(lam, mu)
+    for o, i in ((outer, inner), (inner, outer), (mu, lam)):
+        assert _fits(o, i) == contains_by_index(o, i) == contains(o, i)
+
+
+@given(RAW, RAW)
+@settings(deadline=None)
+def test_shape_errors_unchanged(outer, inner):
+    def built():
+        s = SkewShape(outer, inner)
+        return s.outer.parts, s.inner.parts
+
+    def expected():
+        o, i = trim_by_loop(outer), trim_by_loop(inner)
+        if not contains_by_index(o, i):
+            raise ValueError(f"inner {i} not contained in outer {o}")
+        return o, i
+
+    assert _outcome(built) == _outcome(expected)
+    assert _outcome(lambda: as_shape(outer).outer.parts) == _outcome(trim_by_loop, outer)
 
 
 def test_conjugate_examples():
