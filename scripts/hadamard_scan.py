@@ -8,7 +8,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from jtkit.sequences import hadamard, make_sequence, parse_sequence_spec, pf_check
+from jtkit.sequences import hadamard, parse_sequence_spec, pf_check
 
 CATALOG = [
     "quadric:2",

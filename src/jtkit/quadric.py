@@ -227,7 +227,8 @@ def multigraded_hs_check(m: int, n: int, trunc: int = 8) -> dict:
         smaller = _multigraded_hs(m, n - 1, trunc).embed(n, tuple(range(n - 1)))
         last = _quadric_hs_factor(m, trunc, n, n - 1)
         factorization = series == smaller * last
-    terms = [make_sequence("quadric", m=m).term(d) for d in range(trunc + 1)]
+    quadric = make_sequence("quadric", m=m)
+    terms = [quadric.term(d) for d in range(trunc + 1)]
     coeffs = series.coeffs
     coefficients = all(
         coeffs.get(exps, 0) == prod(map(terms.__getitem__, exps)) for exps in _all_exponents(n, trunc)

@@ -12,9 +12,10 @@ The test suite plays them against each other; do not merge them.
 mult_one memoises each product once: c^lam_{mu,nu} = c^lam_{nu,mu}, so the
 key puts its arguments in one total order (fewer rows, then fewer boxes,
 then the parts) and the strips come from the first.  SchurClass products
-read that memo directly and call mult_one only on a miss, so mult_one stays
-the one kernel and the one writer of the memo.  Arithmetic results skip the
-constructor's per-key checks, since their keys are canonical already.
+read that memo directly, under the argument pair in either order, and call
+mult_one only on a miss, so mult_one stays the one kernel and the one
+writer of the memo.  Arithmetic results skip the constructor's per-key
+checks, since their keys are canonical already.
 """
 
 from __future__ import annotations
@@ -112,6 +113,18 @@ def mult_one(mu, nu) -> dict[tuple[int, ...], int]:
             out[part] = out.get(part, 0) + cnt
         hit = memo_put(_MULT_CACHE, key, out)
     return dict(hit)
+
+
+def _expansion(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """s_mu * s_nu for canonical parts, read from the memo under the argument
+    pair in either order; on a miss mult_one computes and stores it.  The
+    memoised dict is handed out, so callers must not change it."""
+    hit = _MULT_CACHE.get((mu, nu))
+    if hit is None:
+        hit = _MULT_CACHE.get((nu, mu))
+        if hit is None:
+            hit = mult_one(mu, nu)
+    return hit
 
 
 def pieri_extensions(lam, k: int) -> list[tuple[int, ...]]:
@@ -416,16 +429,21 @@ class SchurClass:
         if other.k != self.k:
             raise ValueError("factor_count mismatch")
         out = _Canonical()
+        if self.k == 1:
+            for (mu,), c1 in self.terms.items():
+                for (nu,), c2 in other.terms.items():
+                    c = c1 * c2
+                    for lam, lr in _expansion(mu, nu).items():
+                        key = (lam,)
+                        out[key] = out.get(key, 0) + c * lr
+            return SchurClass(1, out)
         for key1, c1 in self.terms.items():
             for key2, c2 in other.terms.items():
                 # expand factorwise, then take the cartesian product of the
                 # per-factor Schur expansions
                 partials = [((), c1 * c2)]
                 for mu, nu in zip(key1, key2):
-                    key = _mult_key(mu, nu)
-                    expansion = _MULT_CACHE.get(key)
-                    if expansion is None:
-                        expansion = mult_one(*key)
+                    expansion = _expansion(mu, nu)
                     partials = [
                         (built + (lam,), coeff * lr)
                         for built, coeff in partials

@@ -81,6 +81,11 @@ def jt_complex_layout(a: GradedSequence, lam, mu=(), n: int | None = None) -> Co
     weight lam - sigma . mu (dotted action on zero-padded weights) and value
     the product of the sequence's terms along the weight.  Negative weight
     entries make the value zero; the term is still listed.
+
+    The value depends only on the multiset of weight entries.  A weight with
+    a negative entry takes the zero value at once; every other weight reads
+    its value from a per-call dict keyed by sorted weight prefixes, so each
+    distinct partial product is made once.
     """
     lam = as_parts(lam)
     mu = as_parts(mu)
@@ -93,17 +98,32 @@ def jt_complex_layout(a: GradedSequence, lam, mu=(), n: int | None = None) -> Co
         raise ValueError(f"padding {n} smaller than the shape needs ({need})")
     lampad = lam + (0,) * (n - len(lam))
     mupad = mu + (0,) * (n - len(mu))
+    zero = a.zero_value()
+    products = {(): a.unit_value()}
     terms = []
     grouped = permutations_by_length(n)
     for degree in sorted(grouped):
         for sigma in grouped[degree]:
             weight = tuple(x - y for x, y in zip(lampad, dotted_action(sigma, mupad)))
-            value = a.unit_value()
-            for w in weight:
-                value = value * a.term(w)
+            key = tuple(sorted(weight))
+            value = zero if key[0] < 0 else _prefix_product(a, key, products)
             terms.append(ComplexTerm(degree, sigma.word, weight, value))
     minor = jt_minor(a, shape, r=n)
     return ComplexLayout(a.name, n, lam, mu, tuple(terms), minor)
+
+
+def _prefix_product(a: GradedSequence, key: tuple, products: dict):
+    """The product of a's terms along the sorted weight key: the longest
+    prefix of key already in products, extended by one term at a time, each
+    new prefix stored."""
+    j = len(key)
+    while key[:j] not in products:
+        j -= 1
+    value = products[key[:j]]
+    for i in range(j, len(key)):
+        value = value * a.term(key[i])
+        products[key[: i + 1]] = value
+    return value
 
 
 def euler_characteristic(c: ComplexLayout):

@@ -8,7 +8,9 @@ elimination and by the permutation sum, elementary classes by the sum over
 compositions, Schur polynomials by brute monomial expansion, orthogonal
 character dimensions by peeling doubled rows off the GL dimension,
 Schur products by strip chains taken in the argument order given, each
-strip picked from a product of row ranges, positivity scans and hook
+strip picked from a product of row ranges, class products from those
+expansions one term pair at a time, Jacobi-Trudi complex terms by one
+product per weight entry, positivity scans and hook
 profiles by one Jacobi-Trudi minor per shape,
 series inverses by summing geometric powers, and the multigraded Hilbert
 series by multiplying with those inverses instead of dividing, series
@@ -128,6 +130,51 @@ def mult_one_given_order(mu, nu) -> dict:
     out = {}
     for (shape, _), cnt in states.items():
         out[shape] = out.get(shape, 0) + cnt
+    return out
+
+
+def class_mul_by_partials(a, b):
+    """The product of two SchurClasses term pair by term pair: each factor
+    pair expanded by mult_one_given_order, the expansions combined as a
+    cartesian product of partial keys, and no memo read."""
+    from jtkit.symfunc import SchurClass
+
+    if a.k != b.k:
+        raise ValueError("factor_count mismatch")
+    out = {}
+    for key1, c1 in a.terms.items():
+        for key2, c2 in b.terms.items():
+            partials = [((), c1 * c2)]
+            for mu, nu in zip(key1, key2):
+                expansion = mult_one_given_order(mu, nu)
+                partials = [
+                    (built + (lam,), coeff * lr) for built, coeff in partials for lam, lr in expansion.items()
+                ]
+            for key, coeff in partials:
+                out[key] = out.get(key, 0) + coeff
+    return SchurClass(a.k, out)
+
+
+def layout_by_products(a, lam, mu, n) -> list:
+    """The Jacobi-Trudi complex's terms as (degree, sigma, weight, value):
+    each value multiplied out from the unit along the weight in its given
+    order, one product per entry, class products by class_mul_by_partials.
+    lam and mu are canonical and n at least their length."""
+    from jtkit.shapes import dotted_action, permutations_by_length
+    from jtkit.symfunc import SchurClass
+
+    lampad = tuple(lam) + (0,) * (n - len(lam))
+    mupad = tuple(mu) + (0,) * (n - len(mu))
+    out = []
+    grouped = permutations_by_length(n)
+    for degree in sorted(grouped):
+        for sigma in grouped[degree]:
+            weight = tuple(x - y for x, y in zip(lampad, dotted_action(sigma, mupad)))
+            value = a.unit_value()
+            for w in weight:
+                term = a.term(w)
+                value = class_mul_by_partials(value, term) if isinstance(value, SchurClass) else value * term
+            out.append((degree, sigma.word, weight, value))
     return out
 
 

@@ -30,10 +30,9 @@ from jtkit.sequences import (
     schur_dimension_profile,
     segre,
     tensor_identity_check,
-    tensor_product,
     veronese_identity_check,
 )
-from jtkit.shapes import SkewShape, partitions_of, scan_partitions, subpartitions
+from jtkit.shapes import SkewShape, partitions_of, subpartitions
 from jtkit.symfunc import binom, dim_gl
 from jtkit.zelevinsky import euler_check
 

@@ -6,7 +6,6 @@ import time
 from pathlib import Path
 
 import jsonschema
-import pytest
 
 from jtkit.cli import run
 from jtkit.schemas import SCHEMAS

@@ -21,7 +21,7 @@ from jtkit.resolutions import (
     validate_purity,
 )
 from jtkit import resolutions
-from jtkit.sequences import jt_minor, make_sequence
+from jtkit.sequences import make_sequence
 
 from oracles import det_fraction, hk_solve_by_fractions, solve_fraction, taylor_remainders
 

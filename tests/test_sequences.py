@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from jtkit import memo, quadric, symfunc
 from jtkit.quadric import METHODS, QuadricContext, quadric_schur_dim
 from jtkit.sequences import (
-    GradedSequence,
     _box_minors,
     _shape_of_rows,
     e_class,
@@ -20,7 +19,6 @@ from jtkit.sequences import (
     hs_series,
     index_to_shapes,
     jt_minor,
-    jt_minor_dual,
     make_sequence,
     minor_from_indices,
     parse_sequence_spec,
@@ -33,7 +31,7 @@ from jtkit.sequences import (
     veronese_identity_check,
 )
 from jtkit.shapes import SkewShape, scan_partitions
-from jtkit.symfunc import SchurClass, binom, dim_gl, dim_super
+from jtkit.symfunc import SchurClass, binom, dim_super
 
 from conftest import partitions, sub_partition
 from oracles import (

@@ -23,6 +23,7 @@ from jtkit.symfunc import (
 
 from conftest import partitions, sub_partition
 from oracles import (
+    class_mul_by_partials,
     mult_one_given_order,
     poly_combine,
     poly_mul,
@@ -62,6 +63,31 @@ def test_mult_one_shares_one_cache_entry():
     assert mult_one(mu, nu) == mult_one(nu, mu)
     assert len(_MULT_CACHE) == size + 1
     assert ((mu, nu) in _MULT_CACHE) != ((nu, mu) in _MULT_CACHE)
+
+
+def _classes(k: int):
+    keys = st.tuples(*[partitions(max_size=5, max_part=4, max_length=3)] * k)
+    coeffs = st.integers(-3, 3).filter(bool)
+    return st.dictionaries(keys, coeffs, max_size=3).map(lambda terms: SchurClass(k, terms))
+
+
+@given(st.integers(1, 2).flatmap(lambda k: st.tuples(_classes(k), _classes(k))))
+@settings(deadline=None, max_examples=80)
+def test_class_product_matches_partials_oracle(pair):
+    """Products from a cold LR memo and from a warm one, in both argument
+    orders, equal the term-by-term oracle, and the memo keeps one entry per
+    unordered factor pair."""
+    a, b = pair
+    want = class_mul_by_partials(a, b)
+    _MULT_CACHE.clear()
+    assert a * b == want
+    assert b * a == want
+    assert a * b == want
+    for key1 in a.terms:
+        for key2 in b.terms:
+            for mu, nu in zip(key1, key2):
+                assert (mu, nu) in _MULT_CACHE or (nu, mu) in _MULT_CACHE
+    assert len(_MULT_CACHE) == len({frozenset(key) for key in _MULT_CACHE})
 
 
 def test_mult_one_result_is_a_copy():

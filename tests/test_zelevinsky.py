@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jtkit.sequences import jt_minor, make_sequence, segre
+from jtkit.sequences import jt_minor, make_sequence, parse_sequence_spec, segre
 from jtkit.shapes import SkewShape
 from jtkit.symfunc import SchurClass, dim_gl_skew
 from jtkit.zelevinsky import euler_characteristic, euler_check, jt_complex_layout
 
 from conftest import partitions, sub_partition
+from oracles import layout_by_products
 
 Q3 = make_sequence("quadric", m=3)
 SKEW = partitions(max_size=6, max_part=4, max_length=3).flatmap(
@@ -120,3 +121,34 @@ def test_euler_check_other_sequences(pair):
 def test_euler_check_class_sequences(lam):
     assert euler_check(make_sequence("poly", m=2), lam)
     assert euler_check(make_sequence("tensoralg", m=2), lam)
+
+
+LAYOUT_SPECS = (
+    "quadric:2",
+    "quadric:3",
+    "list:2,3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3,2,3,8,4,6",
+    "poly:2",
+    "poly:3",
+    "tensoralg:2",
+    "segre:poly:2,poly:2",
+)
+PADDED_SKEW = partitions(max_size=6, max_part=3, max_length=5).flatmap(
+    lambda lam: st.tuples(st.just(lam), sub_partition(lam), st.integers(0, 5 - max(len(lam), 1)))
+)
+
+
+@given(st.sampled_from(LAYOUT_SPECS), PADDED_SKEW)
+@settings(deadline=None, max_examples=60)
+def test_layout_matches_products_along_each_weight(spec, shape):
+    """Values read from sorted weight prefixes equal the products taken
+    along each weight; negative weights skip straight to zero."""
+    a = parse_sequence_spec(spec)
+    lam, mu, extra = shape
+    n = max(len(lam), len(mu), 1) + extra
+    lay = jt_complex_layout(a, lam, mu, n)
+    got = [(t.degree, t.sigma, t.weight, t.value) for t in lay.terms]
+    assert got == layout_by_products(a, lam, mu, n)
+    zero = a.zero_value()
+    for t in lay.terms:
+        if min(t.weight) < 0:
+            assert t.value == zero
