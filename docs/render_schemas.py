@@ -22,12 +22,13 @@ Exit codes: 0 on success (including negative scan verdicts), 1 for
 domain errors reported as `error: ...` on stderr, 2 for usage errors.
 
 `pf-check` and `schur-profile` evaluate the straight minors of their box of
-shapes in one sweep per window (README, "Design notes").  A sweep whose
-largest level could hold more than 2^18 = 262,144 partial minors is a
-domain error: `error: a minor sweep at order R, window W may hold N partial
-minors in one level, above the bound 262144`, exit code 1, nothing on
-stdout.  `pf-check` sweeps windows 1, 2, 4, ... up to `--window` and stops
-at an early witness, so only a scan that reaches such a window fails:
+shapes in one sweep, grown window by window (README, "Design notes").  A
+window whose largest level could hold more than 2^18 = 262,144 partial
+minors is a domain error: `error: a minor sweep at order R, window W may
+hold N partial minors in one level, above the bound 262144`, exit code 1,
+nothing on stdout.  `pf-check` grows its sweep through windows 1, 2, 4, ...
+up to `--window` and stops at an early witness, so only a scan that
+reaches such a window fails:
 `--seq quadric:3 --order 14 --window 14` exits 1 at window 8, while
 `--seq heisenberg --order 12 --window 30` finds its witness at window 4.
 

@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+from operator import index
+
 
 def det_bareiss(rows: list[list[int]]) -> int:
     """Fraction-free determinant of a square integer matrix.
 
     Bareiss elimination keeps every intermediate entry an exact integer
-    (each division is exact by Sylvester's identity).
+    (each division is exact by Sylvester's identity).  Entries must be
+    integers (ints, bools and types with __index__); anything else raises
+    ValueError rather than being truncated.
     """
     n = len(rows)
     if n == 0:
         return 1
-    m = [list(map(int, r)) for r in rows]
+    try:
+        m = [list(map(index, r)) for r in rows]
+    except TypeError:
+        bad = next(x for r in rows for x in r if not hasattr(type(x), "__index__"))
+        raise ValueError(f"det_bareiss needs integer entries, got {bad!r}") from None
     if any(len(r) != n for r in m):
         raise ValueError("det_bareiss needs a square matrix")
     sign = 1
@@ -30,7 +38,8 @@ def det_bareiss(rows: list[list[int]]) -> int:
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 q, r = divmod(num, prev)
-                assert r == 0
+                if r:
+                    raise ArithmeticError(f"Bareiss step {num} not divisible by pivot {prev}")
                 m[i][j] = q
         prev = m[k][k]
     return sign * m[n - 1][n - 1]

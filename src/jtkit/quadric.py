@@ -98,7 +98,8 @@ def chi_o_dim(mu, m: int) -> int:
         return prod(a * a - b * b for a, b in combinations(ls, 2)) * (prod(ls) if odd else 1)
 
     q, r = divmod(weyl(mu), weyl(()))
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"Weyl dimension of {mu} at m = {m} is not an integer")
     return 2 * q if mu and 2 * len(mu) == m else q
 
 

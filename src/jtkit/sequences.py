@@ -19,7 +19,9 @@ from .determinant import det_bareiss, det_expand
 from .memo import memo_put
 from .powerseries import TruncSeries
 from .shapes import (
+    Partition,
     SkewShape,
+    _add_box,
     as_shape,
     conjugate,
     contains,
@@ -27,7 +29,7 @@ from .shapes import (
     subpartitions,
     trim,
 )
-from .symfunc import SchurClass, binom, external_product, pieri_extensions, value_json
+from .symfunc import SchurClass, binom, external_product, value_json
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -369,57 +371,74 @@ def _is_negative(a: GradedSequence, value) -> bool:
 _SWEEP_BOUND = 1 << 18
 
 
-def _box_minors(a: GradedSequence, r: int, w: int) -> dict:
-    """Every nonzero straight Jacobi-Trudi minor of the r x w box (shapes
-    with at most r rows and parts at most w), from one Laplace sweep, keyed
-    by the row subset that _shape_of_rows turns into the shape.
+def _box_minors(a: GradedSequence, r: int, windows: list[int]):
+    """Sweep the boxes of shapes with at most r rows and parts at most w,
+    for each w of the increasing list windows in turn, and yield for each box a
+    dict of the nonzero straight Jacobi-Trudi minors of the shapes that the
+    previous box did not hold, keyed by the row subset that _shape_of_rows
+    turns into the shape.
 
-    The (w+r) x r Toeplitz block T[k][c] = a_{k-r+1+c} holds them all: the
+    The (w+r) x r Toeplitz block T[k][c] = a_{k-r+1+c} holds the box: the
     minor of lambda is the determinant of T's rows k_i = lambda_i + r - i,
     i = 1..len(lambda) in decreasing order, on its first len(lambda)
     columns, so row 0 is never used.  The sweep expands T column by column,
     memoised on row subsets (bitmasks), as det_expand does on columns: after
     column c it holds the partial minor of every (c+1)-subset of rows on
-    columns 0..c, and keeps the subsets whose lowest row is at least r - c,
-    which are the shapes with c+1 rows.  Zero entries and zero partial
-    minors are skipped, so the box costs at most sum_c c*C(w+r, c) ring
-    multiplications, r*C(w+r, r) when a_0 != 0, and no division.  Every
-    term up to degree w + r - 1 is read.  Raises ValueError when
-    C(w+r, min(r, (w+r)//2)), the largest level a (w+r)-row block allows,
-    exceeds _SWEEP_BOUND.
+    columns 0..c, and the subsets whose lowest row is at least r - c are the
+    shapes with c+1 rows.  T's entries do not depend on w, so a wider box
+    only adds rows: the sweep keeps its partial minors, pairs a subset that
+    the previous box held only with the new rows and a subset that holds a
+    new row with every row.  Zero entries and zero partial minors are
+    skipped, so all the boxes together cost at most sum_c c*C(w+r, c) ring
+    multiplications at the last window w, r*C(w+r, r) when a_0 != 0, and no
+    division.  Each box reads every term up to degree w + r - 1.  Raises
+    ValueError, before the box's first step, when C(w+r, min(r, (w+r)//2)),
+    the largest level a (w+r)-row block allows, exceeds _SWEEP_BOUND.
     """
-    n = w + r
-    worst = comb(n, min(r, n // 2))
-    if worst > _SWEEP_BOUND:
-        raise ValueError(
-            f"a minor sweep at order {r}, window {w} may hold {worst} partial minors "
-            f"in one level, above the bound {_SWEEP_BOUND}"
-        )
     zero = a.zero_value()
-    minors = {}
-    level = {0: a.unit_value()}
-    for c in range(r):
-        entries = [(k, a.term(k - r + 1 + c)) for k in range(1, n)]
-        entries = [(1 << k, (1 << k) - 1, t) for k, t in entries if t != zero]
-        nxt = {}
-        for rows, minor in level.items():
-            if minor == zero:
-                continue
-            for bit, below, entry in entries:
-                if rows & bit:
+    # levels[c]: the partial minors on columns 0..c-1; the last column's
+    # are never extended, so they are not kept
+    levels = [{0: a.unit_value()}] + [{} for _ in range(r - 1)]
+    seen = 1  # rows below seen were in the previous block; row 0 never is
+    for w in windows:
+        n = w + r
+        worst = comb(n, min(r, n // 2))
+        if worst > _SWEEP_BOUND:
+            raise ValueError(
+                f"a minor sweep at order {r}, window {w} may hold {worst} partial minors "
+                f"in one level, above the bound {_SWEEP_BOUND}"
+            )
+        # vals[k + c] = T[k][c]: degree k + c - r + 1, zero below degree 0
+        vals = [zero] * (r - 1) + [a.term(d) for d in range(n)]
+        last = w == windows[-1]
+        new = {}
+        for c in range(r):
+            level = levels[c]
+            if last:
+                levels[c] = None  # no later box extends it
+            entries = [(1 << k, (1 << k) - 1, vals[k + c]) for k in range(1, n) if vals[k + c] != zero]
+            fresh = [e for e in entries if e[0] >> seen]
+            nxt = {}
+            for rows, minor in level.items():
+                if minor == zero:
                     continue
-                # the empty subset's minor is the unit
-                term = minor * entry if rows else entry
-                # the cofactor sign is the parity of the subset's rows below k
-                if (rows & below).bit_count() % 2:
-                    term = -term
-                key = rows | bit
-                nxt[key] = nxt[key] + term if key in nxt else term
-        level = nxt
-        # shapes with c+1 rows: lambda_{c+1} = k_{c+1} - r + c + 1 >= 1
-        low = (1 << (r - c)) - 1
-        minors.update((rows, m) for rows, m in level.items() if m != zero and not rows & low)
-    return minors
+                for bit, below, entry in entries if rows >> seen else fresh:
+                    if rows & bit:
+                        continue
+                    # the empty subset's minor is the unit
+                    term = minor * entry if rows else entry
+                    # the cofactor sign is the parity of the subset's rows below k
+                    if (rows & below).bit_count() % 2:
+                        term = -term
+                    key = rows | bit
+                    nxt[key] = nxt[key] + term if key in nxt else term
+            if c + 1 < r:
+                levels[c + 1].update(nxt)
+            # shapes with c+1 rows: lambda_{c+1} = k_{c+1} - r + c + 1 >= 1
+            low = (1 << (r - c)) - 1
+            new.update((rows, m) for rows, m in nxt.items() if m != zero and not rows & low)
+        seen = n
+        yield new
 
 
 def _shape_of_rows(rows: int, r: int) -> tuple[int, ...]:
@@ -442,41 +461,45 @@ def pf_check(a: GradedSequence, max_order: int = 4, window: int = 8, scan_skew: 
     that order) becomes the witness, and checked counts the shapes scanned up
     to and including it, or every shape of the scan when none is negative.
 
-    Straight scans evaluate the box by _box_minors at windows 1, 2, 4, ...
+    Straight scans grow one _box_minors sweep through windows 1, 2, 4, ...
     up to window, and stop at the first window whose least negative shape
     has size at most that window: every shape before it in the scan order
-    lies in that smaller box, so it is the witness of the whole box.  Each
-    window's sweep reads terms up to degree window + max_order - 1, and
-    raises ValueError when its largest level could exceed _SWEEP_BOUND
-    subsets.  Skew scans evaluate one minor per pair of shapes.
+    lies in that smaller box, so it is the witness of the whole box.  A
+    positive box costs one sweep of the largest window.  Each window reads
+    terms up to degree window + max_order - 1, and raises ValueError before
+    its step when its largest level could exceed _SWEEP_BOUND subsets.
+    Skew scans evaluate one minor per pair of shapes.
     """
     if scan_skew:
         checked = 0
+        inner = {}
         for lam in scan_partitions(max_order, window):
+            outer = Partition(lam)
             for mu in subpartitions(lam):
-                value = jt_minor(a, SkewShape(lam, mu))
+                sub = inner.get(mu)
+                if sub is None:
+                    sub = inner[mu] = Partition(mu)
+                value = jt_minor(a, SkewShape(outer, sub))
                 checked += 1
                 if _is_negative(a, value):
                     return PFReport("negative", max_order, window, checked, witness=(lam, mu, value))
         return PFReport("positive-up-to-bounds", max_order, window, checked)
     if max_order < 1 or window < 1:
         return PFReport("positive-up-to-bounds", max_order, window, 0)
-    step = 1
-    while True:
-        step = min(step, window)
-        minors = _box_minors(a, max_order, step)
-        negative = {
-            _shape_of_rows(rows, max_order): value for rows, value in minors.items() if _is_negative(a, value)
-        }
+    # the powers of two below window, then window
+    steps = [1 << i for i in range((window - 1).bit_length())] + [window]
+    negative = {}
+    for step, minors in zip(steps, _box_minors(a, max_order, steps)):
+        negative.update(
+            (_shape_of_rows(rows, max_order), value) for rows, value in minors.items() if _is_negative(a, value)
+        )
         if negative:
             lam = min(negative, key=lambda p: (sum(p), p))
             if sum(lam) <= step or step == window:
                 shapes = enumerate(scan_partitions(max_order, window), 1)
                 checked = next(i for i, shape in shapes if shape == lam)
                 return PFReport("negative", max_order, window, checked, witness=(lam, (), negative[lam]))
-        if step == window:
-            return PFReport("positive-up-to-bounds", max_order, window, comb(max_order + window, window) - 1)
-        step *= 2
+    return PFReport("positive-up-to-bounds", max_order, window, comb(max_order + window, window) - 1)
 
 
 def e_class(a: GradedSequence, d: int):
@@ -576,12 +599,13 @@ def schur_dimension_profile(a: GradedSequence, r_max: int, s_max: int):
     r_max, s_max = int(r_max), int(s_max)
     if r_max < 0 or s_max < 0:
         raise ValueError("profile bounds must be nonnegative")
-    nonzero = {_shape_of_rows(rows, r_max + 1) for rows in _box_minors(a.dim_view(), r_max + 1, s_max + 1)}
+    (minors,) = _box_minors(a.dim_view(), r_max + 1, [s_max + 1])
+    nonzero = {_shape_of_rows(rows, r_max + 1) for rows in minors}
     box = list(scan_partitions(r_max + 1, s_max + 1))
     in_box = set(box)
     vanish = {lam for lam in box if lam not in nonzero}
     for lam in vanish:
-        if any(up in in_box and up not in vanish for up in pieri_extensions(lam, 1)):
+        if any(up in in_box and up not in vanish for up in _add_box(lam)):
             return None
     for r in range(r_max + 1):
         for s in range(s_max + 1):

@@ -365,7 +365,9 @@ def partitions_of(n: int, max_part: int | None = None, max_length: int | None = 
         return
     if n < 0 or max_length <= 0 or max_part <= 0:
         return
-    for first in range(1, min(n, max_part) + 1):
+    # a first part below n / max_length leaves the other rows too much, and
+    # past max_part * max_length the range is empty
+    for first in range(-(-n // max_length), min(n, max_part) + 1):
         for rest in partitions_of(n - first, max_part=first, max_length=max_length - 1):
             yield (first,) + rest
 
@@ -379,20 +381,38 @@ def scan_partitions(max_length: int, max_part: int) -> Iterator[tuple[int, ...]]
 
 
 def subpartitions(lam) -> Iterator[tuple[int, ...]]:
-    """All partitions contained in lam, ordered by size then lexicographically."""
+    """All partitions contained in lam, ordered by size then
+    lexicographically, generated in that order one at a time."""
     lam = as_parts(lam)
-    seen = sorted(
-        set(_subparts_rec(lam)),
-        key=lambda t: (sum(t), t),
-    )
-    yield from seen
+    for n in range(sum(lam) + 1):
+        yield from _inside(n, lam, lam[0] if lam else 0)
 
 
-def _subparts_rec(lam: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    if not lam:
+def _inside(n: int, bounds: tuple[int, ...], cap: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n with parts at most cap whose i-th part is at most
+    bounds[i], in lexicographically ascending order.  bounds is weakly
+    decreasing and some such partition must exist.  The first part starts
+    at the least value whose rows can hold n, so every call yields."""
+    if not n:
         yield ()
         return
-    for first in range(0, lam[0] + 1):
-        for rest in _subparts_rec(tuple(min(p, first) for p in lam[1:])):
-            yield trim((first,) + rest)
+    if len(bounds) == 1:
+        yield (n,)
+        return
+    rest = bounds[1:]
+    first = -(-n // len(bounds))
+    while first + sum(min(b, first) for b in rest) < n:
+        first += 1
+    for first in range(first, min(n, cap, bounds[0]) + 1):
+        for tail in _inside(n - first, rest, first):
+            yield (first,) + tail
 
+
+def _add_box(t: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The partitions one box larger than the canonical t: a box added at
+    the end of a row shorter than the row above it, or as a new last row."""
+    return [
+        t[:i] + ((t[i] if i < len(t) else 0) + 1,) + t[i + 1 :]
+        for i in range(len(t) + 1)
+        if not i or t[i - 1] > (t[i] if i < len(t) else 0)
+    ]

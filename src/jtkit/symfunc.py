@@ -245,7 +245,8 @@ def dim_gl(lam, m: int) -> int:
             num *= m + j - i
             den *= row - j + lamt[j - 1] - i + 1
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"hook content formula for {lam} at m = {m} is not an integer")
     return memo_put(_DIM_GL_CACHE, key, q)
 
 

@@ -2,6 +2,7 @@
 
 Everything here recomputes library results by a different algorithm:
 shape canonicalization, conjugates and containment one part at a time,
+the partitions inside a shape by choosing every row and sorting the set,
 tableau counts by direct chain recursion and, for super tableaux, by
 filling the diagram cell by cell, determinants by fraction Gaussian
 elimination and by the permutation sum, elementary classes by the sum over
@@ -61,6 +62,22 @@ def contains_by_index(outer, inner) -> bool:
     if len(i) > len(o):
         return False
     return all(i[k] <= o[k] for k in range(len(i)))
+
+
+def subpartitions_by_sorting(lam) -> list[tuple[int, ...]]:
+    """The partitions inside lam: each row picked in turn up to the one
+    above it, trimmed, deduplicated in a set and sorted by size, then
+    lexicographically."""
+
+    def rec(bounds):
+        if not bounds:
+            yield ()
+            return
+        for first in range(bounds[0] + 1):
+            for rest in rec(tuple(min(p, first) for p in bounds[1:])):
+                yield trim_by_loop((first,) + rest)
+
+    return sorted(set(rec(trim_by_loop(lam))), key=lambda t: (sum(t), t))
 
 
 _SSYT_MEMO = {}

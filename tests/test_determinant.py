@@ -62,6 +62,15 @@ def test_known_values():
     assert det_bareiss([[2, 0, 1], [1, 1, 0], [0, 3, 1]]) == 5
 
 
+def test_bareiss_refuses_non_integer_entries():
+    # int() would truncate these to det 2 and det 1
+    with pytest.raises(ValueError, match="integer entries, got 2.5"):
+        det_bareiss([[2.5]])
+    with pytest.raises(ValueError, match="integer entries, got 1.9"):
+        det_bareiss([[1.9, 0], [0, 1]])
+    assert det_bareiss([[True, 0], [0, 3]]) == 3
+
+
 def test_random_larger_orders():
     rng = random.Random(11)
     for _ in range(25):

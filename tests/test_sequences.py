@@ -249,11 +249,47 @@ SCAN_CASES = st.one_of(
 def test_box_minors_match_jt_minor(case):
     spec, order, window = case
     a = parse_sequence_spec(spec)
-    minors = {_shape_of_rows(rows, order): value for rows, value in _box_minors(a, order, window).items()}
+    (sweep,) = _box_minors(a, order, [window])
+    minors = {_shape_of_rows(rows, order): value for rows, value in sweep.items()}
     box = list(scan_partitions(order, window))
     assert set(minors) <= set(box)
     for lam in box:
         assert minors.get(lam, a.zero_value()) == jt_minor(a, lam)
+
+
+# Increasing window lists: up to window 6 on the integer specs, and on the
+# class specs with order + window <= 8 as above.
+GROWN_CASES = st.one_of(
+    st.tuples(st.sampled_from(SCAN_SPECS), st.integers(1, 5), st.just(6)),
+    st.tuples(st.sampled_from(("poly:2", "tensoralg:2")), st.integers(1, 5)).map(
+        lambda case: (case[0], case[1], min(6, 8 - case[1]))
+    ),
+).flatmap(
+    lambda case: st.tuples(
+        st.just(case[0]),
+        st.just(case[1]),
+        st.lists(st.integers(1, case[2]), min_size=1, max_size=4, unique=True).map(sorted),
+    )
+)
+
+
+@given(GROWN_CASES)
+@settings(deadline=None, max_examples=60)
+def test_grown_sweep_yields_each_new_shape_once(case):
+    spec, order, windows = case
+    a = parse_sequence_spec(spec)
+    grown = list(_box_minors(a, order, windows))
+    assert len(grown) == len(windows)
+    union = {}
+    for prev, window, sweep in zip([0] + windows, windows, grown):
+        assert not set(sweep) & set(union)
+        union.update(sweep)
+        new = [lam for lam in scan_partitions(order, window) if lam[0] > prev]
+        values = {lam: jt_minor(a, lam) for lam in new}
+        expect = {lam: value for lam, value in values.items() if value != a.zero_value()}
+        assert {_shape_of_rows(rows, order): value for rows, value in sweep.items()} == expect
+    (whole,) = _box_minors(a, order, windows[-1:])
+    assert union == whole
 
 
 @given(SCAN_CASES)

@@ -3,13 +3,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from math import comb
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jtkit.shapes import (
     Partition,
     Permutation,
     SkewShape,
+    _add_box,
     _conj,
     _fits,
     as_parts,
@@ -27,10 +30,10 @@ from jtkit.shapes import (
     subpartitions,
     trim,
 )
-from jtkit.symfunc import dim_gl
+from jtkit.symfunc import dim_gl, pieri_extensions
 
 from conftest import partitions, sub_partition
-from oracles import conjugate_by_count, contains_by_index, trim_by_loop
+from oracles import conjugate_by_count, contains_by_index, subpartitions_by_sorting, trim_by_loop
 
 PARTS = partitions(max_size=12, max_part=8, max_length=5)
 PAIRS = PARTS.flatmap(lambda lam: st.tuples(st.just(lam), sub_partition(lam)))
@@ -314,6 +317,35 @@ def test_scan_partitions():
 def test_subpartitions():
     subs = list(subpartitions((2, 1)))
     assert subs == [(), (1,), (1, 1), (2,), (2, 1)]
+
+
+@given(partitions(max_size=25, max_part=5, max_length=5))
+@example(())
+@settings(deadline=None)
+def test_subpartitions_match_sorted_oracle(lam):
+    assert list(subpartitions(lam)) == subpartitions_by_sorting(lam)
+
+
+@given(partitions(max_size=25, max_part=6, max_length=6))
+@example(())
+@settings(deadline=None)
+def test_add_box_is_the_one_box_pieri_rule(lam):
+    ups = _add_box(lam)
+    assert len(ups) == len(set(ups))
+    assert set(ups) == set(pieri_extensions(lam, 1))
+
+
+def test_scan_partitions_fill_the_box():
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            box = list(scan_partitions(rows, cols))
+            assert len(set(box)) == len(box) == comb(rows + cols, rows) - 1
+
+
+@given(st.integers(1, 30), st.integers(1, 6), st.integers(1, 6))
+def test_partitions_of_past_the_box_is_empty(n, max_part, max_length):
+    got = list(partitions_of(n, max_part, max_length))
+    assert (got == []) == (n > max_part * max_length)
 
 
 @given(PARTS.flatmap(lambda lam: st.tuples(st.just(lam), sub_partition(lam))))
