@@ -55,6 +55,13 @@ boxes is above the bound of 30 boxes`) is a domain error, exit code 1,
 raised before any work and after the stable-range check: `--m 10 --lambda
 6,6,6,6,6` runs, `--m 40 --lambda 12,10,8,6,4,2` (42 boxes) does not.
 
+`validate` checks the coefficients past the degree bound B, one more than
+the largest twist, up to `--horizon`.  A horizon below B + max(`--margin`,
+1) would check too few of them, or none, and is a domain error (`error:
+horizon H too small to certify, need at least N`), exit code 1, nothing on
+stdout: `validate quadric --m 3 --shifts 1,1,2` has B = 3, so `--horizon 4
+--margin 0` runs and `--horizon 3 --margin 0` does not.
+
 Partitions are encoded as arrays of weakly decreasing positive integers.
 Class values (for sequences carrying symbolic terms) are arrays of
 `{"partitions": [...], "coeff": n}` entries; integer values stay bare.

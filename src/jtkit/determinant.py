@@ -45,7 +45,11 @@ def det_bareiss(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det_expand(rows: list[list], zero, max_order: int = 8):
+# The largest order det_expand takes; its memo then holds C(8, 4) = 70 subsets.
+_EXPAND_MAX_ORDER = 8
+
+
+def det_expand(rows: list[list], zero):
     """Determinant of a square matrix over any commutative ring exposing
     +, - and *; zero is the ring's additive identity.
 
@@ -53,12 +57,12 @@ def det_expand(rows: list[list], zero, max_order: int = 8):
     there is one partial minor per (i+1)-subset of columns, and each one
     spreads over the next row's entries.  Zero entries and zero partial
     minors are skipped.  That is fewer than n*2^(n-1) ring multiplications and
-    no division, so it is exact over any ring; max_order still bounds the
-    2^n memo.
+    no division, so it is exact over any ring; orders above
+    _EXPAND_MAX_ORDER are refused.
     """
     n = len(rows)
-    if n > max_order:
-        raise ValueError(f"matrix order {n} exceeds expansion bound {max_order}")
+    if n > _EXPAND_MAX_ORDER:
+        raise ValueError(f"matrix order {n} exceeds expansion bound {_EXPAND_MAX_ORDER}")
     if n == 0:
         raise ValueError("det_expand needs a nonempty matrix; use the caller's unit for order 0")
     if any(len(r) != n for r in rows):

@@ -18,27 +18,17 @@ factors packed.
 
 Results of arithmetic are canonical by construction, so they reach the
 constructor as a _Canonical dict, from which it only drops zero
-coefficients; everything else it is given is checked and coerced.
+coefficients; everything else it is given, a few small dicts such as
+Hilbert series and monomials, is checked and coerced term by term.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from operator import mul
 
 from .memo import _Canonical
-
-
-def _int_terms(coeffs: dict, nvars: int) -> bool:
-    """True when every key is a tuple of nvars nonnegative ints and every
-    coefficient an int, so construction needs no coercion."""
-    keys = coeffs.keys()
-    if set(map(type, keys)) - {tuple} or set(map(len, keys)) - {nvars}:
-        return False
-    exps = list(chain.from_iterable(keys))
-    return set(map(type, chain(exps, coeffs.values()))) <= {int} and min(exps, default=0) >= 0
 
 
 def _packing(nvars: int, trunc: int) -> tuple[tuple[int, ...], int]:
@@ -143,21 +133,16 @@ class TruncSeries:
         if nvars < 1 or trunc < 0:
             raise ValueError(f"series need nvars >= 1 and trunc >= 0, got {nvars}, {trunc}")
         coeffs = self.coeffs
-        if type(coeffs) is _Canonical:
-            clean = {e: c for e, c in coeffs.items() if c}
-        else:
-            coeffs = coeffs or {}
-            if not _int_terms(coeffs, nvars):
-                merged = {}
-                for exps, c in coeffs.items():
-                    exps = tuple(int(e) for e in exps)
-                    if len(exps) != nvars or any(e < 0 for e in exps):
-                        raise ValueError(f"exponent {exps} is not {nvars} nonnegative integers")
-                    if sum(exps) <= trunc and c != 0:
-                        merged[exps] = merged.get(exps, 0) + int(c)
-                coeffs = merged
-            clean = {e: c for e, c in coeffs.items() if c != 0 and sum(e) <= trunc}
-        object.__setattr__(self, "coeffs", clean)
+        if type(coeffs) is not _Canonical:
+            merged = {}
+            for exps, c in (coeffs or {}).items():
+                exps = tuple(int(e) for e in exps)
+                if len(exps) != nvars or any(e < 0 for e in exps):
+                    raise ValueError(f"exponent {exps} is not {nvars} nonnegative integers")
+                if sum(exps) <= trunc and c != 0:
+                    merged[exps] = merged.get(exps, 0) + int(c)
+            coeffs = merged
+        object.__setattr__(self, "coeffs", {e: c for e, c in coeffs.items() if c})
 
     @classmethod
     def zero(cls, nvars: int, trunc: int) -> "TruncSeries":

@@ -128,7 +128,8 @@ def orthogonal_stable_decomposition(ctx: QuadricContext, lam) -> OrthogonalDecom
     characters: the multiplicity of mu is the count of LR tableaux pairing mu
     with a transposed doubled partition, that is, the sum of c^lam_{mu,nu}
     over the nu whose columns all have even length, read off one content
-    tally of lam/mu.  Raises ValueError, before any work, when lam has more
+    tally of lam/mu.  The entries come in subpartitions' order, by size
+    then lexicographically.  Raises ValueError, before any work, when lam has more
     than _ORTHO_MAX_BOXES boxes."""
     lam = as_parts(lam)
     if 2 * len(lam) > ctx.m:
@@ -145,7 +146,6 @@ def orthogonal_stable_decomposition(ctx: QuadricContext, lam) -> OrthogonalDecom
         mult = sum(_lr_contents(lam, mu, paired=True).values())
         if mult:
             entries.append((mu, mult))
-    entries.sort(key=lambda e: (sum(e[0]), e[0]))
     return OrthogonalDecomposition(ctx.m, lam, tuple(entries))
 
 

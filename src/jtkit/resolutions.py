@@ -37,12 +37,16 @@ class BettiRow:
 @dataclass(frozen=True)
 class BettiTail:
     """Eventually geometric continuation: from start onward the twist grows
-    by step and the rank picks up a factor of ratio per index."""
+    by step, at least 1, and the rank picks up a factor of ratio per index."""
 
     start: int
     rank: int
     step: int = 1
     ratio: int = 1
+
+    def __post_init__(self):
+        if self.step < 1:
+            raise ValueError(f"tail step must be at least 1, got {self.step}")
 
     def to_json(self) -> dict:
         out = {"start": self.start, "rank": self.rank, "step": self.step}
@@ -157,7 +161,9 @@ def efw_betti(e, e_dim: int, count: int | None = None) -> BettiTable:
     polynomial ring whose space of variables has dimension e_dim.
 
     Empty exactly when the shift at position e_dim (extended by ones)
-    exceeds 1, the obstruction to the complex being nonzero.
+    exceeds 1, the obstruction to the complex being nonzero.  Rung i of the
+    ladder has at least i rows, so its rank vanishes past e_dim, and only
+    the first min(count, e_dim + 1) rungs are built.
     """
     e = tuple(int(x) for x in e)
     e_dim = int(e_dim)
@@ -167,7 +173,7 @@ def efw_betti(e, e_dim: int, count: int | None = None) -> BettiTable:
         count = e_dim + 1
     if _extended_shift(e, e_dim) > 1:
         return BettiTable(())
-    lams = efw_partitions(e, count)
+    lams = efw_partitions(e, min(int(count), e_dim + 1))
     rows = []
     twist = 0
     for i, lam in enumerate(lams):
@@ -304,37 +310,29 @@ def validate_purity(table: BettiTable, a: GradedSequence, tail_horizon: int = 24
     tail_horizon, with the tail (when present) summed in closed geometric
     form.  Coefficients past the degree bound (one more than the largest
     stored twist) must vanish through the horizon; the horizon must clear
-    the bound by at least margin or the certification refuses to answer.
+    the bound by at least margin, and by at least 1 so that some
+    coefficient is checked, or the certification refuses to answer.  The
+    numerator has one term per degree, since twists strictly increase and
+    the tail, with step at least 1, starts at its anchor row.
     """
     if table.is_empty():
         return PurityReport(True, True, (), 0, 0, int(tail_horizon))
     tail_horizon = int(tail_horizon)
-    margin = int(margin)
     bound = table.max_twist() + 1
-    if tail_horizon < bound + margin:
-        raise ValueError(f"horizon {tail_horizon} too small to certify, need at least {bound + margin}")
-    hsa = hs_series(a, tail_horizon)
-    acc = TruncSeries.zero(1, tail_horizon)
-    cutoff = table.tail.start if table.tail is not None else None
+    need = bound + max(int(margin), 1)
+    if tail_horizon < need:
+        raise ValueError(f"horizon {tail_horizon} too small to certify, need at least {need}")
+    t = table.tail
+    numerator = {}
     for row in table.rows:
-        if cutoff is not None and row.index >= cutoff:
-            continue
-        term = TruncSeries.monomial(1, tail_horizon, (row.twist,), row.rank)
-        if row.index % 2:
-            term = -term
-        acc = acc + term
-    if cutoff is not None:
-        t = table.tail
+        if t is None or row.index < t.start:
+            numerator[(row.twist,)] = -row.rank if row.index % 2 else row.rank
+    if t is not None:
         anchor = next(r for r in table.rows if r.index == t.start)
-        geo = {}
-        for j in range(0, tail_horizon - anchor.twist + 1):
-            coeff = t.rank * (-t.ratio) ** j
-            geo[(anchor.twist + t.step * j,)] = coeff
-        tail_series = TruncSeries(1, tail_horizon, geo)
-        if t.start % 2:
-            tail_series = -tail_series
-        acc = acc + tail_series
-    series = acc * hsa
+        sign = -1 if t.start % 2 else 1
+        for j in range(tail_horizon - anchor.twist + 1):
+            numerator[(anchor.twist + t.step * j,)] = sign * t.rank * (-t.ratio) ** j
+    series = TruncSeries(1, tail_horizon, numerator) * hs_series(a, tail_horizon)
     coeffs = series.univariate_coeffs()
     is_poly = all(c == 0 for c in coeffs[bound + 1 :])
     reported = coeffs[: bound + 1]

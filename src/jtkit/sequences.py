@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from operator import mul
 from typing import Callable
 
 from .determinant import det_bareiss, det_expand
@@ -21,10 +22,9 @@ from .powerseries import TruncSeries
 from .shapes import (
     Partition,
     SkewShape,
-    _add_box,
+    _fits,
     as_shape,
     conjugate,
-    contains,
     scan_partitions,
     subpartitions,
     trim,
@@ -273,12 +273,7 @@ def segre(a: GradedSequence, b: GradedSequence) -> GradedSequence:
             k,
             a.factor_dims + b.factor_dims,
         )
-    av, bv = a.dim_view(), b.dim_view()
-    return GradedSequence(
-        f"segre({a.name},{b.name})",
-        "integer",
-        lambda seq, d: av.term(d) * bv.term(d),
-    )
+    return GradedSequence(f"segre({a.name},{b.name})", "integer", hadamard(a, b).term_fn)
 
 
 def hadamard(a: GradedSequence, b: GradedSequence) -> GradedSequence:
@@ -350,15 +345,14 @@ def index_to_shapes(j_idx, i_idx):
 
 def minor_from_indices(a: GradedSequence, j_idx, i_idx):
     """Minor of the Toeplitz array on row set j_idx and column set i_idx,
-    entry convention A_{i - j}.  Equals the Jacobi-Trudi minor of the
-    translated shapes from index_to_shapes."""
+    entry convention A_{i - j}.  Its matrix is the Jacobi-Trudi matrix of
+    the translated shapes from index_to_shapes, padded to len(j_idx), with
+    rows and columns both reversed, so it is that jt_minor."""
+    j_idx, i_idx = tuple(j_idx), tuple(i_idx)
     lam, mu = index_to_shapes(j_idx, i_idx)
-    if not contains(lam, mu):
+    if not _fits(lam, mu):
         raise ValueError(f"index sets give mu {mu} not inside lambda {lam}")
-    j_idx = tuple(int(x) for x in j_idx)
-    i_idx = tuple(int(x) for x in i_idx)
-    rows = [[a.term(i_idx[x] - j_idx[y]) for y in range(len(j_idx))] for x in range(len(i_idx))]
-    return _det(a, rows)
+    return jt_minor(a, SkewShape(lam, mu), len(j_idx))
 
 
 def _is_negative(a: GradedSequence, value) -> bool:
@@ -561,24 +555,20 @@ def veronese_identity_check(a: GradedSequence, d: int, shape, r: int | None = No
 
 def tensor_identity_check(a: GradedSequence, b: GradedSequence, shape, r: int | None = None) -> bool:
     """Cauchy-Binet: the minor of a tensor product expands over intermediate
-    shapes nu between mu and lambda."""
+    shapes nu between mu and lambda, read at dimension level unless both
+    factors are class valued."""
     s = as_shape(shape)
     lam, mu = s.outer.parts, s.inner.parts
     c = tensor_product(a, b)
     lhs = jt_minor(c, s, r)
     if c.value_kind == "class":
-        rhs = SchurClass.zero(c.factor_count)
-        for nu in subpartitions(lam):
-            if not contains(nu, mu):
-                continue
-            rhs = rhs + external_product(jt_minor(a, SkewShape(lam, nu), r), jt_minor(b, SkewShape(nu, mu), r))
+        product = external_product
     else:
-        av, bv = a.dim_view(), b.dim_view()
-        rhs = 0
-        for nu in subpartitions(lam):
-            if not contains(nu, mu):
-                continue
-            rhs += jt_minor(av, SkewShape(lam, nu), r) * jt_minor(bv, SkewShape(nu, mu), r)
+        a, b, product = a.dim_view(), b.dim_view(), mul
+    rhs = c.zero_value()
+    for nu in subpartitions(lam):
+        if _fits(nu, mu):
+            rhs = rhs + product(jt_minor(a, SkewShape(lam, nu), r), jt_minor(b, SkewShape(nu, mu), r))
     return lhs == rhs
 
 
@@ -592,26 +582,22 @@ def schur_dimension_profile(a: GradedSequence, r_max: int, s_max: int):
     matches the observed vanishing of minors at dimension level.
 
     Scans the (r_max + 1) x (s_max + 1) box of shapes, whose minors come
-    from one sweep of _box_minors (ValueError above its bound).  Returns the
-    smallest matching (r, s) in lexicographic order, or None when the
-    vanishing locus is not closed under adding a box inside the box of
-    shapes (so not an upward-closed set) or matches no hook."""
+    from one sweep of _box_minors (ValueError above its bound).  The law
+    (r, s) vanishes on exactly the shapes that contain the (r+1) x (s+1)
+    rectangle, its first shape in scan order.  So the answer is read off
+    the first vanishing shape: its (r, s) when it is a rectangle that the
+    vanishing shapes, and only they, contain, else None."""
     r_max, s_max = int(r_max), int(s_max)
     if r_max < 0 or s_max < 0:
         raise ValueError("profile bounds must be nonnegative")
     (minors,) = _box_minors(a.dim_view(), r_max + 1, [s_max + 1])
     nonzero = {_shape_of_rows(rows, r_max + 1) for rows in minors}
     box = list(scan_partitions(r_max + 1, s_max + 1))
-    in_box = set(box)
-    vanish = {lam for lam in box if lam not in nonzero}
-    for lam in vanish:
-        if any(up in in_box and up not in vanish for up in _add_box(lam)):
-            return None
-    for r in range(r_max + 1):
-        for s in range(s_max + 1):
-            if vanish == {lam for lam in box if (lam[r] if r < len(lam) else 0) > s}:
-                return (r, s)
-    return None
+    rect = next((lam for lam in box if lam not in nonzero), None)
+    # a shape must vanish exactly when it holds rect
+    if rect is None or rect[-1] != rect[0] or any(_fits(lam, rect) == (lam in nonzero) for lam in box):
+        return None
+    return (len(rect) - 1, rect[0] - 1)
 
 
 def parse_sequence_spec(text: str) -> GradedSequence:

@@ -339,10 +339,15 @@ def dotted_action(s: Permutation, w: Iterable[int]) -> tuple[int, ...]:
     return tuple(a - b for a, b in zip(s.apply(shifted), rho))
 
 
-def permutations_by_length(n: int, bound: int = 8) -> dict[int, list[Permutation]]:
-    """All permutations of {1..n} grouped by inversion count."""
-    if n < 1 or n > bound:
-        raise ValueError(f"n must be in 1..{bound}, got {n}")
+# permutations_by_length lists all n! permutations, 40,320 at this bound.
+_PERMUTATIONS_MAX_N = 8
+
+
+def permutations_by_length(n: int) -> dict[int, list[Permutation]]:
+    """All permutations of {1..n}, n at most _PERMUTATIONS_MAX_N, grouped
+    by inversion count."""
+    if n < 1 or n > _PERMUTATIONS_MAX_N:
+        raise ValueError(f"n must be in 1..{_PERMUTATIONS_MAX_N}, got {n}")
     out: dict[int, list[Permutation]] = {}
     for w in itertools.permutations(range(1, n + 1)):
         p = Permutation(w)
@@ -406,13 +411,3 @@ def _inside(n: int, bounds: tuple[int, ...], cap: int) -> Iterator[tuple[int, ..
     for first in range(first, min(n, cap, bounds[0]) + 1):
         for tail in _inside(n - first, rest, first):
             yield (first,) + tail
-
-
-def _add_box(t: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The partitions one box larger than the canonical t: a box added at
-    the end of a row shorter than the row above it, or as a new last row."""
-    return [
-        t[:i] + ((t[i] if i < len(t) else 0) + 1,) + t[i + 1 :]
-        for i in range(len(t) + 1)
-        if not i or t[i - 1] > (t[i] if i < len(t) else 0)
-    ]

@@ -299,6 +299,13 @@ def det_permutations(rows, zero):
     return total
 
 
+def minor_by_toeplitz(seq, j_idx, i_idx):
+    """The Toeplitz minor det(A_{i - j}) on row set i_idx and column set
+    j_idx, by the permutation sum."""
+    rows = [[seq.term(i - j) for j in j_idx] for i in i_idx]
+    return det_permutations(rows, seq.zero_value())
+
+
 def compositions_of(d: int):
     """All 2^(d-1) compositions of d (d >= 1), plus the empty one for d = 0."""
     if d == 0:

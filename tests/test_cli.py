@@ -158,6 +158,15 @@ def test_validate(capsys):
     assert payload["purity"]["dimension"] == 8
 
 
+def test_validate_refuses_a_horizon_that_checks_nothing(capsys):
+    argv = ("validate", "quadric", "--m", "3", "--shifts", "1,1,2", "--horizon", "3")
+    code, out, err = invoke(capsys, *argv, "--margin", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: horizon 3 too small to certify, need at least 4\n"
+    assert invoke(capsys, *argv, "--margin", "-2")[0] == 1
+    assert check_json(capsys, *argv[:-1], "4", "--margin", "0")["purity"]["dimension"] == 8
+
+
 def test_hk_solve(capsys):
     payload = check_json(capsys, "hk-solve", "--twists", "0,1,2")
     assert payload["tail"] == [1, 3, 4]

@@ -22,6 +22,7 @@ from jtkit.resolutions import (
 )
 from jtkit import resolutions
 from jtkit.sequences import make_sequence
+from jtkit.symfunc import dim_gl
 
 from oracles import det_fraction, hk_solve_by_fractions, solve_fraction, taylor_remainders
 
@@ -105,6 +106,13 @@ def test_betti_table_validation():
         )
 
 
+def test_tail_step_is_positive():
+    # a step below 1 would put two tail terms of the purity numerator at one degree
+    for step in (0, -1):
+        with pytest.raises(ValueError, match=f"tail step must be at least 1, got {step}"):
+            BettiTail(start=0, rank=1, step=step)
+
+
 def test_betti_table_lookup_and_csv():
     t = quadric_pure_resolution(3, (1, 1, 1), tail_terms=3)
     assert t.rank_at(1) == 3
@@ -167,6 +175,26 @@ def test_efw_betti_frozen():
     assert labels_of(t) == ["(1,1)", "(2,1)", "(2,2)"]
     with pytest.raises(ValueError):
         efw_betti((1, 1), 0)
+
+
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple),
+    st.integers(1, 4),
+    st.integers(1, 12),
+)
+@settings(deadline=None, max_examples=60)
+def test_efw_betti_ladder_stops_past_e_dim(e, e_dim, count):
+    # rung i has at least i rows, so no rung past e_dim has a nonzero rank
+    ranks = [dim_gl(lam, e_dim) for lam in efw_partitions(e, count)]
+    assert not any(ranks[e_dim + 1 :])
+    full = efw_betti(e, e_dim, e_dim + 1)
+    assert efw_betti(e, e_dim, count).rows == tuple(r for r in full.rows if r.index < count)
+
+
+def test_efw_betti_long_ladder_is_cheap():
+    start = time.perf_counter()
+    assert efw_betti((1, 2, 1), 3, 4000) == efw_betti((1, 2, 1), 3)
+    assert time.perf_counter() - start < 0.5
 
 
 @given(
@@ -363,6 +391,17 @@ def test_validate_purity_empty_and_horizon():
     big = quadric_pure_resolution(2, (20, 1))
     with pytest.raises(ValueError):
         validate_purity(big, make_sequence("quadric", m=2), tail_horizon=10)
+
+
+def test_validate_purity_checks_a_coefficient():
+    # with the horizon at the bound no coefficient past it was read, and
+    # this table, which is not pure, was certified with dimension 4
+    bad = BettiTable((BettiRow(0, 0, 1),))
+    with pytest.raises(ValueError, match="horizon 1 too small to certify, need at least 2"):
+        validate_purity(bad, Q3, tail_horizon=1, margin=0)
+    with pytest.raises(ValueError, match="horizon 3 too small to certify, need at least 4"):
+        validate_purity(quadric_pure_resolution(3, (1, 1, 2)), Q3, tail_horizon=3, margin=-2)
+    assert not validate_purity(bad, Q3, tail_horizon=2, margin=0).is_polynomial
 
 
 def test_validate_purity_matches_direct_convolution():

@@ -38,6 +38,7 @@ from oracles import (
     compositions_of,
     det_fraction,
     e_class_compositions,
+    minor_by_toeplitz,
     pf_check_per_shape,
     pieri_identity_check,
     schur_dimension_profile_pairwise,
@@ -306,6 +307,12 @@ def test_pf_check_matches_per_shape_scan(case):
     st.integers(0, 4),
     st.integers(0, 4),
 )
+# at 3 x 3: no vanishing shape, a first vanishing shape that is no
+# rectangle, a rectangle that is not the whole vanishing set, hook (2, 0)
+@example("list:1,3,2,1,2,3,0,0,1,0", 3, 3)
+@example("list:1,2,3,1,3,1,1,3,2,1", 3, 3)
+@example("list:2,0,1,1,2,0,0,3,1,2", 3, 3)
+@example("list:1,2,3,4,5,6,7,8,9,10", 3, 3)
 @settings(deadline=None, max_examples=40)
 def test_schur_profile_matches_pairwise(spec, r_max, s_max):
     a = parse_sequence_spec(spec)
@@ -483,20 +490,30 @@ def test_index_to_shapes():
 
 def test_minor_from_indices_example():
     assert minor_from_indices(Q3, (1, 2), (2, 3)) == 4
+    # index sets given as iterators are read once
+    assert minor_from_indices(Q3, iter((1, 2)), iter((2, 3))) == 4
+    # the minor has one row per index, so with a_0 = 2 the sets (1, 2), (1, 2) give a_0^2
+    assert minor_from_indices(parse_sequence_spec("list:2,1"), (1, 2), (1, 2)) == 4
+    with pytest.raises(ValueError, match=r"index sets give mu \(1, 1\) not inside lambda \(\)"):
+        minor_from_indices(Q3, (2, 3), (1, 2))
 
 
 @given(
     st.sets(st.integers(1, 9), min_size=1, max_size=3),
     st.lists(st.integers(0, 4), min_size=3, max_size=3),
+    st.sampled_from(("list:2,1,3,0,1,2,1,1,2,1,1,4,1,2", "poly:2", "tensoralg:2")),
 )
 @settings(deadline=None, max_examples=40)
-def test_minor_from_indices_matches_jt(j_set, bumps):
+def test_minor_from_indices_matches_jt(j_set, bumps, spec):
     j_idx = tuple(sorted(j_set))
     steps = sorted(bumps)[: len(j_idx)]
     i_idx = tuple(j + c for j, c in zip(j_idx, sorted(steps)))
     lam, mu = index_to_shapes(j_idx, i_idx)
     assert minor_from_indices(Q3, j_idx, i_idx) == jt_minor(Q3, SkewShape(lam, mu))
     assert minor_from_indices(HEIS, j_idx, i_idx) == jt_minor(HEIS, SkewShape(lam, mu))
+    # a_0 != 1 and class values, against the Toeplitz matrix itself
+    a = parse_sequence_spec(spec)
+    assert minor_from_indices(a, j_idx, i_idx) == minor_by_toeplitz(a, j_idx, i_idx)
 
 
 def test_parse_sequence_spec():

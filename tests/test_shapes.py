@@ -12,7 +12,6 @@ from jtkit.shapes import (
     Partition,
     Permutation,
     SkewShape,
-    _add_box,
     _conj,
     _fits,
     as_parts,
@@ -30,7 +29,7 @@ from jtkit.shapes import (
     subpartitions,
     trim,
 )
-from jtkit.symfunc import dim_gl, pieri_extensions
+from jtkit.symfunc import dim_gl
 
 from conftest import partitions, sub_partition
 from oracles import conjugate_by_count, contains_by_index, subpartitions_by_sorting, trim_by_loop
@@ -324,15 +323,6 @@ def test_subpartitions():
 @settings(deadline=None)
 def test_subpartitions_match_sorted_oracle(lam):
     assert list(subpartitions(lam)) == subpartitions_by_sorting(lam)
-
-
-@given(partitions(max_size=25, max_part=6, max_length=6))
-@example(())
-@settings(deadline=None)
-def test_add_box_is_the_one_box_pieri_rule(lam):
-    ups = _add_box(lam)
-    assert len(ups) == len(set(ups))
-    assert set(ups) == set(pieri_extensions(lam, 1))
 
 
 def test_scan_partitions_fill_the_box():
