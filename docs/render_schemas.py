@@ -55,6 +55,22 @@ boxes is above the bound of 30 boxes`) is a domain error, exit code 1,
 raised before any work and after the stable-range check: `--m 10 --lambda
 6,6,6,6,6` runs, `--m 40 --lambda 12,10,8,6,4,2` (42 boxes) does not.
 
+`resolve` and `validate` on `quadric` and `rnc` compute one minor of
+order about m + j for each tail term j, so `--tail` T costs about T^4.
+More than 64 tail terms (`error: a tail of T terms is above the bound of 64
+terms`) is a domain error, exit code 1, nothing on stdout, raised before
+any work: `resolve quadric --m 3 --shifts 1,1,1 --tail 64` runs in about
+0.5 s on a 2-vCPU Xeon, `--tail 65` is refused.
+
+`efw` prints a ladder of `--count` rungs (default `--dim` + 1), each with
+about `--count` parts, so its size and time grow as the square of the
+count; the table under it, and `resolve poly` and `validate poly`, build
+min(count, dim + 1) rungs.  A ladder of more than 512 rungs (`error: a
+ladder of N rungs is above the bound of 512 rungs`) is a domain error, exit
+code 1, nothing on stdout, raised before any work: `efw --shifts 1,2,1
+--dim 3 --count 512` runs, `--count 513` and `--dim 512` (with the default
+count) do not.
+
 `validate` checks the coefficients past the degree bound B, one more than
 the largest twist, up to `--horizon`.  A horizon below B + max(`--margin`,
 1) would check too few of them, or none, and is a domain error (`error:

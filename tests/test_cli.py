@@ -127,6 +127,27 @@ def test_efw(capsys):
     assert payload["table"]["rows"] == []
 
 
+def test_efw_ladder_budget(capsys):
+    for argv in (["--count", "513"], ["--count", "4000"], ["--dim", "512"]):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "efw", "--shifts", "1,2,1", "--dim", "3", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: a ladder of ") and err.endswith(" rungs is above the bound of 512 rungs\n")
+    payload = check_json(capsys, "efw", "--shifts", "1,2,1", "--dim", "3", "--count", "512")
+    assert len(payload["partitions"]) == 512
+
+
+def test_tail_budget(capsys):
+    for cmd in ("resolve", "validate"):
+        for argv in (["quadric", "--m", "3"], ["rnc", "--d", "3"]):
+            start = time.perf_counter()
+            code, out, err = invoke(capsys, cmd, *argv, "--shifts", "1,1,1", "--tail", "65")
+            assert time.perf_counter() - start < 1.0
+            assert code == 1 and out == ""
+            assert err == "error: a tail of 65 terms is above the bound of 64 terms\n"
+
+
 def test_resolve_json(capsys):
     payload = check_json(capsys, "resolve", "quadric", "--m", "3", "--shifts", "1,1,1", "--tail", "2")
     ranks = [r["rank"] for r in payload["table"]["rows"]]

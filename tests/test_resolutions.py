@@ -177,6 +177,19 @@ def test_efw_betti_frozen():
         efw_betti((1, 1), 0)
 
 
+def test_efw_ladder_budget():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^a ladder of 513 rungs is above the bound of 512 rungs$"):
+        efw_partitions((1, 2, 1), 513)
+    # a default-count table builds e_dim + 1 rungs, so e_dim 512 is refused too
+    with pytest.raises(ValueError, match="^a ladder of 513 rungs is above the bound of 512 rungs$"):
+        efw_betti((1, 1), 512)
+    assert time.perf_counter() - start < 0.1
+    assert len(efw_partitions((1, 2, 1), 512)) == 512
+    assert len(efw_betti((1, 1), 511).rows) == 512
+    assert len(efw_betti((1, 1), 512, 512).rows) == 512
+
+
 @given(
     st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple),
     st.integers(1, 4),
@@ -340,6 +353,16 @@ def test_rnc_tail_ratio_is_degree_minus_one(d, e1, e2):
     for row in t.rows:
         if row.index > t.tail.start:
             assert row.rank == base.rank * (d - 1) ** (row.index - t.tail.start)
+
+
+def test_tail_budget():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^a tail of 65 terms is above the bound of 64 terms$"):
+        quadric_pure_resolution(3, (1, 1, 1), tail_terms=65)
+    with pytest.raises(ValueError, match="^a tail of 65 terms is above the bound of 64 terms$"):
+        rnc_pure_resolution(3, (1, 1, 1), tail_terms=65)
+    assert time.perf_counter() - start < 0.1
+    assert len(quadric_pure_resolution(1, (1,), tail_terms=64).rows) == 65
 
 
 # --- purity checks ---------------------------------------------------------

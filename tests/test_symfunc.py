@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from jtkit.shapes import SkewShape, as_parts, conjugate, subpartitions
 from jtkit.symfunc import (
     _MULT_CACHE,
+    _add_strip,
+    _strip_shapes,
     SchurClass,
     dim_gl,
     dim_gl_skew,
@@ -42,6 +44,8 @@ def test_mult_one_hand_values():
     assert mult_one((1,), (1,)) == {(2,): 1, (1, 1): 1}
     assert mult_one((1,), (2,)) == {(3,): 1, (2, 1): 1}
     assert mult_one((2,), (1, 1)) == {(3, 1): 1, (2, 1, 1): 1}
+    assert mult_one((2, 1), ()) == {(2, 1): 1}
+    assert mult_one((), ()) == {(): 1}
 
 
 @given(SMALL, SMALL)
@@ -247,6 +251,40 @@ def test_pieri_matches_mult(lam, d):
     got = pieri_extensions(lam, d)
     assert set(got) == set(want)
     assert all(c == 1 for c in want.values())
+
+
+@st.composite
+def _strip_inputs(draw):
+    """(cur, k, prev_cum) for a strip kernel: a base of up to 12 rows (the
+    empty base and staircases among them), grown by up to two earlier
+    letters, so that cur and prev_cum are a shape and record that _add_strip
+    itself yields; with no earlier letter prev_cum is None."""
+    cur = draw(
+        st.one_of(
+            partitions(max_size=16, max_part=6, max_length=12),
+            st.integers(0, 12).map(lambda n: tuple(range(n, 0, -1))),
+        )
+    )
+    prev = None
+    for _ in range(draw(st.integers(0, 2))):
+        grown = _add_strip(cur, draw(st.integers(1, 4)), prev)
+        if not grown:
+            break
+        cur, prev = draw(st.sampled_from(grown))
+    return cur, draw(st.integers(0, 6)), prev
+
+
+@given(_strip_inputs())
+@settings(deadline=None, max_examples=200)
+@example(((), 0, None))
+@example(((), 3, None))
+@example(((2, 1), 0, None))
+@example(((2,), 1, (2,)))
+def test_strip_shapes_match_add_strip(args):
+    """The record-free enumerator for a chain's last letter yields exactly
+    the partitions of _add_strip, each once."""
+    got = list(_strip_shapes(*args))
+    assert sorted(got) == sorted(part for part, _ in _add_strip(*args))
 
 
 def test_schur_class_algebra():
