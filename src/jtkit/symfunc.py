@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, islice, product
-from math import comb
+from math import comb, prod
 from operator import le, sub
 
 from .memo import _Canonical, memo_put
@@ -35,6 +35,11 @@ _SKEW_CACHE: dict = {}
 _DIM_GL_CACHE: dict = {}
 _DIM_SKEW_CACHE: dict = {}
 _DIM_SUPER_CACHE: dict = {}
+
+# _strip_shapes runs its product when that visits at most _PRODUCT_ANY
+# candidates, or at most _PRODUCT_PER_SHAPE for each shape it yields.
+_PRODUCT_ANY = 128
+_PRODUCT_PER_SHAPE = 8
 
 
 def _add_strip(cur: tuple[int, ...], k: int, prev_cum):
@@ -50,7 +55,8 @@ def _add_strip(cur: tuple[int, ...], k: int, prev_cum):
     stays under row r-1 of cur, and each row takes at least what the rows
     below it cannot hold; the new last row takes what is left.  mult_one
     uses it for every letter of a chain but the last, whose records no later
-    letter reads (_strip_shapes).
+    letter reads (_strip_shapes, which falls back on it where its product
+    would visit mostly candidates that are not shapes).
     """
     last = len(cur)
     room = (k,) + tuple(a - b for a, b in zip(cur, cur[1:] + (0,)))
@@ -82,7 +88,27 @@ def _add_strip(cur: tuple[int, ...], k: int, prev_cum):
     return out
 
 
-def _strip_shapes(cur: tuple[int, ...], k: int, prev_cum):
+def _strip_rows(cur: tuple[int, ...], k: int, prev_cum) -> list[range]:
+    """The range of each row r >= 1 of the shapes _strip_shapes yields."""
+    lows = cur[1:] + (0,)
+    if prev_cum is None:
+        return [range(b, min(a, b + k) + 1) for a, b in zip(cur, lows)]
+    return [range(b, min(a, b + k, b + c) + 1) for a, b, c in zip(cur, lows, prev_cum)]
+
+
+def _strip_count(rows: list[range], k: int, prev_cum) -> int:
+    """How many shapes _strip_shapes yields for these row ranges, counted row
+    by row over the boxes added so far, without listing them."""
+    ways = [1] + [0] * k
+    for r, row in enumerate(rows):
+        run = [0, *accumulate(ways)]
+        cap = len(row) - 1
+        limit = k if prev_cum is None else prev_cum[r]
+        ways = [run[s + 1] - run[max(0, s - cap)] if s <= limit else 0 for s in range(k + 1)]
+    return sum(ways) if prev_cum is None else ways[k]
+
+
+def _strip_shapes(cur: tuple[int, ...], k: int, prev_cum) -> list[tuple[int, ...]]:
     """The partitions of _add_strip(cur, k, prev_cum), each once, without
     their records: the last letter of a chain needs none.  For a Pieri
     product s_mu * h_k that letter is the whole chain.
@@ -96,29 +122,32 @@ def _strip_shapes(cur: tuple[int, ...], k: int, prev_cum):
     letter's through row r - 1, so neither may the boxes of row r alone.
     A new row that came out empty is dropped.  cur must be canonical.
 
-    The product visits prod_r (min(room_r, k) + 1) candidates, one factor
-    per row with room, so it loses to _add_strip's pruned recursion only
-    when many rows have room and k is small: at k = 1 on a 2-vCPU Xeon,
-    54 us against 36 us on an 8-row staircase and 869 us against 66 us on a
-    12-row one.  Class computations do not reach such bases: a row has room
-    where a part ends, and no LR memo base after e_class(veronese:poly:2,2,
-    15) has more than 7 distinct parts.
+    The product visits every candidate, and where most of them take more
+    boxes than k or the record allows it loses to _add_strip's pruned
+    recursion: (50, 40, 30, 20, 10) + 10 boxes has 161,051 candidates for
+    3,003 shapes.  So when the candidates number more than _PRODUCT_ANY and
+    more than _PRODUCT_PER_SHAPE per shape, the shapes come from _add_strip.
     """
+    rows = _strip_rows(cur, k, prev_cum)
+    size = prod(map(len, rows))
+    if size > _PRODUCT_ANY and size > _PRODUCT_PER_SHAPE * _strip_count(rows, k, prev_cum):
+        return [new for new, _ in _add_strip(cur, k, prev_cum)]
     top = cur[0] if cur else 0
     lows = cur[1:] + (0,)
     total = k + sum(lows)
+    out = []
     if prev_cum is None:
-        for t in product(*[range(b, min(a, b + k) + 1) for a, b in zip(cur, lows)]):
+        for t in product(*rows):
             share = total - sum(t)
             if share >= 0:
                 new = (top + share,) + t
-                yield new if new[-1] else new[:-1]
-        return
-    rows = [range(b, min(a, b + k, b + c) + 1) for a, b, c in zip(cur, lows, prev_cum)]
+                out.append(new if new[-1] else new[:-1])
+        return out
     for t in product(*rows):
         if sum(t) == total and all(map(le, accumulate(map(sub, t, lows)), prev_cum)):
             new = (top,) + t
-            yield new if new[-1] else new[:-1]
+            out.append(new if new[-1] else new[:-1])
+    return out
 
 
 def _mult_key(mu: tuple[int, ...], nu: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jtkit import symfunc
 from jtkit.shapes import SkewShape, as_parts, conjugate, subpartitions
 from jtkit.symfunc import (
     _MULT_CACHE,
     _add_strip,
+    _strip_count,
+    _strip_rows,
     _strip_shapes,
     SchurClass,
     dim_gl,
@@ -285,6 +288,27 @@ def test_strip_shapes_match_add_strip(args):
     the partitions of _add_strip, each once."""
     got = list(_strip_shapes(*args))
     assert sorted(got) == sorted(part for part, _ in _add_strip(*args))
+    assert _strip_count(_strip_rows(*args), args[1], args[2]) == len(got)
+
+
+def test_strip_shapes_leaves_sparse_products_to_add_strip(monkeypatch):
+    """The product runs only where it visits at most 128 candidates or 8
+    per shape; a base whose candidates are mostly not shapes goes through
+    _add_strip."""
+    calls = []
+    real = symfunc._add_strip
+    monkeypatch.setattr(symfunc, "_add_strip", lambda *args: calls.append(args) or real(*args))
+    # 11^5 = 161,051 candidates for 3,003 shapes
+    assert len(_strip_shapes((50, 40, 30, 20, 10), 10, None)) == 3003
+    # 2^12 = 4,096 candidates for 13 shapes
+    assert len(_strip_shapes(tuple(range(12, 0, -1)), 1, None)) == 13
+    assert len(calls) == 2
+    calls.clear()
+    # 6^4 = 1,296 candidates, each of them a shape
+    assert len(_strip_shapes((20, 15, 10, 5), 20, None)) == 1296
+    # 2^7 = 128 candidates for 8 shapes
+    assert len(_strip_shapes(tuple(range(7, 0, -1)), 1, None)) == 8
+    assert calls == []
 
 
 def test_schur_class_algebra():
