@@ -76,7 +76,10 @@ the largest twist, up to `--horizon`.  A horizon below B + max(`--margin`,
 1) would check too few of them, or none, and is a domain error (`error:
 horizon H too small to certify, need at least N`), exit code 1, nothing on
 stdout: `validate quadric --m 3 --shifts 1,1,2` has B = 3, so `--horizon 4
---margin 0` runs and `--horizon 3 --margin 0` does not.
+--margin 0` runs and `--horizon 3 --margin 0` does not.  Without
+`--horizon` the horizon is 24, or B + max(`--margin`, 1) where that is
+more: `validate quadric --m 3 --shifts 1,1,1 --tail 64` has B = 67 and
+certifies with horizon 73.
 
 Partitions are encoded as arrays of weakly decreasing positive integers.
 Class values (for sequences carrying symbolic terms) are arrays of

@@ -366,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tail", type=int, default=4)
         p.add_argument("--count", type=int, default=None)
         if name == "validate":
-            p.add_argument("--horizon", type=int, default=24)
+            p.add_argument("--horizon", type=int, default=None)
             p.add_argument("--margin", type=int, default=6)
         p.set_defaults(handler=handler)
 

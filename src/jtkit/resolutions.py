@@ -327,7 +327,9 @@ class PurityReport:
         }
 
 
-def validate_purity(table: BettiTable, a: GradedSequence, tail_horizon: int = 24, margin: int = 6) -> PurityReport:
+def validate_purity(
+    table: BettiTable, a: GradedSequence, tail_horizon: int | None = None, margin: int = 6
+) -> PurityReport:
     """Check that the alternating sum of shifted copies of the sequence's
     Hilbert series collapses to a polynomial with nonnegative coefficients.
 
@@ -336,15 +338,16 @@ def validate_purity(table: BettiTable, a: GradedSequence, tail_horizon: int = 24
     form.  Coefficients past the degree bound (one more than the largest
     stored twist) must vanish through the horizon; the horizon must clear
     the bound by at least margin, and by at least 1 so that some
-    coefficient is checked, or the certification refuses to answer.  The
-    numerator has one term per degree, since twists strictly increase and
-    the tail, with step at least 1, starts at its anchor row.
+    coefficient is checked, or the certification refuses to answer.  None
+    takes the horizon 24, or the least that clears the bound if that is
+    more.  The numerator has one term per degree, since twists strictly
+    increase and the tail, with step at least 1, starts at its anchor row.
     """
     if table.is_empty():
-        return PurityReport(True, True, (), 0, 0, int(tail_horizon))
-    tail_horizon = int(tail_horizon)
+        return PurityReport(True, True, (), 0, 0, 24 if tail_horizon is None else int(tail_horizon))
     bound = table.max_twist() + 1
     need = bound + max(int(margin), 1)
+    tail_horizon = max(24, need) if tail_horizon is None else int(tail_horizon)
     if tail_horizon < need:
         raise ValueError(f"horizon {tail_horizon} too small to certify, need at least {need}")
     t = table.tail

@@ -3,9 +3,8 @@
 Two deliberately independent routes compute LR numbers:
 
 * mult_one grows horizontal-strip chains letter by letter (the iterated
-  Pieri picture with the lattice condition enforced at each letter:
-  _add_strip, with the lattice record it yields, for every letter but the
-  last, and the record-free _strip_shapes for the last), and
+  Pieri picture with the lattice condition enforced at each letter, every
+  letter's strips from _strip_shapes), and
 * lr_coefficient fills the skew diagram cell by cell in reverse reading
   order, checking tableau and ballot constraints locally.
 
@@ -37,63 +36,16 @@ _DIM_SKEW_CACHE: dict = {}
 _DIM_SUPER_CACHE: dict = {}
 
 # _strip_shapes runs its product when that visits at most _PRODUCT_ANY
-# candidates, or at most _PRODUCT_PER_SHAPE for each shape it yields.
+# candidates, or at most _PRODUCT_PER_SHAPE for each shape it yields, and
+# _fill_rows otherwise.
 _PRODUCT_ANY = 128
 _PRODUCT_PER_SHAPE = 8
 
 
-def _add_strip(cur: tuple[int, ...], k: int, prev_cum):
-    """All ways to add a horizontal strip of k boxes to cur.
-
-    Returns (new_partition, cum) pairs where cum[r] counts the boxes added in
-    rows 0..r.  prev_cum is the same record for the previous letter and
-    imposes the lattice condition: boxes of this letter through row r may not
-    outnumber boxes of the previous letter through row r-1.  None means this
-    is the first letter (no condition).
-
-    cur must be canonical.  Row r takes at most room[r] boxes, so the strip
-    stays under row r-1 of cur, and each row takes at least what the rows
-    below it cannot hold; the new last row takes what is left.  mult_one
-    uses it for every letter of a chain but the last, whose records no later
-    letter reads (_strip_shapes, which falls back on it where its product
-    would visit mostly candidates that are not shapes).
-    """
-    last = len(cur)
-    room = (k,) + tuple(a - b for a, b in zip(cur, cur[1:] + (0,)))
-    below = [0] * (last + 2)
-    for r in range(last, -1, -1):
-        below[r] = below[r + 1] + room[r]
-    if prev_cum is None:
-        limit = (k,) * (last + 1)
-    else:
-        limit = ((0,) + prev_cum + (prev_cum[-1],) * last)[: last + 1]
-    out = []
-    newparts: list[int] = []
-    cum: list[int] = []
-
-    def rec(r: int, rem: int, added: int):
-        if r == last:
-            if rem <= room[r] and added + rem <= limit[r]:
-                parts = tuple(newparts) + (rem,) if rem else tuple(newparts)
-                out.append((parts, tuple(cum) + (added + rem,)))
-            return
-        for c in range(max(0, rem - below[r + 1]), min(rem, room[r], limit[r] - added) + 1):
-            newparts.append(cur[r] + c)
-            cum.append(added + c)
-            rec(r + 1, rem - c, added + c)
-            newparts.pop()
-            cum.pop()
-
-    rec(0, k, 0)
-    return out
-
-
-def _strip_rows(cur: tuple[int, ...], k: int, prev_cum) -> list[range]:
-    """The range of each row r >= 1 of the shapes _strip_shapes yields."""
-    lows = cur[1:] + (0,)
-    if prev_cum is None:
-        return [range(b, min(a, b + k) + 1) for a, b in zip(cur, lows)]
-    return [range(b, min(a, b + k, b + c) + 1) for a, b, c in zip(cur, lows, prev_cum)]
+def _record(part: tuple[int, ...], prev: tuple[int, ...]) -> tuple[int, ...]:
+    """The lattice record of the letter that grew prev into part: entry r
+    counts the boxes it added in rows 0..r.  It has len(prev) + 1 entries."""
+    return tuple(accumulate(map(sub, part + (0,), prev + (0,))))
 
 
 def _strip_count(rows: list[range], k: int, prev_cum) -> int:
@@ -108,32 +60,65 @@ def _strip_count(rows: list[range], k: int, prev_cum) -> int:
     return sum(ways) if prev_cum is None else ways[k]
 
 
+def _fill_rows(top: int, rows: list[range], k: int, prev_cum) -> list[tuple[int, ...]]:
+    """The shapes of _strip_shapes from its row ranges, built one row at a
+    time from row 1 down; top is row 0 of the base.
+
+    Each partial carries the boxes left of k.  A row takes at most what is
+    left and, with a record, at most what the record allows through that
+    row, and at least what the rows below it cannot hold, so a partial that
+    passes the last row has placed all k boxes.  Without a record row 0
+    takes what is left, so the rows below it have no lower bound.
+    """
+    if prev_cum is None:
+        caps = below = (k,) * len(rows)
+    else:
+        caps = prev_cum
+        below = [*accumulate(len(row) - 1 for row in reversed(rows[1:]))][::-1] + [0]
+    partials = [((), k)]
+    for row, cap, room in zip(rows, caps, below):
+        low = row.start
+        partials = [
+            (parts + (low + c,), left - c)
+            for parts, left in partials
+            for c in range(max(0, left - room), min(len(row) - 1, left, cap - k + left) + 1)
+        ]
+    out = []
+    for parts, left in partials:
+        new = (top + left,) + parts
+        out.append(new if new[-1] else new[:-1])
+    return out
+
+
 def _strip_shapes(cur: tuple[int, ...], k: int, prev_cum) -> list[tuple[int, ...]]:
-    """The partitions of _add_strip(cur, k, prev_cum), each once, without
-    their records: the last letter of a chain needs none.  For a Pieri
-    product s_mu * h_k that letter is the whole chain.
+    """All partitions made by adding a horizontal strip of k boxes to cur,
+    each once.  prev_cum is the lattice record of the letter that made cur
+    (_record, at least len(cur) entries), or None for a chain's first letter.
 
     Row r >= 1 of the new shape ranges over [cur_r, min(cur_{r-1}, cur_r + k)]
     (cur_l = 0 for the new row l), so every candidate is a partition and the
     candidates are the tuples of itertools.product over those ranges.  Row 0
-    takes what is left of k, which must not be negative.  With the record
-    prev_cum of the letter that made cur (it has at least len(cur) entries),
+    takes what is left of k, which must not be negative.  With a record,
     row 0 takes nothing and the boxes through row r may not outnumber that
-    letter's through row r - 1, so neither may the boxes of row r alone.
-    A new row that came out empty is dropped.  cur must be canonical.
+    letter's through row r - 1, so neither may the boxes of row r alone
+    (the lattice condition).  A new row that came out empty is dropped.
+    cur must be canonical; a negative k yields nothing.
 
     The product visits every candidate, and where most of them take more
-    boxes than k or the record allows it loses to _add_strip's pruned
-    recursion: (50, 40, 30, 20, 10) + 10 boxes has 161,051 candidates for
-    3,003 shapes.  So when the candidates number more than _PRODUCT_ANY and
-    more than _PRODUCT_PER_SHAPE per shape, the shapes come from _add_strip.
+    boxes than k or the record allows, _fill_rows is far cheaper:
+    (50, 40, 30, 20, 10) + 10 boxes has 161,051 candidates for 3,003
+    shapes.  So when the candidates number more than _PRODUCT_ANY and more
+    than _PRODUCT_PER_SHAPE per shape, the shapes come from _fill_rows.
     """
-    rows = _strip_rows(cur, k, prev_cum)
-    size = prod(map(len, rows))
-    if size > _PRODUCT_ANY and size > _PRODUCT_PER_SHAPE * _strip_count(rows, k, prev_cum):
-        return [new for new, _ in _add_strip(cur, k, prev_cum)]
     top = cur[0] if cur else 0
     lows = cur[1:] + (0,)
+    if prev_cum is None:
+        rows = [range(b, min(a, b + k) + 1) for a, b in zip(cur, lows)]
+    else:
+        rows = [range(b, min(a, b + k, b + c) + 1) for a, b, c in zip(cur, lows, prev_cum)]
+    size = prod(map(len, rows))
+    if size > _PRODUCT_ANY and size > _PRODUCT_PER_SHAPE * _strip_count(rows, k, prev_cum):
+        return _fill_rows(top, rows, k, prev_cum)
     total = k + sum(lows)
     out = []
     if prev_cum is None:
@@ -175,17 +160,19 @@ def mult_one(mu, nu) -> dict[tuple[int, ...], int]:
         base, strips = key
         # an empty strips partition adds one empty strip: {base: 1}
         *firsts, last = strips or (0,)
+        # a chain state is (shape, shape before its last letter); the two
+        # determine that letter's lattice record, which the next one reads
         states: dict[tuple, int] = {(base, None): 1}
         for k in firsts:
             nxt: dict[tuple, int] = {}
-            for (part, cum), cnt in states.items():
-                for newpart, newcum in _add_strip(part, k, cum):
-                    skey = (newpart, newcum)
+            for (part, prev), cnt in states.items():
+                for newpart in _strip_shapes(part, k, None if prev is None else _record(part, prev)):
+                    skey = (newpart, part)
                     nxt[skey] = nxt.get(skey, 0) + cnt
             states = nxt
         out: dict[tuple[int, ...], int] = {}
-        for (part, cum), cnt in states.items():
-            for newpart in _strip_shapes(part, last, cum):
+        for (part, prev), cnt in states.items():
+            for newpart in _strip_shapes(part, last, None if prev is None else _record(part, prev)):
                 out[newpart] = out.get(newpart, 0) + cnt
         hit = memo_put(_MULT_CACHE, key, out)
     return dict(hit)
@@ -204,9 +191,12 @@ def _expansion(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict[tuple[int, ...]
 
 
 def pieri_extensions(lam, k: int) -> list[tuple[int, ...]]:
-    """Partitions obtained from lam by adding a horizontal strip of k boxes."""
-    lam = as_parts(lam)
-    return sorted(_strip_shapes(lam, int(k), None))
+    """Partitions obtained from lam by adding a horizontal strip of k boxes.
+    A negative k is refused."""
+    lam, k = as_parts(lam), int(k)
+    if k < 0:
+        raise ValueError(f"pieri_extensions needs k >= 0, got {k}")
+    return sorted(_strip_shapes(lam, k, None))
 
 
 def _lr_contents(outer, inner, cap=None, paired=False) -> dict[tuple[int, ...], int]:

@@ -9,9 +9,10 @@ elimination and by the permutation sum, elementary classes by the sum over
 compositions, Schur polynomials by brute monomial expansion, orthogonal
 character dimensions by peeling doubled rows off the GL dimension,
 Schur products by strip chains taken in the argument order given, each
-strip picked from a product of row ranges, class products from those
-expansions one term pair at a time, Jacobi-Trudi complex terms by one
-product per weight entry, positivity scans and hook
+strip picked from a product of row ranges, one letter's strips with their
+lattice records by a pruned recursion over the rows, class products from
+those expansions one term pair at a time, Jacobi-Trudi complex terms by
+one product per weight entry, positivity scans and hook
 profiles by one Jacobi-Trudi minor per shape,
 series inverses by summing geometric powers, and the multigraded Hilbert
 series by multiplying with those inverses instead of dividing, series
@@ -147,6 +148,46 @@ def mult_one_given_order(mu, nu) -> dict:
     out = {}
     for (shape, _), cnt in states.items():
         out[shape] = out.get(shape, 0) + cnt
+    return out
+
+
+def strips_by_recursion(cur, k, prev_cum) -> list:
+    """All ways to add a horizontal strip of k boxes to the canonical shape
+    cur, as (new shape, record) pairs, where record[r] counts the boxes
+    added in rows 0..r, by a recursion over the rows.
+
+    prev_cum is the record of the previous letter, or None for the first
+    letter: boxes of this letter through row r may not outnumber those of
+    the previous letter through row r - 1.  Row r takes at most room[r]
+    boxes, so the strip stays under row r - 1 of cur, and at least what the
+    rows below it cannot hold; the new last row takes what is left.
+    """
+    last = len(cur)
+    room = (k,) + tuple(a - b for a, b in zip(cur, cur[1:] + (0,)))
+    below = [0] * (last + 2)
+    for r in range(last, -1, -1):
+        below[r] = below[r + 1] + room[r]
+    if prev_cum is None:
+        limit = (k,) * (last + 1)
+    else:
+        limit = ((0,) + tuple(prev_cum) + (prev_cum[-1],) * last)[: last + 1]
+    out = []
+    newparts, cum = [], []
+
+    def rec(r, rem, added):
+        if r == last:
+            if rem <= room[r] and added + rem <= limit[r]:
+                parts = tuple(newparts) + (rem,) if rem else tuple(newparts)
+                out.append((parts, tuple(cum) + (added + rem,)))
+            return
+        for c in range(max(0, rem - below[r + 1]), min(rem, room[r], limit[r] - added) + 1):
+            newparts.append(cur[r] + c)
+            cum.append(added + c)
+            rec(r + 1, rem - c, added + c)
+            newparts.pop()
+            cum.pop()
+
+    rec(0, k, 0)
     return out
 
 

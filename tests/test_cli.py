@@ -188,6 +188,16 @@ def test_validate_refuses_a_horizon_that_checks_nothing(capsys):
     assert check_json(capsys, *argv[:-1], "4", "--margin", "0")["purity"]["dimension"] == 8
 
 
+def test_validate_default_horizon_follows_the_tail(capsys):
+    argv = ("validate", "quadric", "--m", "3", "--shifts", "1,1,1", "--tail", "64")
+    purity = check_json(capsys, *argv)["purity"]
+    assert (purity["bound"], purity["horizon"], purity["dimension"]) == (67, 73, 1)
+    code, out, err = invoke(capsys, *argv, "--horizon", "24")
+    assert (code, out) == (1, "")
+    assert err == "error: horizon 24 too small to certify, need at least 73\n"
+    assert check_json(capsys, "validate", "quadric", "--m", "3", "--shifts", "1,1,2")["purity"]["horizon"] == 24
+
+
 def test_hk_solve(capsys):
     payload = check_json(capsys, "hk-solve", "--twists", "0,1,2")
     assert payload["tail"] == [1, 3, 4]

@@ -427,6 +427,22 @@ def test_validate_purity_checks_a_coefficient():
     assert not validate_purity(bad, Q3, tail_horizon=2, margin=0).is_polynomial
 
 
+def test_validate_purity_default_horizon_clears_the_bound():
+    """The default horizon is 24 wherever that clears the bound by the
+    margin, and the least horizon that does so elsewhere; an explicit one is
+    taken as given."""
+    small = quadric_pure_resolution(3, (1, 1, 2))
+    assert validate_purity(small, Q3) == validate_purity(small, Q3, tail_horizon=24)
+    assert validate_purity(small, Q3, margin=30).horizon == 3 + 30
+    long_tail = quadric_pure_resolution(3, (1, 1, 1), tail_terms=64)
+    rep = validate_purity(long_tail, Q3)
+    assert (rep.bound, rep.horizon, rep.nonnegative) == (67, 73, True)
+    assert validate_purity(long_tail, Q3, margin=0).horizon == 68
+    with pytest.raises(ValueError, match="horizon 24 too small to certify, need at least 73"):
+        validate_purity(long_tail, Q3, tail_horizon=24)
+    assert validate_purity(BettiTable(()), Q3, margin=30).horizon == 24
+
+
 def test_validate_purity_matches_direct_convolution():
     # independent route: the module Hilbert function is the alternating Betti
     # numerator convolved with the coordinate ring dimensions, and for a

@@ -10,9 +10,8 @@ from jtkit import symfunc
 from jtkit.shapes import SkewShape, as_parts, conjugate, subpartitions
 from jtkit.symfunc import (
     _MULT_CACHE,
-    _add_strip,
+    _record,
     _strip_count,
-    _strip_rows,
     _strip_shapes,
     SchurClass,
     dim_gl,
@@ -34,6 +33,7 @@ from oracles import (
     poly_mul,
     schur_monomials,
     ssyt_count,
+    strips_by_recursion,
     super_count,
     super_fillings,
 )
@@ -247,6 +247,12 @@ def test_pieri_extensions():
     assert pieri_extensions((1,), 0) == [(1,)]
 
 
+def test_pieri_extensions_refuses_negative_k():
+    for lam in ((), (2, 1), (50, 40, 30, 20, 10)):
+        with pytest.raises(ValueError, match="pieri_extensions needs k >= 0, got -1"):
+            pieri_extensions(lam, -1)
+
+
 @given(SMALL, st.integers(0, 3))
 @settings(deadline=None, max_examples=40)
 def test_pieri_matches_mult(lam, d):
@@ -260,8 +266,8 @@ def test_pieri_matches_mult(lam, d):
 def _strip_inputs(draw):
     """(cur, k, prev_cum) for a strip kernel: a base of up to 12 rows (the
     empty base and staircases among them), grown by up to two earlier
-    letters, so that cur and prev_cum are a shape and record that _add_strip
-    itself yields; with no earlier letter prev_cum is None."""
+    letters, so that cur and prev_cum are a shape and record that the
+    recursion oracle itself yields; with no earlier letter prev_cum is None."""
     cur = draw(
         st.one_of(
             partitions(max_size=16, max_part=6, max_length=12),
@@ -270,7 +276,7 @@ def _strip_inputs(draw):
     )
     prev = None
     for _ in range(draw(st.integers(0, 2))):
-        grown = _add_strip(cur, draw(st.integers(1, 4)), prev)
+        grown = strips_by_recursion(cur, draw(st.integers(1, 4)), prev)
         if not grown:
             break
         cur, prev = draw(st.sampled_from(grown))
@@ -283,32 +289,51 @@ def _strip_inputs(draw):
 @example(((), 3, None))
 @example(((2, 1), 0, None))
 @example(((2,), 1, (2,)))
+# 562 shapes from _fill_rows under a record, 3,003 without one
+@example(((16, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1), 4, (4,) * 13))
+@example(((50, 40, 30, 20, 10), 10, None))
 def test_strip_shapes_match_add_strip(args):
-    """The record-free enumerator for a chain's last letter yields exactly
-    the partitions of _add_strip, each once."""
-    got = list(_strip_shapes(*args))
-    assert sorted(got) == sorted(part for part, _ in _add_strip(*args))
-    assert _strip_count(_strip_rows(*args), args[1], args[2]) == len(got)
+    """The one strip enumerator yields exactly the shapes of the recursion
+    oracle, each once, and each shape with the shape it grew from gives the
+    oracle's lattice record."""
+    cur, k, prev = args
+    got = _strip_shapes(*args)
+    assert sorted((new, _record(new, cur)) for new in got) == sorted(strips_by_recursion(*args))
+    # row r >= 1 ranges from cur_r up to cur_{r-1}, k more boxes and, under a
+    # record, the previous letter's boxes through row r - 1
+    lows = cur[1:] + (0,)
+    caps = (k,) * len(cur) if prev is None else prev
+    rows = [range(b, min(a, b + k, b + c) + 1) for a, b, c in zip(cur, lows, caps)]
+    assert _strip_count(rows, k, prev) == len(got)
 
 
-def test_strip_shapes_leaves_sparse_products_to_add_strip(monkeypatch):
+def test_strip_shapes_leaves_sparse_products_to_fill_rows(monkeypatch):
     """The product runs only where it visits at most 128 candidates or 8
     per shape; a base whose candidates are mostly not shapes goes through
-    _add_strip."""
+    _fill_rows."""
     calls = []
-    real = symfunc._add_strip
-    monkeypatch.setattr(symfunc, "_add_strip", lambda *args: calls.append(args) or real(*args))
+    real = symfunc._fill_rows
+    monkeypatch.setattr(symfunc, "_fill_rows", lambda *args: calls.append(args) or real(*args))
     # 11^5 = 161,051 candidates for 3,003 shapes
     assert len(_strip_shapes((50, 40, 30, 20, 10), 10, None)) == 3003
     # 2^12 = 4,096 candidates for 13 shapes
     assert len(_strip_shapes(tuple(range(12, 0, -1)), 1, None)) == 13
-    assert len(calls) == 2
+    # under a record: 5 * 2^11 = 10,240 candidates for 562 shapes
+    assert len(_strip_shapes((16, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1), 4, (4,) * 13)) == 562
+    assert len(calls) == 3
     calls.clear()
     # 6^4 = 1,296 candidates, each of them a shape
     assert len(_strip_shapes((20, 15, 10, 5), 20, None)) == 1296
     # 2^7 = 128 candidates for 8 shapes
     assert len(_strip_shapes(tuple(range(7, 0, -1)), 1, None)) == 8
     assert calls == []
+
+
+def test_mult_one_carries_a_record_past_the_fill():
+    """The first letter of (2, 1) on a 10-row staircase takes _fill_rows,
+    and the second reads the record derived from the state it left."""
+    base = tuple(range(10, 0, -1))
+    assert mult_one(base, (2, 1)) == mult_one_given_order(base, (2, 1))
 
 
 def test_schur_class_algebra():
