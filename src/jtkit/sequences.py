@@ -11,17 +11,19 @@ policy of jtkit.memo.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 from operator import mul
 from typing import Callable
 
-from .determinant import det_bareiss, det_expand
+from .determinant import _EXPAND_MAX_ORDER, det_bareiss, det_expand
 from .memo import memo_put
 from .powerseries import TruncSeries
 from .shapes import (
     Partition,
     SkewShape,
+    _conj,
     _fits,
     as_shape,
     conjugate,
@@ -294,15 +296,50 @@ def jt_minor(a: GradedSequence, shape, r: int | None = None):
     the same value only when a_0 is the unit.  Integer sequences use Bareiss
     elimination.  Class-valued sequences use det_expand, a Laplace expansion
     memoised on column subsets: fewer than r*2^(r-1) ring multiplications at
-    order r.  Its order bound of 8 remains; the CLI's --max-cost is still
-    that order, and making it a budget of ring multiplications is a
-    separate change.
+    order r.  When a_0 is the unit and lambda_1 < r <= 8, a class minor is
+    also the e-form jt_minor_dual of order lambda_1 (Macdonald, Symmetric
+    Functions, I (5.4)-(5.5)), and that side runs when _dual_is_cheaper says
+    so.  Orders above 8 are refused as before, whatever lambda_1 is, and the
+    CLI's --max-cost is still the order r.
     """
     s = as_shape(shape)
     lam, mu = s.outer.parts, s.inner.parts
     r = _padding(lam, mu, r)
     lam, mu = lam + (0,) * (r - len(lam)), mu + (0,) * (r - len(mu))
-    return _det(a, [[a.term(lam[i] - mu[j] - i + j) for j in range(r)] for i in range(r)])
+    rows = [[a.term(lam[i] - mu[j] - i + j) for j in range(r)] for i in range(r)]
+    if (
+        a.value_kind == "class"
+        and 0 < r <= _EXPAND_MAX_ORDER
+        and 0 < lam[0] < r
+        and a.term(0) == a.unit_value()
+        and _dual_is_cheaper(a, lam, mu, rows)
+    ):
+        return jt_minor_dual(a, s)
+    return _det(a, rows)
+
+
+def _dual_is_cheaper(a: GradedSequence, lam, mu, rows) -> bool:
+    """Whether the e-form of the minor lam/mu, of order n = lam_1 < r, should
+    cost less than rows, its h-matrix of order r (lam and mu padded to r):
+    whether the e-matrix's entries hold no more terms in all than rows'.
+
+    The classes are built one degree at a time, so the count stops at the
+    first degree that passes the h side's total and builds nothing above it.
+    The README's ring-multiplication counts need no test of their own: the
+    e-matrix's largest degree D is at most r + n - 1, so for n < r the e
+    side's n*2^(n-1) + D(D-1)/2 is always below the h side's r*2^(r-1).
+    """
+    n = lam[0]
+    lamt, mut = _conj(lam), _conj(mu)
+    mut += (0,) * (n - len(mut))
+    budget = sum(entry.support_size() for row in rows for entry in row)
+    uses = Counter(lamt[i] - mut[j] - i + j for i in range(n) for j in range(n))
+    spent = uses[0]
+    for d in range(1, lamt[0] - mut[-1] + n):
+        spent += uses[d] * e_class(a, d).support_size()
+        if spent > budget:
+            return False
+    return True
 
 
 def _padding(lam, mu, r, what="the shape") -> int:

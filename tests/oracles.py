@@ -22,8 +22,9 @@ systems, hk_solve's among them, by Gauss-Jordan over Fraction.  None of
 these call the library code paths they check.
 
 The last few helpers instead cross two library routes against each other:
-the h-type and e-type minors of one shape, the Pieri rule on minors, and
-the quadric sequences as virtual GL classes read at dimension level.
+the h-type and e-type minors of one shape, the h-form of a minor whatever
+side jt_minor picks, the Pieri rule on minors, and the quadric sequences
+as virtual GL classes read at dimension level.
 """
 
 from __future__ import annotations
@@ -635,11 +636,26 @@ def hk_solve_by_fractions(twists):
     return primitive(tail_raw), primitive(finite), tuple(tail_raw)
 
 
-def transpose_duality_check(a, shape, n=None) -> bool:
-    """Whether the h-type and e-type minors of the same shape agree."""
-    from jtkit.sequences import jt_minor, jt_minor_dual
+def jt_minor_h_side(a, shape, r=None):
+    """The minor by the h-form alone: the library determinant of the order-r
+    Jacobi-Trudi matrix of a's terms, each entry read on its own."""
+    from jtkit.sequences import _det, _padding
+    from jtkit.shapes import as_shape
 
-    return jt_minor(a, shape) == jt_minor_dual(a, shape, n)
+    s = as_shape(shape)
+    lam, mu = s.outer.parts, s.inner.parts
+    r = _padding(lam, mu, r)
+    lam, mu = lam + (0,) * (r - len(lam)), mu + (0,) * (r - len(mu))
+    return _det(a, [[a.term(lam[i] - mu[j] - i + j) for j in range(r)] for i in range(r)])
+
+
+def transpose_duality_check(a, shape, n=None) -> bool:
+    """Whether the h-type and e-type minors of the same shape agree; the
+    h-type one is read off its matrix, since jt_minor may itself take the
+    e-type route."""
+    from jtkit.sequences import jt_minor_dual
+
+    return jt_minor_h_side(a, shape) == jt_minor_dual(a, shape, n)
 
 
 def pieri_identity_check(a, lam, d: int) -> bool:

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jtkit import memo, quadric, symfunc
+from jtkit import memo, quadric, sequences, symfunc
 from jtkit.quadric import METHODS, QuadricContext, quadric_schur_dim
 from jtkit.sequences import (
+    GradedSequence,
     _box_minors,
     _shape_of_rows,
     e_class,
@@ -38,6 +39,7 @@ from oracles import (
     compositions_of,
     det_fraction,
     e_class_compositions,
+    jt_minor_h_side,
     minor_by_toeplitz,
     pf_check_per_shape,
     pieri_identity_check,
@@ -190,6 +192,52 @@ def test_jt_minor_unit_and_errors():
     assert jt_minor(POLY3, ()) == SchurClass.unit(1)
     with pytest.raises(ValueError):
         jt_minor(Q3, (2, 1), 1)
+
+
+CLASS_SPECS = ("poly:2", "poly:3", "tensoralg:2", "tensor:(poly:2),(poly:2)", "segre:poly:2,poly:2", "veronese:poly:2,2")
+TALL = partitions(max_size=8, max_part=3, max_length=5)
+TALL_SKEW = TALL.flatmap(lambda lam: st.tuples(st.just(lam), sub_partition(lam)))
+
+
+@given(st.sampled_from(CLASS_SPECS), TALL_SKEW, st.integers(0, 1))
+@settings(deadline=None, max_examples=40)
+@example("tensoralg:2", ((2, 2, 2, 2, 1), ()), 0)
+@example("tensoralg:2", ((2, 2, 1, 1), (1,)), 1)
+@example("veronese:poly:2,2", ((2, 2, 2, 1, 1), ()), 0)
+@example("poly:3", ((2, 2, 1), ()), 1)
+@example("segre:poly:2,poly:2", ((1, 1, 1), (1,)), 0)
+def test_class_minor_matches_h_side(spec, pair, extra):
+    """Whichever side jt_minor evaluates, a class minor over a unit a_0 is
+    the determinant of its h-matrix, padded or not."""
+    lam, mu = pair
+    r = max(len(lam), len(mu)) + extra
+    got = jt_minor(parse_sequence_spec(spec), SkewShape(lam, mu), r if extra else None)
+    assert got == jt_minor_h_side(parse_sequence_spec(spec), SkewShape(lam, mu), r)
+
+
+def test_class_minor_side(monkeypatch):
+    """Tall minors take the e-form when its classes are small.  Large
+    e-classes, a shape no taller than wide, a non-unit a_0 or an order above
+    det_expand's bound keep the h-form."""
+    calls = []
+    real = sequences.jt_minor_dual
+    monkeypatch.setattr(sequences, "jt_minor_dual", lambda a, s: calls.append(s.outer.parts) or real(a, s))
+    jt_minor(parse_sequence_spec("tensoralg:2"), (2, 2, 2, 2, 1))
+    assert calls == [(2, 2, 2, 2, 1)]
+    calls.clear()
+    ver = parse_sequence_spec("veronese:poly:2,2")
+    jt_minor(ver, (2, 2, 2, 1, 1))
+    jt_minor(ver, SkewShape((3, 2, 1), (2,)))
+    assert calls == []
+    # the term count stops before e_6, the e-matrix's largest degree
+    assert max(ver._eclasses) < 6
+    # padding multiplies by a_0 = 2, which the h-form keeps
+    twice = GradedSequence("twice", "class", lambda seq, d: POLY3.term(d) * (2 if d == 0 else 1), 1, (3,))
+    assert jt_minor(twice, (1, 1), 3) == 2 * jt_minor(twice, (1, 1))
+    assert calls == []
+    with pytest.raises(ValueError, match="exceeds expansion bound 8"):
+        jt_minor(make_sequence("poly", m=2), (1,) * 9)
+    assert calls == []
 
 
 def test_class_minor_quadric_relation():
