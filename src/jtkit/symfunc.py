@@ -117,14 +117,8 @@ def _strip_shapes(cur: tuple[int, ...], k: int, prev_cum) -> list[tuple[int, ...
     else:
         rows = [range(b, min(a, b + k, b + c) + 1) for a, b, c in zip(cur, lows, prev_cum)]
     size = prod(map(len, rows))
-    if size > _PRODUCT_ANY:
-        # a shape is fixed by what the m ranges longer than one add, at most k
-        # boxes in all, so at most C(k + m, m) shapes come out; where that
-        # already makes the product too sparse, the exact count is skipped
-        m = sum(len(row) > 1 for row in rows)
-        sparse = size > _PRODUCT_PER_SHAPE * comb(k + m, m)
-        if sparse or size > _PRODUCT_PER_SHAPE * _strip_count(rows, k, prev_cum):
-            return _fill_rows(top, rows, k, prev_cum)
+    if size > _PRODUCT_ANY and size > _PRODUCT_PER_SHAPE * _strip_count(rows, k, prev_cum):
+        return _fill_rows(top, rows, k, prev_cum)
     total = k + sum(lows)
     out = []
     if prev_cum is None:

@@ -22,9 +22,9 @@ systems, hk_solve's among them, by Gauss-Jordan over Fraction.  None of
 these call the library code paths they check.
 
 The last few helpers instead cross two library routes against each other:
-the h-type and e-type minors of one shape, the h-form of a minor whatever
-side jt_minor picks, the Pieri rule on minors, and the quadric sequences
-as virtual GL classes read at dimension level.
+the h-type and e-type minors of one shape, a class minor whatever side
+jt_minor picks against its h-form, the Pieri rule on minors, and the
+quadric sequences as virtual GL classes read at dimension level.
 """
 
 from __future__ import annotations
@@ -650,12 +650,10 @@ def jt_minor_h_side(a, shape, r=None):
 
 
 def transpose_duality_check(a, shape, n=None) -> bool:
-    """Whether the h-type and e-type minors of the same shape agree; the
-    h-type one is read off its matrix, since jt_minor may itself take the
-    e-type route."""
-    from jtkit.sequences import jt_minor_dual
+    """Whether the h-type and e-type minors of the same shape agree."""
+    from jtkit.sequences import jt_minor, jt_minor_dual
 
-    return jt_minor_h_side(a, shape) == jt_minor_dual(a, shape, n)
+    return jt_minor(a, shape) == jt_minor_dual(a, shape, n)
 
 
 def pieri_identity_check(a, lam, d: int) -> bool:
