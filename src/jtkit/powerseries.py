@@ -13,13 +13,14 @@ total degree, and a sum of two keys is under the cutoff exactly when it is
 below B^(n+1).  A product thus builds no tuple per pair of terms and
 truncates by one integer comparison; operands are packed, and the result
 unpacked, once per operation.  The packed kernels are private and shared
-with quadric's multigraded Hilbert series, which runs its whole chain of
-factors packed.
+with quadric's multigraded Hilbert series check, which runs on packed keys
+from its chain of factors to its last comparison.
 
-Results of arithmetic are canonical by construction, so they reach the
-constructor as a _Canonical dict, from which it only drops zero
-coefficients; everything else it is given, a few small dicts such as
-Hilbert series and monomials, is checked and coerced term by term.
+Results of arithmetic, and sequences' Hilbert series, are canonical by
+construction, so they reach the constructor as a _Canonical dict, from
+which it only drops zero coefficients; everything else it is given, a few
+small dicts such as monomials and a purity check's numerator, is checked
+and coerced term by term.
 """
 
 from __future__ import annotations

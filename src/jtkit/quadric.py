@@ -13,7 +13,7 @@ from math import comb, prod
 from operator import lt
 
 from .memo import memo_put
-from .powerseries import TruncSeries, _packed_div, _packed_mul, _packed_pow, _packing, _unpack
+from .powerseries import TruncSeries, _packed_div, _packed_mul, _packed_pow, _packing
 from .sequences import GradedSequence, jt_minor, make_sequence
 from .shapes import SkewShape, _fits, as_parts, as_shape, subpartitions, trim
 from .symfunc import _lr_contents, dim_gl_skew, dim_super
@@ -149,28 +149,29 @@ def orthogonal_stable_decomposition(ctx: QuadricContext, lam) -> OrthogonalDecom
     return OrthogonalDecomposition(ctx.m, lam, tuple(entries))
 
 
-def _quadric_hs_factor(m: int, trunc: int, nvars: int, var: int) -> TruncSeries:
-    """(1 - x^2) / (1 - x)^m in the given variable, as an n-variable series.
+def _quadric_hs_factor(m: int, trunc: int) -> TruncSeries:
+    """(1 - x^2) / (1 - x)^m as a one-variable series.
 
     Built from inverse() and a power, not by division, so the two sides of
     multigraded_hs_check's factorization come from different routes."""
-    one = TruncSeries.one(nvars, trunc)
-    x = TruncSeries.var(nvars, trunc, var)
+    one = TruncSeries.one(1, trunc)
+    x = TruncSeries.var(1, trunc, 0)
     num = one - x * x
     inv = (one - x).inverse()
     return num * inv**m
 
 
-def _multigraded_hs(m: int, n: int, trunc: int) -> TruncSeries:
+def _multigraded_hs(m: int, n: int, trunc: int) -> dict:
     """The uncancelled numerator-over-denominator form of the multigraded
-    Hilbert series for n quadric factors.
+    Hilbert series for n quadric factors, as a packed dict (powerseries,
+    with the keys of _packing(n, trunc)).
 
     The numerator and denominator products, of 1 - x_i x_j over i <= j and
     over i < j, are built as written, the first divided exactly by the
     second, and the quotient divided by (1 - x_i)^m for each i; the mixed
     factors the two products share are never cancelled by hand, since the
-    check exists to verify that form.  The whole chain runs on packed keys
-    (powerseries), where x_i is weights[i], and is unpacked once.
+    check exists to verify that form.  x_i is the key weights[i]; at n = 0
+    the series is 1.
     """
     weights, limit = _packing(n, trunc)
 
@@ -187,12 +188,12 @@ def _multigraded_hs(m: int, n: int, trunc: int) -> TruncSeries:
     series = _packed_div(num, den, trunc, limit)
     for w in weights:
         series = _packed_div(series, _packed_pow(one_minus(w), m, limit), trunc, limit)
-    return TruncSeries(n, trunc, _unpack(series, n, trunc))
+    return series
 
 
 # The check multiplies about n^2 factors over series with C(n + trunc, n)
-# coefficients of n exponents each, so both counts are bounded: n = 7 at
-# trunc 12 has 50,388 coefficients, and n = 8 at trunc 10 has 43,758.
+# coefficients, so both counts are bounded: n = 7 at trunc 12 has 50,388
+# coefficients, and n = 8 at trunc 10 has 43,758.
 _HS_MAX_FACTORS = 8
 _HS_BOUND = 1 << 16
 
@@ -208,6 +209,11 @@ def multigraded_hs_check(m: int, n: int, trunc: int = 8) -> dict:
     are read at dimension level throughout.  Raises ValueError, before any
     work, when n exceeds _HS_MAX_FACTORS or the series has more than
     _HS_BOUND coefficients.
+
+    Every comparison is of packed dicts.  The (n-1)-variable series gains
+    x_(n-1) at exponent 0 when each key k becomes (k mod B^(n-1)) +
+    (k div B^(n-1)) B^n, B = trunc + 1, which moves its degree digit up;
+    the expected coefficients are built one variable at a time.
     """
     m, n, trunc = int(m), int(n), int(trunc)
     if m < 1 or n < 1:
@@ -221,19 +227,19 @@ def multigraded_hs_check(m: int, n: int, trunc: int = 8) -> dict:
         raise ValueError(
             f"a series in {n} variables to degree {trunc} has {count} coefficients, above the bound {_HS_BOUND}"
         )
+    weights, limit = _packing(n, trunc)
+    base = trunc + 1
+    low, top = base ** (n - 1), limit // base
     series = _multigraded_hs(m, n, trunc)
-    if n == 1:
-        factorization = series == _quadric_hs_factor(m, trunc, 1, 0)
-    else:
-        smaller = _multigraded_hs(m, n - 1, trunc).embed(n, tuple(range(n - 1)))
-        last = _quadric_hs_factor(m, trunc, n, n - 1)
-        factorization = series == smaller * last
+    smaller = {k % low + k // low * top: c for k, c in _multigraded_hs(m, n - 1, trunc).items()}
+    last = {d * weights[-1]: c for (d,), c in _quadric_hs_factor(m, trunc).coeffs.items()}
+    factorization = series == _packed_mul(smaller, last, limit)
     quadric = make_sequence("quadric", m=m)
-    terms = [quadric.term(d) for d in range(trunc + 1)]
-    coeffs = series.coeffs
-    coefficients = all(
-        coeffs.get(exps, 0) == prod(map(terms.__getitem__, exps)) for exps in _all_exponents(n, trunc)
-    )
+    terms = [quadric.term(d) for d in range(base)]
+    expected = {0: 1}
+    for w in weights:
+        expected = {k + e * w: c * terms[e] for k, c in expected.items() for e in range(base - k // top) if terms[e]}
+    coefficients = series == expected
     return {
         "m": m,
         "n": n,
@@ -242,12 +248,3 @@ def multigraded_hs_check(m: int, n: int, trunc: int = 8) -> dict:
         "coefficients": coefficients,
         "ok": factorization and coefficients,
     }
-
-
-def _all_exponents(n: int, trunc: int) -> list:
-    """Every exponent tuple of n variables with total degree at most trunc,
-    in lexicographic order."""
-    out = [()]
-    for _ in range(n):
-        out = [e + (k,) for e in out for k in range(trunc + 1 - sum(e))]
-    return out

@@ -18,7 +18,7 @@ from operator import mul
 from typing import Callable
 
 from .determinant import _EXPAND_MAX_ORDER, det_bareiss, det_expand
-from .memo import memo_put
+from .memo import _Canonical, memo_put
 from .powerseries import TruncSeries
 from .shapes import (
     Partition,
@@ -610,8 +610,9 @@ def tensor_identity_check(a: GradedSequence, b: GradedSequence, shape, r: int | 
 
 
 def hs_series(a: GradedSequence, trunc: int) -> TruncSeries:
-    """Hilbert series of dimensions, truncated at total degree trunc."""
-    return TruncSeries(1, trunc, {(d,): a.dims(d) for d in range(trunc + 1)})
+    """Hilbert series of dimensions, truncated at total degree trunc; built
+    canonical, so it skips the constructor's term-by-term check."""
+    return TruncSeries(1, trunc, _Canonical({(d,): a.dims(d) for d in range(trunc + 1)}))
 
 
 def schur_dimension_profile(a: GradedSequence, r_max: int, s_max: int):

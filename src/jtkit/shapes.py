@@ -210,26 +210,24 @@ def skew_from_boxes(boxes: Iterable[tuple[int, int]]) -> SkewShape:
     and both boundary profiles must be weakly decreasing going down.
     """
     blist = [(int(r), int(c)) for r, c in boxes]
-    bset = set(blist)
-    if not bset:
+    if not blist:
         return SkewShape((), ())
-    if len(bset) != len(blist):
+    if len(set(blist)) != len(blist):
         raise ValueError("overlapping boxes")
-    r0 = min(r for r, _ in bset)
-    c0 = min(c for _, c in bset)
-    bset = {(r - r0, c - c0) for r, c in bset}
-    nrows = max(r for r, _ in bset) + 1
-    starts, ends = [], []
-    for r in range(nrows):
-        cols = sorted(c for rr, c in bset if rr == r)
+    rows: dict = {}
+    for r, c in blist:
+        rows.setdefault(r, []).append(c)
+    r0, c0 = min(rows), min(map(min, rows.values()))
+    outer, inner = [], []
+    for r in range(max(rows) + 1 - r0):
+        cols = rows.get(r + r0)
         if not cols:
             raise ValueError(f"row {r} empty, not a skew shape")
-        if cols != list(range(cols[0], cols[-1] + 1)):
+        lo, hi = min(cols), max(cols)
+        if hi - lo + 1 != len(cols):
             raise ValueError(f"row {r} not contiguous")
-        starts.append(cols[0])
-        ends.append(cols[-1])
-    outer = [e + 1 for e in ends]
-    inner = starts
+        outer.append(hi + 1 - c0)
+        inner.append(lo - c0)
     try:
         return SkewShape(outer, inner)
     except ValueError as exc:

@@ -14,8 +14,9 @@ lattice records by a pruned recursion over the rows, class products from
 those expansions one term pair at a time, Jacobi-Trudi complex terms by
 one product per weight entry, positivity scans and hook
 profiles by one Jacobi-Trudi minor per shape,
-series inverses by summing geometric powers, and the multigraded Hilbert
-series by multiplying with those inverses instead of dividing, series
+series inverses by summing geometric powers, the multigraded Hilbert
+series by multiplying with those inverses instead of dividing, and its
+check's report one exponent tuple at a time, series
 products and quotients on exponent tuples instead of packed keys,
 Taylor coefficients at t = 1 by repeated synthetic division, and linear
 systems, hk_solve's among them, by Gauss-Jordan over Fraction.  None of
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import add
 
 
@@ -501,6 +502,44 @@ def multigraded_hs_by_inverses(m: int, n: int, trunc: int):
     for x in xs:
         series = series * inverse_geometric(one - x) ** m
     return series
+
+
+def all_exponents(n: int, trunc: int) -> list:
+    """Every exponent tuple of n variables with total degree at most trunc,
+    in lexicographic order."""
+    out = [()]
+    for _ in range(n):
+        out = [e + (k,) for e in out for k in range(trunc + 1 - sum(e))]
+    return out
+
+
+def multigraded_hs_report(m: int, n: int, trunc: int) -> dict:
+    """multigraded_hs_check's report on exponent tuples: the series of
+    multigraded_hs_by_inverses; its factorization against the (n-1)-variable
+    series embedded and times (1 - x^2) (1 - x)^(-m) in the last variable,
+    with a geometric-sum inverse; and each coefficient, one exponent tuple at
+    a time, against the product over its exponents e of the quadric
+    dimensions C(m - 1 + e, e) - C(m - 3 + e, e - 2)."""
+    from jtkit.powerseries import TruncSeries
+
+    series = multigraded_hs_by_inverses(m, n, trunc)
+    one = TruncSeries.one(n, trunc)
+    x = TruncSeries.var(n, trunc, n - 1)
+    last = (one - x * x) * inverse_geometric(one - x) ** m
+    smaller = multigraded_hs_by_inverses(m, n - 1, trunc).embed(n, range(n - 1)) if n > 1 else one
+    factorization = series == smaller * last
+    terms = [comb(m - 1 + e, e) - (comb(m - 3 + e, e - 2) if e >= 2 else 0) for e in range(trunc + 1)]
+    coefficients = all(
+        series.coefficient(exps) == prod(terms[e] for e in exps) for exps in all_exponents(n, trunc)
+    )
+    return {
+        "m": m,
+        "n": n,
+        "trunc": trunc,
+        "factorization": factorization,
+        "coefficients": coefficients,
+        "ok": factorization and coefficients,
+    }
 
 
 def ortho_multiplicities_by_lr(lam) -> dict:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jtkit import quadric
+from jtkit.powerseries import TruncSeries, _unpack
 from jtkit.quadric import (
     METHODS,
     QuadricContext,
@@ -16,6 +17,7 @@ from jtkit.quadric import (
     orthogonal_stable_decomposition,
     quadric_schur_dim,
 )
+from jtkit.sequences import GradedSequence
 from jtkit.shapes import SkewShape, partitions_of
 from jtkit.symfunc import binom, dim_gl
 
@@ -23,6 +25,7 @@ from conftest import partitions, sub_partition
 from oracles import (
     chi_o_peeling,
     multigraded_hs_by_inverses,
+    multigraded_hs_report,
     ortho_multiplicities_by_lr,
     qdual_term_class,
     quadric_term_class,
@@ -244,7 +247,31 @@ def test_multigraded_hs():
 @example(4, 4, 8)
 @settings(deadline=None, max_examples=30)
 def test_multigraded_hs_division_matches_inverses(m, n, trunc):
-    assert _multigraded_hs(m, n, trunc) == multigraded_hs_by_inverses(m, n, trunc)
+    series = TruncSeries(n, trunc, _unpack(_multigraded_hs(m, n, trunc), n, trunc))
+    assert series == multigraded_hs_by_inverses(m, n, trunc)
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 8))
+@example(1, 1, 0)
+@example(3, 1, 8)
+@example(5, 5, 8)
+@settings(deadline=None, max_examples=30)
+def test_multigraded_hs_check_matches_tuple_report(m, n, trunc):
+    assert multigraded_hs_check(m, n, trunc) == multigraded_hs_report(m, n, trunc)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_multigraded_hs_flags_catch_wrong_inputs(monkeypatch, n):
+    real, factor = quadric.make_sequence("quadric", m=3), quadric._quadric_hs_factor
+    bad = GradedSequence("quadric with a wrong degree-2 term", "integer", lambda seq, d: real.term(d) + (d == 2))
+    with monkeypatch.context() as patch:
+        patch.setattr(quadric, "make_sequence", lambda kind, m: bad)
+        report = multigraded_hs_check(3, n, trunc=4)
+    assert (report["factorization"], report["coefficients"], report["ok"]) == (True, False, False)
+    with monkeypatch.context() as patch:
+        patch.setattr(quadric, "_quadric_hs_factor", lambda m, trunc: factor(m + 1, trunc))
+        report = multigraded_hs_check(3, n, trunc=4)
+    assert (report["factorization"], report["coefficients"], report["ok"]) == (False, True, False)
 
 
 def test_multigraded_hs_budget():

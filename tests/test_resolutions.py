@@ -427,6 +427,13 @@ def test_validate_purity_checks_a_coefficient():
     assert not validate_purity(bad, Q3, tail_horizon=2, margin=0).is_polynomial
 
 
+def test_validate_purity_checks_twists():
+    # the numerator keeps the series constructor's check, so a negative twist is refused
+    negative = BettiTable((BettiRow(0, -1, 1),))
+    with pytest.raises(ValueError, match=r"^exponent \(-1,\) is not 1 nonnegative integers$"):
+        validate_purity(negative, Q3)
+
+
 def test_validate_purity_default_horizon_clears_the_bound():
     """The default horizon is 24 wherever that clears the bound by the
     margin, and the least horizon that does so elsewhere; an explicit one is

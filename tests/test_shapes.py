@@ -195,6 +195,12 @@ def test_skew_from_boxes():
         skew_from_boxes([(0, 0), (0, 0)])
     with pytest.raises(ValueError):
         skew_from_boxes([(0, 0), (1, 1)])
+    # the label of the 64th tail row of the degree-3 rational normal curve's
+    # pure resolution with shifts 1,1,1: 66 rows of three boxes, each two
+    # columns left of the row above; boxes in any order and offset
+    tail = attach_dot(SkewShape((5, 3), (2,)), (3,) * 64)
+    assert tail == SkewShape(tuple(range(133, 2, -2)), tuple(range(130, 0, -2)))
+    assert skew_from_boxes([(r + 7, c - 4) for r, c in reversed(tail.cells())]) == tail
 
 
 def test_ribbon_of():
