@@ -45,6 +45,19 @@ def det_bareiss(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _signed_sum(zero, products, start=None):
+    """start (zero when None) plus the sum of sign * x * y over the
+    (sign, x, y) triples of products, in the ring whose additive identity
+    is zero.  A ring type with a sum_of_products(k, products, start)
+    classmethod (SchurClass) sums them in one pass, called with k = zero.k,
+    the ring's factor count; any other ring, such as the integers, adds
+    them one by one."""
+    fused = getattr(type(zero), "sum_of_products", None)
+    if fused is not None:
+        return fused(zero.k, products, start)
+    return sum((sign * x * y for sign, x, y in products), zero if start is None else start)
+
+
 # The largest order det_expand takes; its memo then holds C(8, 4) = 70 subsets.
 _EXPAND_MAX_ORDER = 8
 
@@ -58,7 +71,10 @@ def det_expand(rows: list[list], zero):
     spreads over the next row's entries.  Zero entries and zero partial
     minors are skipped.  That is fewer than n*2^(n-1) ring multiplications and
     no division, so it is exact over any ring; orders above
-    _EXPAND_MAX_ORDER are refused.
+    _EXPAND_MAX_ORDER are refused.  Each new partial minor is one
+    _signed_sum of its (cofactor sign, minor, entry) triples, so a ring with
+    a sum_of_products (SchurClass) builds it in one pass, with no negated
+    copy for the sign, and the integers add the products one by one.
     """
     n = len(rows)
     if n > _EXPAND_MAX_ORDER:
@@ -70,16 +86,19 @@ def det_expand(rows: list[list], zero):
     # minors[S]: determinant of the rows so far on the column set S (a bitmask)
     minors = {1 << j: entry for j, entry in enumerate(rows[0]) if entry != zero}
     for row in rows[1:]:
-        nxt = {}
+        # products[S]: the (sign, minor, entry) triples whose sum is the
+        # next minor on S
+        products: dict[int, list] = {}
         for cols, minor in minors.items():
             for j, entry in enumerate(row):
                 if cols >> j & 1 or entry == zero:
                     continue
-                term = minor * entry
                 # the cofactor sign is the parity of the columns of S right of j
-                if (cols >> j).bit_count() % 2:
-                    term = -term
-                key = cols | 1 << j
-                nxt[key] = nxt[key] + term if key in nxt else term
-        minors = {cols: m for cols, m in nxt.items() if m != zero}
+                sign = -1 if (cols >> j).bit_count() % 2 else 1
+                products.setdefault(cols | 1 << j, []).append((sign, minor, entry))
+        minors = {}
+        for cols, triples in products.items():
+            m = _signed_sum(zero, triples)
+            if m != zero:
+                minors[cols] = m
     return minors.get((1 << n) - 1, zero)

@@ -28,7 +28,6 @@ class QuadricContext:
 
     m: int
     sequence: GradedSequence = field(init=False, repr=False)
-    dual: GradedSequence = field(init=False, repr=False)
 
     def __post_init__(self):
         m = int(self.m)
@@ -36,7 +35,11 @@ class QuadricContext:
             raise ValueError("quadric context needs m >= 1")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "sequence", make_sequence("quadric", m=m))
-        object.__setattr__(self, "dual", make_sequence("qdual", m=m))
+
+    @property
+    def dual(self) -> GradedSequence:
+        """The dual sequence, built afresh (with cold memos) on each read."""
+        return make_sequence("qdual", m=self.m)
 
 
 METHODS = ("jt", "vertical_strip", "super")

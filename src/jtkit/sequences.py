@@ -17,7 +17,7 @@ from math import comb
 from operator import mul
 from typing import Callable
 
-from .determinant import _EXPAND_MAX_ORDER, det_bareiss, det_expand
+from .determinant import _EXPAND_MAX_ORDER, _signed_sum, det_bareiss, det_expand
 from .memo import _Canonical, memo_put
 from .powerseries import TruncSeries
 from .shapes import (
@@ -539,7 +539,10 @@ def e_class(a: GradedSequence, d: int):
     Symmetric Functions, I.2), which the alternating sum of products of terms
     over all compositions of n satisfies.  Every e_n with n <= d is memoised
     on the way; from a cold memo that is d(d-1)/2 ring multiplications at
-    most, skipping zero terms."""
+    most, skipping zero terms.  Each e_n is one _signed_sum: the k = n
+    summand +-a_n needs no product and is its start, and every other summand
+    is a (sign, a_k, e_{n-k}) triple, so a class e_n is summed in one dict
+    with no negated copy of any product."""
     d = int(d)
     if d < 0:
         return a.zero_value()
@@ -551,13 +554,13 @@ def e_class(a: GradedSequence, d: int):
     for n in range(1, d + 1):
         value = a._eclasses.get(n)
         if value is None:
-            # the k = n summand is a_n e_0 = +-a_n and needs no product
-            value = -a.term(n) if n % 2 == 0 else a.term(n)
-            for k in range(1, n):
-                t, e = a.term(k), es[n - k]
-                if t != zero and e != zero:
-                    value = value - t * e if k % 2 == 0 else value + t * e
-            value = memo_put(a._eclasses, n, value)
+            products = [
+                (1 if k % 2 else -1, ak, es[n - k])
+                for k in range(1, n)
+                if (ak := a.term(k)) != zero and es[n - k] != zero
+            ]
+            start = a.term(n) if n % 2 else -a.term(n)
+            value = memo_put(a._eclasses, n, _signed_sum(zero, products, start))
         es.append(value)
     return es[d]
 

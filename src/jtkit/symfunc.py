@@ -393,9 +393,10 @@ class SchurClass:
     k is the number of tensor factors; each term maps a tuple of that many
     partitions to a nonzero integer coefficient.  The constructor checks and
     normalises every key and coefficient.  Sums, negatives, integer
-    multiples, products and external products combine keys that are already
-    canonical, so they hand their terms over as a _Canonical dict, from
-    which the constructor only drops the zero coefficients.
+    multiples, products, sums of products and external products combine keys
+    that are already canonical, so they hand their terms over as a
+    _Canonical dict, from which the constructor only drops the zero
+    coefficients.
     """
 
     k: int
@@ -493,32 +494,47 @@ class SchurClass:
             return SchurClass(self.k, _Canonical({key: c * other for key, c in self.terms.items()}))
         if not isinstance(other, SchurClass):
             return NotImplemented
-        if other.k != self.k:
+        return SchurClass.sum_of_products(self.k, [(1, self, other)])
+
+    @classmethod
+    def sum_of_products(cls, k: int, products, start: "SchurClass | None" = None) -> "SchurClass":
+        """start (zero when None) plus the sum of sign * x * y over the
+        (sign, x, y) triples of products: sign an integer, x and y classes
+        of k factors.
+
+        Every product's LR expansion is added straight into one dict, so no
+        single product, negated product or partial sum becomes a class of
+        its own; the one class is built at the end.
+        """
+        if start is not None and start.k != k:
             raise ValueError("factor_count mismatch")
-        out = _Canonical()
-        if self.k == 1:
-            for (mu,), c1 in self.terms.items():
-                for (nu,), c2 in other.terms.items():
-                    c = c1 * c2
-                    for lam, lr in _expansion(mu, nu).items():
-                        key = (lam,)
-                        out[key] = out.get(key, 0) + c * lr
-            return SchurClass(1, out)
-        for key1, c1 in self.terms.items():
-            for key2, c2 in other.terms.items():
-                # expand factorwise, then take the cartesian product of the
-                # per-factor Schur expansions
-                partials = [((), c1 * c2)]
-                for mu, nu in zip(key1, key2):
-                    expansion = _expansion(mu, nu)
-                    partials = [
-                        (built + (lam,), coeff * lr)
-                        for built, coeff in partials
-                        for lam, lr in expansion.items()
-                    ]
-                for key, coeff in partials:
-                    out[key] = out.get(key, 0) + coeff
-        return SchurClass(self.k, out)
+        out = _Canonical() if start is None else _Canonical(start.terms)
+        for sign, x, y in products:
+            if x.k != k or y.k != k:
+                raise ValueError("factor_count mismatch")
+            if k == 1:
+                for (mu,), c1 in x.terms.items():
+                    for (nu,), c2 in y.terms.items():
+                        c = sign * c1 * c2
+                        for lam, lr in _expansion(mu, nu).items():
+                            key = (lam,)
+                            out[key] = out.get(key, 0) + c * lr
+                continue
+            for key1, c1 in x.terms.items():
+                for key2, c2 in y.terms.items():
+                    # expand factorwise, then take the cartesian product of
+                    # the per-factor Schur expansions
+                    partials = [((), sign * c1 * c2)]
+                    for mu, nu in zip(key1, key2):
+                        expansion = _expansion(mu, nu)
+                        partials = [
+                            (built + (lam,), coeff * lr)
+                            for built, coeff in partials
+                            for lam, lr in expansion.items()
+                        ]
+                    for key, coeff in partials:
+                        out[key] = out.get(key, 0) + coeff
+        return cls(k, out)
 
     def __rmul__(self, other):
         if isinstance(other, int):

@@ -116,7 +116,7 @@ def jt_rows(seq, lam, mu):
     return [[seq.term(lampad[i] - mupad[j] - i + j) for j in range(r)] for i in range(r)]
 
 
-CLASS_SPECS = ("poly:2", "poly:3", "tensoralg:2", "segre:poly:2,poly:2")
+CLASS_SPECS = ("poly:2", "poly:3", "tensoralg:2", "segre:poly:2,poly:2", "tensor:(poly:2),(poly:2)")
 JT_SHAPES = partitions(max_size=7, max_part=4, max_length=5).filter(bool)
 
 
@@ -131,3 +131,25 @@ def test_expand_matches_permutations_class_jt(spec, pair):
     rows = jt_rows(seq, lam, mu)
     zero = seq.zero_value()
     assert det_expand(rows, zero) == det_permutations(rows, zero)
+
+
+@given(
+    st.sampled_from(CLASS_SPECS),
+    JT_SHAPES.filter(lambda lam: len(lam) > 1).flatmap(
+        lambda lam: st.tuples(st.just(lam), st.one_of(st.just(()), sub_partition(lam)))
+    ),
+    st.data(),
+)
+@settings(deadline=None, max_examples=20)
+def test_expand_class_equal_rows_vanish(spec, pair, data):
+    """A class matrix with two equal rows has the zero class as its
+    determinant: the signed products of det_expand must cancel."""
+    seq = parse_sequence_spec(spec)
+    lam, mu = pair
+    rows = jt_rows(seq, lam, mu)
+    i, j = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+    rows[j] = list(rows[i])
+    zero = seq.zero_value()
+    got = det_expand(rows, zero)
+    assert got == det_permutations(rows, zero)
+    assert got.is_zero()

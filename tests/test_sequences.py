@@ -436,12 +436,27 @@ def test_compositions_of():
     assert list(compositions_of(0)) == [()]
 
 
-E_SPECS = ("poly:2", "poly:3", "tensoralg:2", "quadric:3", "qdual:3", "heisenberg", "super:2,1", "quadric:1")
+# spec -> the largest degree checked: the composition sum has 2^(d-1)
+# products, and those of the product sequences have the most terms
+E_SPECS = {
+    "poly:2": 10,
+    "poly:3": 10,
+    "tensoralg:2": 10,
+    "quadric:3": 10,
+    "qdual:3": 10,
+    "heisenberg": 10,
+    "super:2,1": 10,
+    "quadric:1": 10,
+    "tensor:(poly:2),(poly:2)": 6,
+    "segre:poly:2,poly:2": 6,
+    "veronese:poly:2,2": 6,
+}
 
 
-@given(st.sampled_from(E_SPECS), st.integers(0, 10))
-@settings(deadline=None, max_examples=40)
-def test_e_class_matches_compositions(spec, d):
+@given(st.sampled_from(sorted(E_SPECS)).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, E_SPECS[s]))))
+@settings(deadline=None, max_examples=50)
+def test_e_class_matches_compositions(spec_d):
+    spec, d = spec_d
     seq = parse_sequence_spec(spec)
     want = e_class_compositions(seq, d)
     assert e_class(seq, d) == want

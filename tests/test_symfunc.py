@@ -420,14 +420,59 @@ def _class_pair(k):
 @given(st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), _class_pair(k))), st.integers(-2, 2))
 @settings(deadline=None, max_examples=80)
 def test_arithmetic_results_are_canonical(k_pair, n):
-    """Sums, differences, negatives, integer multiples and products skip the
-    constructor's checks; their results must be what the checked
-    constructor makes of the same terms."""
+    """Sums, differences, negatives, integer multiples, products and sums
+    of products skip the constructor's checks; their results must be what
+    the checked constructor makes of the same terms."""
     k, (a, b) = k_pair
-    for result in (a * b, a + b, a - b, -a, a * n):
+    fused = (
+        SchurClass.sum_of_products(k, [(1, a, b), (n, b, b), (-1, a, a)], a),
+        SchurClass.sum_of_products(k, [(1, a, b), (-1, b, a)]),
+    )
+    for result in (a * b, a + b, a - b, -a, a * n, *fused):
         assert type(result.terms) is dict
         assert result == SchurClass(k, dict(result.terms))
         assert all(type(c) is int and c != 0 for c in result.terms.values())
         for key in result.terms:
             assert type(key) is tuple and len(key) == k
             assert all(type(p) is tuple and p == as_parts(p) and all(x > 0 for x in p) for p in key)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.tuples(st.sampled_from((1, -1)), _class_pair(k)), max_size=4),
+            st.one_of(st.none(), _class_pair(k).map(lambda pair: pair[0])),
+        )
+    )
+)
+@example((1, [], None))
+@example((2, [], SchurClass(2, {((1,), ()): 3})))
+@settings(deadline=None, max_examples=60)
+def test_sum_of_products_matches_operator_fold(case):
+    """sum_of_products is start + the sum of the signed products, added one
+    at a time with the operators; each product undone, with its factors
+    swapped, leaves the start."""
+    k, triples, start = case
+    products = [(sign, x, y) for sign, (x, y) in triples]
+    want = SchurClass.zero(k) if start is None else start
+    for sign, x, y in products:
+        want = want + x * y if sign == 1 else want - x * y
+    assert SchurClass.sum_of_products(k, products, start) == want
+    undone = products + [(-sign, y, x) for sign, x, y in products]
+    assert SchurClass.sum_of_products(k, undone, start) == (SchurClass.zero(k) if start is None else start)
+    assert SchurClass.sum_of_products(k, undone).is_zero()
+
+
+def test_sum_of_products_refuses_mixed_factor_counts():
+    one, two = SchurClass.schur((1,)), SchurClass.schur((1,), k=2)
+    for k, products, start in (
+        (2, [(1, one, two)], None),
+        (2, [(1, two, one)], None),
+        (1, [(1, two, two)], None),
+        (2, [], one),
+    ):
+        with pytest.raises(ValueError, match="factor_count mismatch"):
+            SchurClass.sum_of_products(k, products, start)
+    with pytest.raises(ValueError, match="factor_count mismatch"):
+        one * two
