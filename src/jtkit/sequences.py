@@ -47,6 +47,8 @@ class GradedSequence:
     _terms: dict = field(init=False, repr=False, default_factory=dict)
     _eclasses: dict = field(init=False, repr=False, default_factory=dict)
     _dim_view: GradedSequence | None = field(init=False, repr=False, default=None)
+    _zero: object = field(init=False, repr=False, default=0)
+    _unit: object = field(init=False, repr=False, default=1)
 
     def __post_init__(self):
         if self.value_kind not in ("integer", "class"):
@@ -60,16 +62,15 @@ class GradedSequence:
         if self.value_kind == "class":
             view = GradedSequence(f"dims({self.name})", "integer", lambda seq, d: self.dims(d))
             object.__setattr__(self, "_dim_view", view)
+            # immutable, so one zero and one unit serve every call
+            object.__setattr__(self, "_zero", SchurClass.zero(self.factor_count))
+            object.__setattr__(self, "_unit", SchurClass.unit(self.factor_count))
 
     def zero_value(self):
-        if self.value_kind == "integer":
-            return 0
-        return SchurClass.zero(self.factor_count)
+        return self._zero
 
     def unit_value(self):
-        if self.value_kind == "integer":
-            return 1
-        return SchurClass.unit(self.factor_count)
+        return self._unit
 
     def term(self, d: int):
         d = int(d)
@@ -499,10 +500,27 @@ def pf_check(a: GradedSequence, max_order: int = 4, window: int = 8, scan_skew: 
     positive box costs one sweep of the largest window.  Each window reads
     terms up to degree window + max_order - 1, and raises ValueError before
     its step when its largest level could exceed _SWEEP_BOUND subsets.
-    Skew scans evaluate one minor per pair of shapes.
+    Skew scans count the pairs (lambda, mu) with mu inside lambda, in the
+    scan order of lambda and then of mu, so mu = () comes first.  When a_0
+    is the unit, d -> a_d extends to a ring map that sends h_d to a_d, so
+    the minor of lambda/mu is the image of s_{lambda/mu}, a sum of s_nu with
+    nonnegative coefficients over shapes nu inside lambda and no later in
+    the scan order (Macdonald, Symmetric Functions, I.5).  The first negative pair is
+    then (lambda, ()) for the first lambda whose straight minor is negative,
+    so the scan takes one jt_minor per lambda and counts its subshapes.
+    That pair also reads the largest degree of any pair on lambda, so a
+    term that cannot be read raises at the same lambda as a scan of every
+    pair.  Other sequences take one minor per pair.
     """
     if scan_skew:
         checked = 0
+        if a.term(0) == a.unit_value():
+            for lam in scan_partitions(max_order, window):
+                value = jt_minor(a, lam)
+                if _is_negative(a, value):
+                    return PFReport("negative", max_order, window, checked + 1, witness=(lam, (), value))
+                checked += sum(1 for _ in subpartitions(lam))
+            return PFReport("positive-up-to-bounds", max_order, window, checked)
         inner = {}
         for lam in scan_partitions(max_order, window):
             outer = Partition(lam)

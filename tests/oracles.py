@@ -13,7 +13,8 @@ strip picked from a product of row ranges, one letter's strips with their
 lattice records by a pruned recursion over the rows, class products from
 those expansions one term pair at a time, Jacobi-Trudi complex terms by
 one product per weight entry, positivity scans and hook
-profiles by one Jacobi-Trudi minor per shape,
+profiles by one Jacobi-Trudi minor per shape, skew positivity scans by
+one minor per pair of shapes,
 series inverses by summing geometric powers, the multigraded Hilbert
 series by multiplying with those inverses instead of dividing, and its
 check's report one exponent tuple at a time, series
@@ -440,6 +441,28 @@ def pf_check_per_shape(seq, max_order: int, window: int):
         negative = value < 0 if seq.value_kind == "integer" else not value.is_nonnegative()
         if negative:
             return PFReport("negative", max_order, window, checked, witness=(lam, (), value))
+    return PFReport("positive-up-to-bounds", max_order, window, checked)
+
+
+def pf_check_per_pair(seq, max_order: int, window: int):
+    """Skew positivity scan with one Jacobi-Trudi minor per pair (lambda, mu),
+    mu inside lambda, in the scan order: the first negative minor is the
+    witness."""
+    from jtkit.sequences import PFReport, _is_negative, jt_minor
+    from jtkit.shapes import Partition, SkewShape, scan_partitions, subpartitions
+
+    checked = 0
+    inner = {}
+    for lam in scan_partitions(max_order, window):
+        outer = Partition(lam)
+        for mu in subpartitions(lam):
+            sub = inner.get(mu)
+            if sub is None:
+                sub = inner[mu] = Partition(mu)
+            value = jt_minor(seq, SkewShape(outer, sub))
+            checked += 1
+            if _is_negative(seq, value):
+                return PFReport("negative", max_order, window, checked, witness=(lam, mu, value))
     return PFReport("positive-up-to-bounds", max_order, window, checked)
 
 

@@ -40,6 +40,21 @@ def test_pf_check_negative_is_still_success(capsys):
     assert payload["witness"]["value"] == -60
 
 
+def test_pf_check_skew(capsys):
+    # checked and witnesses as the scan of every pair (lambda, mu) gives them
+    for spec, window, checked, witness in (
+        ("quadric:3", "4", 489, None),
+        ("hadamard:quadric:2,squares", "6", 90, {"lambda": [2, 2, 2], "mu": [], "value": -60}),
+    ):
+        args = ("pf-check", "--seq", spec, "--order", "3", "--window", window, "--skew")
+        first = invoke(capsys, *args)
+        assert first == invoke(capsys, *args)
+        assert first[0] == 0, first[2]
+        payload = json.loads(first[1])
+        jsonschema.validate(payload, SCHEMAS["pf-check"])
+        assert (payload["checked"], payload["witness"]) == (checked, witness)
+
+
 def test_jt_minor(capsys):
     payload = check_json(capsys, "jt-minor", "--seq", "quadric:3", "--lambda", "2,1")
     assert payload["value"] == 8

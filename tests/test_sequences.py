@@ -31,7 +31,7 @@ from jtkit.sequences import (
     veronese,
     veronese_identity_check,
 )
-from jtkit.shapes import SkewShape, scan_partitions
+from jtkit.shapes import SkewShape, scan_partitions, subpartitions
 from jtkit.symfunc import SchurClass, binom, dim_super
 
 from conftest import partitions, sub_partition
@@ -41,6 +41,7 @@ from oracles import (
     e_class_compositions,
     jt_minor_h_side,
     minor_by_toeplitz,
+    pf_check_per_pair,
     pf_check_per_shape,
     pieri_identity_check,
     schur_dimension_profile_pairwise,
@@ -199,6 +200,15 @@ TALL = partitions(max_size=8, max_part=3, max_length=5)
 TALL_SKEW = TALL.flatmap(lambda lam: st.tuples(st.just(lam), sub_partition(lam)))
 
 
+def test_zero_and_unit_are_shared():
+    for spec in CLASS_SPECS:
+        a = parse_sequence_spec(spec)
+        k = a.factor_count
+        assert (a.zero_value(), a.unit_value()) == (SchurClass.zero(k), SchurClass.unit(k))
+        assert a.zero_value() is a.zero_value() and a.unit_value() is a.unit_value()
+    assert (Q3.zero_value(), Q3.unit_value()) == (0, 1)
+
+
 @given(st.sampled_from(CLASS_SPECS), TALL_SKEW, st.integers(0, 1))
 @settings(deadline=None, max_examples=40)
 @example("tensoralg:2", ((2, 2, 2, 2, 1), ()), 0)
@@ -348,6 +358,69 @@ def test_pf_check_matches_per_shape_scan(case):
     spec, order, window = case
     rep = pf_check(parse_sequence_spec(spec), order, window)
     assert rep == pf_check_per_shape(parse_sequence_spec(spec), order, window)
+
+
+def _report_or_error(scan, spec, order, window):
+    """scan's report on a fresh sequence, or the type and message it raises."""
+    try:
+        return scan(parse_sequence_spec(spec), order, window)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# The skew scans of SCAN_SPECS in boxes of at most 4 x 4, plus two lists
+# whose a_0 is negative, so that the first negative pair has mu nonempty,
+# and the class specs at order + window <= 6.
+SKEW_CASES = st.one_of(
+    st.tuples(
+        st.sampled_from(SCAN_SPECS + ("list:-1,1,1,1,1,1,1,1,1,1,1", "list:-2,3,1,0,2,0,1,0,0,0,0")),
+        st.integers(0, 4),
+        st.integers(0, 4),
+    ),
+    st.tuples(st.sampled_from(("poly:2", "tensoralg:2")), st.integers(1, 4)).flatmap(
+        lambda case: st.tuples(st.just(case[0]), st.just(case[1]), st.integers(1, 6 - case[1]))
+    ),
+)
+
+
+@given(SKEW_CASES)
+# the per-pair scan stops at ((1, 1), (), -1) before reading past degree 2
+@example(("list:1,1,2", 3, 2))
+@example(("heisenberg", 3, 4))
+@example(("list:2,3,1,4,1,5,9,2,6,5,3", 3, 3))
+@example(("list:-1,1,1,1,1,1,1,1,1,1,1", 2, 2))
+@settings(deadline=None, max_examples=100)
+def test_skew_pf_check_matches_per_pair_scan(case):
+    rep = _report_or_error(lambda a, r, w: pf_check(a, r, w, scan_skew=True), *case)
+    assert rep == _report_or_error(pf_check_per_pair, *case)
+
+
+def test_skew_pf_check_pins():
+    rep = pf_check(HEIS, 3, 4, scan_skew=True)
+    assert (rep.witness, rep.checked) == (((1, 1, 1), (), -2), 9)
+    rep = pf_check(parse_sequence_spec("list:1,1,2"), 3, 2, scan_skew=True)
+    assert (rep.witness, rep.checked) == (((1, 1), (), -1), 3)
+    # a_0 = -1: the pair (1)/(1) is the first negative one
+    rep = pf_check(parse_sequence_spec("list:-1,1,1,1"), 2, 2, scan_skew=True)
+    assert (rep.witness, rep.checked) == (((1,), (1,), -1), 2)
+
+
+def test_skew_pf_check_route(monkeypatch):
+    """A unit a_0 takes one jt_minor per straight shape; any other a_0 one
+    per pair of shapes."""
+    calls = []
+    minor = sequences.jt_minor
+    monkeypatch.setattr(sequences, "jt_minor", lambda *args: calls.append(args) or minor(*args))
+    rep = pf_check(Q3, 3, 4, scan_skew=True)
+    box = list(scan_partitions(3, 4))
+    assert len(calls) == len(box) == 34
+    assert (rep.verdict, rep.checked) == ("positive-up-to-bounds", sum(len(list(subpartitions(lam))) for lam in box))
+    calls.clear()
+    rep = pf_check(LIST2, 3, 4, scan_skew=True)
+    assert (rep.witness, rep.checked, len(calls)) == (((2, 1), (), -5), 13, 13)
+    calls.clear()
+    rep = pf_check(make_sequence("list", dims=(2, 1) + (0,) * 10), 3, 4, scan_skew=True)
+    assert (rep.verdict, rep.checked, len(calls)) == ("positive-up-to-bounds", 489, 489)
 
 
 @given(
