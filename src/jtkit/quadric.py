@@ -73,7 +73,7 @@ def quadric_schur_dim(ctx: QuadricContext, shape, method: str = "jt") -> int:
             alpha = trim(pick)
             if not _fits(alpha, mu):
                 continue
-            value += dim_gl_skew(SkewShape(alpha, mu), ctx.m - 1)
+            value += dim_gl_skew(SkewShape(alpha, s.inner), ctx.m - 1)
     else:
         value = dim_super(lam, ctx.m - 1, 1, mu)
     return memo_put(_QSD_CACHE, key, value)

@@ -276,15 +276,20 @@ def lr_coefficient(lam, mu, nu) -> int:
     return tally.get(nu, 0)
 
 
-def skew_contents(shape) -> dict[tuple[int, ...], int]:
-    """Content tally nu -> c^lam_{mu,nu} for a skew shape lam/mu, memoized;
-    the result is a fresh dict."""
-    s = as_shape(shape)
+def _skew_tally(s) -> dict[tuple[int, ...], int]:
+    """The memoized content tally of the SkewShape s, shared: callers only
+    read it."""
     key = (s.outer.parts, s.inner.parts)
     hit = _SKEW_CACHE.get(key)
     if hit is None:
         hit = memo_put(_SKEW_CACHE, key, _lr_contents(key[0], key[1]))
-    return dict(hit)
+    return hit
+
+
+def skew_contents(shape) -> dict[tuple[int, ...], int]:
+    """Content tally nu -> c^lam_{mu,nu} for a skew shape lam/mu, memoized;
+    the result is a fresh dict."""
+    return dict(_skew_tally(as_shape(shape)))
 
 
 def dim_gl(lam, m: int) -> int:
@@ -323,26 +328,25 @@ def dim_gl_skew(shape, m: int) -> int:
     hit = _DIM_SKEW_CACHE.get(key)
     if hit is not None:
         return hit
-    total = sum(c * dim_gl(nu, m) for nu, c in skew_contents(s).items())
+    total = sum(c * dim_gl(nu, m) for nu, c in _skew_tally(s).items())
     return memo_put(_DIM_SKEW_CACHE, key, total)
 
 
-def _add_horizontal_strips(counts: dict, outer: tuple[int, ...], letters: int) -> dict:
-    """Extend each chain in counts {shape: chains} by letters horizontal
-    strips inside outer.  Shapes are padded to len(outer) rows, and row i of
-    a new shape runs from alpha_i to min(outer_i, alpha_{i-1}), so each one
-    is a partition.
+def _strip_chains(start: tuple[int, ...], letters: int, rows) -> dict:
+    """Count the chains of letters horizontal strips, added or removed,
+    that lead from start to each shape: {shape: chains}.  rows(alpha) gives
+    a range per row whose product lists the shapes one strip from alpha,
+    alpha itself (the empty strip) first.
 
     Most strips are empty when letters is large: the chains are grown by
-    nonempty strips only, at most |outer| passes, and a chain of k nonempty
+    nonempty strips only, at most |shape| passes, and a chain of k nonempty
     strips is spread over the letters in C(letters, k) ways."""
+    counts = {start: 1}
     total = dict(counts)
     for k in range(1, letters + 1):
         nxt: dict = {}
         for alpha, cnt in counts.items():
-            rows = [range(a, min(o, above) + 1) for a, o, above in zip(alpha, outer, outer[:1] + alpha)]
-            # the first shape product yields is alpha itself, the empty strip
-            for nu in islice(product(*rows), 1, None):
+            for nu in islice(product(*rows(alpha)), 1, None):
                 nxt[nu] = nxt.get(nu, 0) + cnt
         counts = nxt
         if not counts:
@@ -362,10 +366,11 @@ def dim_super(lam, r: int, s: int, mu=()) -> int:
 
     Such a tableau is a chain of shapes from mu to lam: a horizontal strip
     for each even letter, then a vertical strip for each odd one (Berele and
-    Regev's hook Schur functions).  The chains are counted by a DP over
-    shapes inside lam, and the vertical strips are added as horizontal
-    strips of the conjugates.  Only nonempty strips are added, weighted by
-    binomials, so the cost does not grow with r or s.
+    Regev's hook Schur functions).  The chains meet in the middle: the even
+    strips are added to mu inside lam, the odd ones removed from lam as
+    horizontal strips of the conjugate lam' that keep mu' inside, and the
+    count is the sum over nu of evens[nu] * odds[nu'].  Only nonempty strips
+    are taken, weighted by binomials, so the cost does not grow with r or s.
     """
     lam, mu = as_parts(lam), as_parts(mu)
     r, s = int(r), int(s)
@@ -377,13 +382,23 @@ def dim_super(lam, r: int, s: int, mu=()) -> int:
     hit = _DIM_SUPER_CACHE.get(key)
     if hit is not None:
         return hit
-    evens = _add_horizontal_strips({mu + (0,) * (len(lam) - len(mu)): 1}, lam, r)
-    lamt = _conj(lam)
-    padt = (0,) * len(lamt)
-    odds = _add_horizontal_strips(
-        {(_conj(alpha) + padt)[: len(lamt)]: cnt for alpha, cnt in evens.items()}, lamt, s
+    # row i of a grown shape runs from alpha_i to min(lam_i, alpha_{i-1})
+    evens = _strip_chains(
+        mu + (0,) * (len(lam) - len(mu)),
+        r,
+        lambda alpha: [range(a, min(o, above) + 1) for a, o, above in zip(alpha, lam, lam[:1] + alpha)],
     )
-    return memo_put(_DIM_SUPER_CACHE, key, odds.get(lamt, 0))
+    lamt, mut = _conj(lam), _conj(mu)
+    padt = (0,) * len(lamt)
+    mut += padt[len(mut) :]
+    # row i of a shrunk shape runs down from beta_i to max(beta_{i+1}, mu'_i)
+    odds = _strip_chains(
+        lamt,
+        s,
+        lambda beta: [range(b, max(below, m) - 1, -1) for b, below, m in zip(beta, beta[1:] + (0,), mut)],
+    )
+    total = sum(cnt * odds.get((_conj(nu) + padt)[: len(lamt)], 0) for nu, cnt in evens.items())
+    return memo_put(_DIM_SUPER_CACHE, key, total)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -578,7 +593,7 @@ def value_json(v):
 def skew_to_straight(shape) -> SchurClass:
     """Expand a skew Schur functor into straight ones, one tensor factor."""
     s = as_shape(shape)
-    return SchurClass(1, {(nu,): c for nu, c in skew_contents(s).items()})
+    return SchurClass(1, {(nu,): c for nu, c in _skew_tally(s).items()})
 
 
 def external_product(a: SchurClass, b: SchurClass) -> SchurClass:

@@ -4,7 +4,8 @@ Everything here recomputes library results by a different algorithm:
 shape canonicalization, conjugates and containment one part at a time,
 the partitions inside a shape by choosing every row and sorting the set,
 tableau counts by direct chain recursion and, for super tableaux, by
-filling the diagram cell by cell, determinants by fraction Gaussian
+filling the diagram cell by cell and by strip chains grown forward from
+the inner shape alone, determinants by fraction Gaussian
 elimination and by the permutation sum, elementary classes by the sum over
 compositions, Schur polynomials by brute monomial expansion, orthogonal
 character dimensions by peeling doubled rows off the GL dimension,
@@ -277,6 +278,40 @@ def super_fillings(lam, mu, r, s) -> int:
         return total
 
     return rec(0)
+
+
+def _add_strips_forward(counts, outer, letters):
+    """Extend each chain in counts {shape: chains} by letters horizontal
+    strips inside outer, nonempty strips only, a chain of k of them spread
+    over the letters in C(letters, k) ways.  Shapes are padded to
+    len(outer) rows; row i of a new shape runs from alpha_i to
+    min(outer_i, alpha_{i-1})."""
+    total = dict(counts)
+    for k in range(1, letters + 1):
+        nxt = {}
+        for alpha, cnt in counts.items():
+            rows = [range(a, min(o, above) + 1) for a, o, above in zip(alpha, outer, outer[:1] + alpha)]
+            for nu in itertools.islice(itertools.product(*rows), 1, None):
+                nxt[nu] = nxt.get(nu, 0) + cnt
+        counts = nxt
+        if not counts:
+            break
+        for nu, cnt in counts.items():
+            total[nu] = total.get(nu, 0) + comb(letters, k) * cnt
+    return total
+
+
+def dim_super_forward(lam, r, s, mu=()) -> int:
+    """Super tableau count by one forward strip DP: r horizontal strips
+    grown from mu inside lam, the tally conjugated, then s more horizontal
+    strips grown inside lam' and the count read off at lam'."""
+    lam = trim_by_loop(lam)
+    mu = trim_by_loop(mu) + (0,) * len(lam)
+    evens = _add_strips_forward({mu[: len(lam)]: 1}, lam, r)
+    lamt = conjugate_by_count(lam)
+    padt = (0,) * len(lamt)
+    odds = _add_strips_forward({(conjugate_by_count(a) + padt)[: len(lamt)]: c for a, c in evens.items()}, lamt, s)
+    return odds.get(lamt, 0)
 
 
 _CHI_MEMO = {}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jtkit import quadric
+from jtkit import quadric, symfunc
 from jtkit.powerseries import TruncSeries, _unpack
 from jtkit.quadric import (
     METHODS,
@@ -24,6 +24,7 @@ from jtkit.symfunc import binom, dim_gl
 from conftest import partitions, sub_partition
 from oracles import (
     chi_o_peeling,
+    super_fillings,
     multigraded_hs_by_inverses,
     multigraded_hs_report,
     ortho_multiplicities_by_lr,
@@ -115,6 +116,28 @@ def test_routes_reach_kernels_through_quadric_bindings(monkeypatch):
     assert calls == Counter(dim_gl_skew=8)
     assert quadric_schur_dim(CTX3, shape, "super") == jt
     assert calls == Counter(dim_gl_skew=8, dim_super=1)
+
+
+def test_super_route_calls_no_other_kernel(monkeypatch):
+    """dim_super and the super route count chains of strips: with the LR,
+    hook-content and determinant kernels made to raise, they still give
+    the cell-by-cell counts, so no speed-up can fold this route into the
+    other two."""
+    cases = [((3, 2, 1), (1,)), ((4, 3, 1), (2, 1)), ((5, 5, 4, 4), ()), ((3, 3), (2,))]
+    want = {(lam, mu): (super_fillings(lam, mu, 2, 1), super_fillings(lam, mu, 3, 2)) for lam, mu in cases}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the super route reached another kernel")
+
+    for name in ("_lr_contents", "dim_gl", "dim_gl_skew", "mult_one"):
+        monkeypatch.setattr(symfunc, name, refuse)
+    for name in ("_lr_contents", "dim_gl_skew", "jt_minor"):
+        monkeypatch.setattr(quadric, name, refuse)
+    monkeypatch.setattr(symfunc, "_DIM_SUPER_CACHE", {})
+    monkeypatch.setattr(quadric, "_QSD_CACHE", {})
+    for (lam, mu), (route, wide) in want.items():
+        assert quadric_schur_dim(CTX3, SkewShape(lam, mu), "super") == route
+        assert symfunc.dim_super(lam, 3, 2, mu) == wide
 
 
 def test_term_class_matches_sequence():

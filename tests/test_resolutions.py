@@ -427,6 +427,17 @@ def test_validate_purity_checks_a_coefficient():
     assert not validate_purity(bad, Q3, tail_horizon=2, margin=0).is_polynomial
 
 
+def test_validate_purity_nonnegative_with_an_interior_zero():
+    # over super:1,0 every dimension is 1, so the ranks 1, 1, 1, 1 at
+    # twists 0..3 leave (1 - t)(1 + t^2)/(1 - t) = 1 + t^2: a zero
+    # coefficient inside a nonnegative numerator
+    table = BettiTable(tuple(BettiRow(i, i, 1) for i in range(4)))
+    rep = validate_purity(table, make_sequence("super", r=1, s=0))
+    assert rep.is_polynomial and rep.nonnegative
+    assert rep.coefficients == (1, 0, 1)
+    assert rep.dimension == 2
+
+
 def test_validate_purity_checks_twists():
     # the numerator keeps the series constructor's check, so a negative twist is refused
     negative = BettiTable((BettiRow(0, -1, 1),))
@@ -525,6 +536,14 @@ def test_hk_budget():
     assert time.perf_counter() - start < 0.1
     assert hk_solve(range(53)).finite[0] == 1
     assert len(hk_solve(range(0, 80, 2)).tail) == 40
+
+
+def test_hk_budget_edge():
+    # five twists up to 2^1023 have size 4^2 * 1024 bits, the bound itself,
+    # and one more bit in the largest twist puts them above it
+    assert len(hk_solve((0, 1, 2, 3, 2**1023)).tail) == 5
+    with pytest.raises(ValueError, match=r"^a rank system of 5 twists up to \d+ has size .* = 16400, above the bound 16384$"):
+        hk_solve((0, 1, 2, 3, 2**1024))
 
 
 def test_hk_cost_does_not_grow_with_twist_size():

@@ -28,6 +28,7 @@ from jtkit.symfunc import (
 from conftest import partitions, sub_partition
 from oracles import (
     class_mul_by_partials,
+    dim_super_forward,
     mult_one_given_order,
     poly_combine,
     poly_mul,
@@ -41,6 +42,9 @@ from oracles import (
 SMALL = partitions(max_size=6, max_part=5, max_length=4)
 MEDIUM = partitions(max_size=8, max_part=6, max_length=4)
 SKEW = MEDIUM.flatmap(lambda lam: st.tuples(st.just(lam), sub_partition(lam)))
+SKEW_12 = partitions(max_size=12, max_part=12, max_length=12).flatmap(
+    lambda lam: st.tuples(st.just(lam), sub_partition(lam))
+)
 
 
 def test_mult_one_hand_values():
@@ -202,6 +206,24 @@ def test_dim_super_matches_direct_filling(pair, r, s):
     and skew."""
     lam, mu = pair
     assert dim_super(lam, r, s, mu) == super_fillings(lam, mu, r, s)
+
+
+@given(SKEW_12, st.integers(0, 8), st.integers(0, 8))
+@example(((5, 5, 4, 4), ()), 4, 4)
+@example(((6, 5, 4, 3, 2, 1), ()), 3, 2)
+@example(((7, 6, 5, 4, 3, 2, 1), ()), 2, 2)
+@example(((7, 6, 5, 4, 3, 2, 1), (2, 1)), 5, 1)
+@example(((4, 4, 4, 4, 4), ()), 10, 10)
+@example(((9, 7, 5, 3, 1), ()), 1, 0)
+@example(((6, 6, 6, 6), ()), 3, 3)
+@example(((5, 4, 3, 2, 1), (1,)), 2, 4)
+@example(((1,), ()), 200000, 0)
+@settings(deadline=None, max_examples=100)
+def test_dim_super_matches_forward_dp(pair, r, s):
+    """The chains that meet in the middle against the strips all grown
+    forward from mu, straight and skew."""
+    lam, mu = pair
+    assert dim_super(lam, r, s, mu) == dim_super_forward(lam, r, s, mu)
 
 
 def test_dim_super_pinned():
