@@ -8,7 +8,7 @@ domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import sys
 
 from .quadric import (
@@ -202,7 +202,7 @@ def _cmd_efw(args):
         "e_dim": args.e_dim,
         "partitions": [list(p.parts) for p in parts],
         "table": table.to_json(),
-    }, table.to_csv()
+    }, table.to_csv
 
 
 def _build_table(args):
@@ -231,7 +231,7 @@ def _cmd_resolve(args):
     _, table, params = _build_table(args)
     payload = dict(params)
     payload["table"] = table.to_json()
-    return payload, table.to_csv()
+    return payload, table.to_csv
 
 
 def _cmd_hk_solve(args):
@@ -245,7 +245,7 @@ def _cmd_validate(args):
     payload = dict(params)
     payload["table"] = table.to_json()
     payload["purity"] = rep.to_json()
-    return payload, table.to_csv()
+    return payload, table.to_csv
 
 
 def _cmd_zelevinsky(args):
@@ -269,36 +269,60 @@ def _add_shape_flags(p, mu_default=True):
         p.add_argument("--mu", type=_parts_arg, default=(), help="inner partition, default empty")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="jtkit", description="Total positivity certificates and pure resolution tables for graded sequences.")
+class _QuietParser(argparse.ArgumentParser):
+    """A parser that prints no help, usage or error; it still exits."""
+
+    def _print_message(self, message, file=None):
+        pass
+
+
+class _Skipped:
+    """Takes the arguments of a subcommand that _build_parser leaves out."""
+
+    def add_argument(self, *args, **kwargs):
+        pass
+
+    set_defaults = add_argument
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand or, given only, a quiet parser of that
+    one alone (of none when only names no subcommand)."""
+    cls = argparse.ArgumentParser if only is None else _QuietParser
+    parser = cls(prog="jtkit", description="Total positivity certificates and pure resolution tables for graded sequences.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text", "csv"), default="json")
     common.add_argument("--max-cost", dest="max_cost", type=int, default=8, help="reject class determinants above this order")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("pf-check", parents=[common], help="scan minors for a negative witness")
+    def add(name, help):
+        if only is not None and name != only:
+            return _Skipped()
+        return sub.add_parser(name, parents=[common], help=help)
+
+    p = add("pf-check", "scan minors for a negative witness")
     p.add_argument("--seq", type=_seq_arg, required=True)
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--window", type=int, default=8)
     p.add_argument("--skew", action="store_true", help="also scan skew shapes")
     p.set_defaults(handler=_cmd_pf_check)
 
-    p = sub.add_parser("jt-minor", parents=[common], help="one Jacobi-Trudi minor")
+    p = add("jt-minor", "one Jacobi-Trudi minor")
     p.add_argument("--seq", type=_seq_arg, required=True)
     _add_shape_flags(p)
     p.add_argument("--pad", type=int, default=None)
     p.set_defaults(handler=_cmd_jt_minor)
 
-    p = sub.add_parser("lr", parents=[common], help="one Littlewood-Richardson coefficient")
+    p = add("lr", "one Littlewood-Richardson coefficient")
     _add_shape_flags(p)
     p.add_argument("--nu", type=_parts_arg, required=True)
     p.set_defaults(handler=_cmd_lr)
 
-    p = sub.add_parser("skew-expand", parents=[common], help="expand a skew Schur class into straight terms")
+    p = add("skew-expand", "expand a skew Schur class into straight terms")
     _add_shape_flags(p)
     p.set_defaults(handler=_cmd_skew_expand)
 
-    p = sub.add_parser("dim", parents=[common], help="Schur functor dimensions")
+    p = add("dim", "Schur functor dimensions")
     p.add_argument("kind", choices=("gl", "super", "quadric"))
     _add_shape_flags(p)
     p.add_argument("--m", type=int, default=None)
@@ -307,57 +331,57 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("jt", "vertical_strip", "super"), default="jt")
     p.set_defaults(handler=_cmd_dim)
 
-    p = sub.add_parser("veronese", parents=[common], help="minor of a Veronese subsequence plus the translation identity")
+    p = add("veronese", "minor of a Veronese subsequence plus the translation identity")
     p.add_argument("--seq", type=_seq_arg, required=True)
     p.add_argument("--d", type=int, required=True)
     _add_shape_flags(p)
     p.add_argument("--pad", type=int, default=None)
     p.set_defaults(handler=_cmd_veronese)
 
-    p = sub.add_parser("tensor", parents=[common], help="minor of a tensor product plus the Cauchy-Binet identity")
+    p = add("tensor", "minor of a tensor product plus the Cauchy-Binet identity")
     p.add_argument("--a", type=_seq_arg, required=True)
     p.add_argument("--b", type=_seq_arg, required=True)
     _add_shape_flags(p)
     p.add_argument("--pad", type=int, default=None)
     p.set_defaults(handler=_cmd_tensor)
 
-    p = sub.add_parser("segre", parents=[common], help="minor of a Segre product")
+    p = add("segre", "minor of a Segre product")
     p.add_argument("--a", type=_seq_arg, required=True)
     p.add_argument("--b", type=_seq_arg, required=True)
     _add_shape_flags(p)
     p.add_argument("--pad", type=int, default=None)
     p.set_defaults(handler=_cmd_segre)
 
-    p = sub.add_parser("e-class", parents=[common], help="elementary class of a sequence")
+    p = add("e-class", "elementary class of a sequence")
     p.add_argument("--seq", type=_seq_arg, required=True)
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(handler=_cmd_e_class)
 
-    p = sub.add_parser("schur-profile", parents=[common], help="hook bound matching the vanishing of minors")
+    p = add("schur-profile", "hook bound matching the vanishing of minors")
     p.add_argument("--seq", type=_seq_arg, required=True)
     p.add_argument("--r-max", dest="r_max", type=int, default=4)
     p.add_argument("--s-max", dest="s_max", type=int, default=4)
     p.set_defaults(handler=_cmd_schur_profile)
 
-    p = sub.add_parser("ortho-decomp", parents=[common], help="stable-range orthogonal decomposition over a quadric")
+    p = add("ortho-decomp", "stable-range orthogonal decomposition over a quadric")
     p.add_argument("--m", type=int, required=True)
     _add_shape_flags(p, mu_default=False)
     p.set_defaults(handler=_cmd_ortho_decomp, mu=())
 
-    p = sub.add_parser("hs-check", parents=[common], help="multigraded Hilbert series verification")
+    p = add("hs-check", "multigraded Hilbert series verification")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trunc", type=int, default=8)
     p.set_defaults(handler=_cmd_hs_check)
 
-    p = sub.add_parser("efw", parents=[common], help="partition ladder and Betti table over a polynomial ring")
+    p = add("efw", "partition ladder and Betti table over a polynomial ring")
     p.add_argument("--shifts", type=_ints_arg, required=True)
     p.add_argument("--dim", dest="e_dim", type=int, required=True)
     p.add_argument("--count", type=int, default=None)
     p.set_defaults(handler=_cmd_efw)
 
     for name, handler in (("resolve", _cmd_resolve), ("validate", _cmd_validate)):
-        p = sub.add_parser(name, parents=[common], help=f"{name} a pure resolution table")
+        p = add(name, f"{name} a pure resolution table")
         p.add_argument("ring", choices=("quadric", "rnc", "poly"))
         p.add_argument("--shifts", type=_ints_arg, required=True)
         p.add_argument("--m", type=int, default=None)
@@ -370,12 +394,12 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--margin", type=int, default=6)
         p.set_defaults(handler=handler)
 
-    p = sub.add_parser("hk-solve", parents=[common], help="pure Betti vectors from the rank conditions")
+    p = add("hk-solve", "pure Betti vectors from the rank conditions")
     p.add_argument("--twists", type=_ints_arg, required=True)
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(handler=_cmd_hk_solve)
 
-    p = sub.add_parser("zelevinsky", parents=[common], help="layout of the Jacobi-Trudi complex")
+    p = add("zelevinsky", "layout of the Jacobi-Trudi complex")
     p.add_argument("--seq", type=_seq_arg, required=True)
     _add_shape_flags(p)
     p.add_argument("--n", type=int, default=None)
@@ -444,14 +468,25 @@ def _table_text(table_json: dict) -> list:
     return out
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """Parse argv with the parser of argv[0] alone; whatever that parser
+    refuses, or answers with help, the full parser parses again, so every
+    message is the full parser's own (its usage lists every subcommand)."""
+    if argv:
+        try:
+            return _build_parser(argv[0]).parse_args(argv)
+        except SystemExit:
+            pass
+    return _build_parser().parse_args(argv)
+
+
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parse(list(argv))
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        payload, csv_text = args.handler(args)
+        payload, to_csv = args.handler(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
@@ -459,20 +494,25 @@ def run(argv) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "text":
         lines = []
         _render_text(payload, 0, lines)
         print("\n".join(lines))
     else:
-        if csv_text is None:
+        if to_csv is None:
             print("usage error: --format csv is not available for this subcommand", file=sys.stderr)
             return 2
-        sys.stdout.write(csv_text)
+        sys.stdout.write(to_csv())
     return 0
 
 
 def main() -> None:
+    # the import-time heap lives until exit: frozen, neither the run's
+    # collections nor the ones at interpreter shutdown walk it
+    gc.freeze()
     sys.exit(run(sys.argv[1:]))
 
 

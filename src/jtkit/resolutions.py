@@ -7,11 +7,9 @@ quadric; the rational normal curve of degree d produces ratio d - 1.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .quadric import QuadricContext, quadric_schur_dim
 from .sequences import GradedSequence, hs_series, jt_minor
@@ -119,6 +117,8 @@ class BettiTable:
         }
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["index", "twist", "rank", "label"])
@@ -392,15 +392,16 @@ class HKSolution:
         }
 
 
-def _solve_square(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
+def _solve_square(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
     """The solution of an integer square system, by fraction-free
-    Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
+    Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968), as integer
+    numerators over one common denominator, the last pivot.
 
     Each step divides exactly by the previous pivot, so every entry stays an
     integer minor of the augmented matrix.  The columns left of the pivot
     are zero off the diagonal and are not updated; the diagonal entries
-    they would hold all equal the last pivot, which divides the last column
-    into the unknowns, one exact quotient each."""
+    they would hold all equal the last pivot, so the last column holds the
+    unknowns times it."""
     n = len(matrix)
     m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
     prev = 1
@@ -417,23 +418,18 @@ def _solve_square(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
                 f = row[col]
                 row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], top)]
         prev = p
-    return [Fraction(row[n], prev) for row in m]
+    return [row[n] for row in m], prev
 
 
-def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
-    denoms = [x.denominator for x in vec]
-    scale = 1
-    for d in denoms:
-        scale = lcm(scale, d)
-    ints = [int(x * scale) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    if ints and ints[0] < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+def _primitive(ints: list[int]) -> tuple[int, ...]:
+    """ints divided by their gcd, with the sign that makes the first
+    positive.  hk_solve's first rank is never 0: by Descartes's rule of
+    signs, the other n - 1 patterns, whose coefficients change sign at
+    most n - 2 times, cannot vanish to order n - 1 at t = 1."""
+    g = gcd(*ints)
+    if ints[0] < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def _taylor_at_one(pattern: dict[int, int], count: int) -> list[int]:
@@ -442,14 +438,15 @@ def _taylor_at_one(pattern: dict[int, int], count: int) -> list[int]:
     return [sum(c * comb(j, k) for j, c in pattern.items()) for k in range(count)]
 
 
-def _solve_branch(patterns: list[dict[int, int]]) -> list[Fraction]:
-    """The head ranks, with the last pattern's rank fixed at 1, that make
-    the ranked sum of the patterns vanish to order len(patterns) - 1 at
-    t = 1."""
+def _solve_branch(patterns: list[dict[int, int]]) -> list[int]:
+    """Integer ranks that make the ranked sum of the patterns vanish to
+    order len(patterns) - 1 at t = 1: the ranks with the last one fixed at
+    1, times their common denominator, which is then the last rank."""
     count = len(patterns) - 1
     rems = [_taylor_at_one(pat, count) for pat in patterns]
     matrix = [[rem[k] for rem in rems[:-1]] for k in range(count)]
-    return _solve_square(matrix, [-rems[-1][k] for k in range(count)])
+    nums, den = _solve_square(matrix, [-rems[-1][k] for k in range(count)])
+    return nums + [den]
 
 
 # Bareiss's exact divisions dominate hk_solve, on minors of about
@@ -489,13 +486,13 @@ def hk_solve(twists, n: int | None = None) -> HKSolution:
             f"a rank system of {n} twists up to {twists[-1]} has size (n - 1)^2 * {bits} bits = "
             f"{(n - 1) ** 2 * bits}, above the bound {_HK_MAX_SIZE}"
         )
+    from fractions import Fraction
+
     signs = [-1 if i % 2 else 1 for i in range(n)]
     # tail branch: head terms carry t^d + t^(d+1), the tail collapses to t^d
     patterns = [{t: sign, t + 1: sign} for t, sign in zip(twists[:-1], signs)]
-    head = _solve_branch(patterns + [{twists[-1]: signs[-1]}])
-    tail_raw = tuple(head) + (Fraction(1),)
-    tail_vec = _primitive(list(tail_raw))
+    tail = _solve_branch(patterns + [{twists[-1]: signs[-1]}])
+    tail_raw = tuple(Fraction(x, tail[-1]) for x in tail)
     # finite branch: plain monomials, same vanishing conditions
-    head = _solve_branch([{t: sign} for t, sign in zip(twists, signs)])
-    finite_vec = _primitive(head + [Fraction(1)])
-    return HKSolution(twists, tail_vec, finite_vec, tail_raw)
+    finite = _solve_branch([{t: sign} for t, sign in zip(twists, signs)])
+    return HKSolution(twists, _primitive(tail), _primitive(finite), tail_raw)

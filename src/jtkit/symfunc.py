@@ -382,15 +382,19 @@ def dim_super(lam, r: int, s: int, mu=()) -> int:
     hit = _DIM_SUPER_CACHE.get(key)
     if hit is not None:
         return hit
+    lamt, mut = _conj(lam), _conj(mu)
+    padt = (0,) * len(lamt)
+    mut += padt[len(mut) :]
+    # s strips leave row j of lam' at least lam'_{j+s}, and a shape r strips
+    # from mu has nu'_j <= mu'_j + r, so no chain meets when one row is above
+    if not all(map(le, lamt[s:], [m + r for m in mut])):
+        return memo_put(_DIM_SUPER_CACHE, key, 0)
     # row i of a grown shape runs from alpha_i to min(lam_i, alpha_{i-1})
     evens = _strip_chains(
         mu + (0,) * (len(lam) - len(mu)),
         r,
         lambda alpha: [range(a, min(o, above) + 1) for a, o, above in zip(alpha, lam, lam[:1] + alpha)],
     )
-    lamt, mut = _conj(lam), _conj(mu)
-    padt = (0,) * len(lamt)
-    mut += padt[len(mut) :]
     # row i of a shrunk shape runs down from beta_i to max(beta_{i+1}, mu'_i)
     odds = _strip_chains(
         lamt,

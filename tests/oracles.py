@@ -21,7 +21,8 @@ series by multiplying with those inverses instead of dividing, and its
 check's report one exponent tuple at a time, series
 products and quotients on exponent tuples instead of packed keys,
 Taylor coefficients at t = 1 by repeated synthetic division, and linear
-systems, hk_solve's among them, by Gauss-Jordan over Fraction.  None of
+systems, hk_solve's among them, by Gauss-Jordan over Fraction, and
+hk_solve's own elimination with its unknowns kept as Fractions.  None of
 these call the library code paths they check.
 
 The last few helpers instead cross two library routes against each other:
@@ -731,6 +732,44 @@ def hk_solve_by_fractions(twists):
     tail_raw = branch([{t: s, t + 1: s} for t, s in zip(twists[:-1], signs)] + [{twists[-1]: signs[-1]}])
     finite = branch([{t: s} for t, s in zip(twists, signs)])
     return primitive(tail_raw), primitive(finite), tuple(tail_raw)
+
+
+def hk_solve_over_fraction(twists):
+    """hk_solve by its earlier Fraction route: Bareiss's last column divided
+    by the last pivot into one Fraction per unknown, and each basis vector
+    scaled by the lcm of its denominators before its gcd is divided out."""
+    from jtkit.resolutions import HKSolution
+
+    twists = tuple(twists)
+    n = len(twists)
+    signs = [-1 if i % 2 else 1 for i in range(n)]
+
+    def solve(patterns):
+        count = n - 1
+        rems = [[sum(c * comb(j, k) for j, c in pat.items()) for k in range(count)] for pat in patterns]
+        m = [[rems[i][k] for i in range(count)] + [-rems[count][k]] for k in range(count)]
+        prev = 1
+        for col in range(count):
+            pivot = next(r for r in range(col, count) if m[r][col] != 0)
+            m[col], m[pivot] = m[pivot], m[col]
+            top, p = m[col][col:], m[col][col]
+            for r in range(count):
+                if r != col:
+                    f = m[r][col]
+                    m[r][col:] = [(p * x - f * y) // prev for x, y in zip(m[r][col:], top)]
+            prev = p
+        return [Fraction(row[count], prev) for row in m] + [Fraction(1)]
+
+    def primitive(vec):
+        scale = lcm(*[x.denominator for x in vec])
+        ints = [int(x * scale) for x in vec]
+        g = gcd(*ints)
+        ints = [x // g for x in ints]
+        return tuple(-x for x in ints) if ints[0] < 0 else tuple(ints)
+
+    tail_raw = solve([{t: s, t + 1: s} for t, s in zip(twists[:-1], signs)] + [{twists[-1]: signs[-1]}])
+    finite = solve([{t: s} for t, s in zip(twists, signs)])
+    return HKSolution(twists, primitive(tail_raw), primitive(finite), tuple(tail_raw))
 
 
 def jt_minor_h_side(a, shape, r=None):

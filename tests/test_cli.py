@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import jsonschema
 
+from jtkit import cli
 from jtkit.cli import run
 from jtkit.schemas import SCHEMAS
 
@@ -369,11 +373,110 @@ def test_text_format(capsys):
     assert "tail" in out
 
 
-def test_every_schema_has_a_subcommand():
-    from jtkit.cli import _build_parser
+def _subcommands():
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if a.__class__.__name__ == "_SubParsersAction").choices
 
-    parser = _build_parser()
-    sub = next(
-        a for a in parser._actions if a.__class__.__name__ == "_SubParsersAction"
+
+def test_every_schema_has_a_subcommand():
+    assert set(SCHEMAS) == set(_subcommands())
+
+
+# one valid call per subcommand, then the help, usage and error cases
+PARSE_CASES = [
+    ["pf-check", "--seq", "quadric:2", "--order", "2", "--window", "3"],
+    ["jt-minor", "--seq", "quadric:3", "--lambda", "2,1", "--format", "text"],
+    ["lr", "--lambda", "3,2,1", "--mu", "2,1", "--nu", "2,1"],
+    ["skew-expand", "--lambda", "3,2,1", "--mu", "1,1"],
+    ["dim", "super", "--lambda", "2,1", "--r", "2", "--s", "1"],
+    ["veronese", "--seq", "quadric:2", "--d", "2", "--lambda", "2,1"],
+    ["tensor", "--a", "quadric:2", "--b", "qdual:2", "--lambda", "2,1"],
+    ["segre", "--a", "poly:2", "--b", "poly:2", "--lambda", "2,1"],
+    ["e-class", "--seq", "poly:2", "--d", "3"],
+    ["schur-profile", "--seq", "quadric:3", "--r-max", "2", "--s-max", "2"],
+    ["ortho-decomp", "--m", "4", "--lambda", "2,1"],
+    ["hs-check", "--m", "2", "--n", "2", "--trunc", "4"],
+    ["efw", "--shifts", "1,2,1", "--dim", "3", "--format", "csv"],
+    ["resolve", "quadric", "--m", "3", "--shifts", "1,1,2"],
+    ["validate", "rnc", "--d", "3", "--shifts", "1,2,1", "--format", "text"],
+    ["hk-solve", "--twists", "0,2,3"],
+    ["zelevinsky", "--seq", "quadric:2", "--lambda", "2,1"],
+    [],
+    ["-h"],
+    ["--format", "json", "jt-minor", "--seq", "quadric:3", "--lambda", "2,1"],
+    ["no-such-command"],
+    ["jt-min", "--seq", "quadric:3", "--lambda", "2,1"],
+    ["dim"],
+    ["dim", "gl", "--lambda", "2,1"],
+    ["jt-minor", "--seq", "quadric:3"],
+    ["jt-minor", "--seq", "what:1", "--lambda", "1"],
+    ["jt-minor", "--seq", "quadric:3", "--seq", "quadric:2", "--lambda", "2,1", "--lambda", "1"],
+    ["jt-minor", "--seq", "quadric:3", "--lambda", "2,1", "--format", "csv"],
+    ["resolve", "quadric", "--m", "3", "--shifts", "1,2,x"],
+    ["hk-solve", "--twists", "0,2,3", "--n", "2"],
+    ["pf-check", "--seq", "quadric:2", "--bogus"],
+]
+
+
+def test_one_subparser_parses_as_the_full_parser(capsys, monkeypatch):
+    """run() builds only the parser of argv[0]; stdout, stderr and the exit
+    code must be those of a parse with every subcommand, help included."""
+    names = list(_subcommands())
+    cases = PARSE_CASES + [[name, "-h"] for name in names]
+    assert set(names) == {case[0] for case in PARSE_CASES[: len(names)]}
+    quick = [invoke(capsys, *argv) for argv in cases]
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+    full = [invoke(capsys, *argv) for argv in cases]
+    for argv, got, want in zip(cases, quick, full):
+        assert got == want, argv
+    # the refusal of an unknown flag prints the top-level usage, which
+    # lists every subcommand
+    code, out, err = quick[cases.index(["pf-check", "--seq", "quadric:2", "--bogus"])]
+    assert code == 2 and out == ""
+    assert err.endswith("jtkit: error: unrecognized arguments: --bogus\n")
+    assert "{" + ",".join(names) + "}" in err
+
+
+IMPORT_BUDGET = """
+import gc, json, sys
+import jtkit.cli
+wrapped, deferred = json.loads(sys.argv[1]), ("fractions", "decimal", "csv")
+assert all(name in sys.modules for name in wrapped), wrapped
+assert not any(name in sys.modules for name in deferred), deferred
+frozen = []
+run = jtkit.cli.run
+jtkit.cli.run = lambda argv: frozen.append(gc.get_freeze_count()) or run(argv)
+
+
+def call(*argv):
+    sys.argv = ["jtkit", *argv]
+    try:
+        jtkit.cli.main()
+    except SystemExit as e:
+        assert e.code == 0, (argv, e.code)
+    return [name for name in deferred if name in sys.modules]
+
+
+assert call("jt-minor", "--seq", "quadric:3", "--lambda", "2,1") == []
+assert call("resolve", "quadric", "--m", "3", "--shifts", "1,1,2") == []
+assert "fractions" in call("hk-solve", "--twists", "0,2,3")
+assert "csv" in call("resolve", "quadric", "--m", "3", "--shifts", "1,1,2", "--format", "csv")
+assert len(frozen) == 4 and min(frozen) > 0, frozen
+"""
+
+
+def test_import_budget():
+    """What a CLI call imports, in a python -S process (no site packages):
+    every module the bench tracer wraps loads with jtkit.cli, fractions,
+    decimal and csv only with the calls that use them, and main() freezes
+    the import-time heap before run()."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("tracing", root / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = sorted({entry[0] for entry in tracing.FUNCTIONS + tracing.GENERATORS + tracing.METHODS})
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_BUDGET, json.dumps(wrapped)], env=env, capture_output=True, text=True
     )
-    assert set(SCHEMAS) == set(sub.choices)
+    assert proc.returncode == 0, proc.stderr

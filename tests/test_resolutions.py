@@ -5,7 +5,7 @@ import time
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jtkit.resolutions import (
@@ -24,7 +24,7 @@ from jtkit import resolutions
 from jtkit.sequences import make_sequence
 from jtkit.symfunc import dim_gl
 
-from oracles import det_fraction, hk_solve_by_fractions, solve_fraction, taylor_remainders
+from oracles import det_fraction, hk_solve_by_fractions, hk_solve_over_fraction, solve_fraction, taylor_remainders
 
 Q3 = make_sequence("quadric", m=3)
 
@@ -562,6 +562,21 @@ def test_hk_matches_fraction_route(tw_set):
     assert (s.tail, s.finite, s.tail_raw) == hk_solve_by_fractions(twists)
 
 
+@given(st.lists(st.integers(1, 2**40), min_size=1, max_size=7), st.integers(0, 2**40))
+@example([1, 1, 1, 2**1023 - 3], 0)
+@example([1], 0)
+@settings(deadline=None, max_examples=60)
+def test_hk_integer_route_matches_fraction_route(gaps, first):
+    """The solve kept in integers against the earlier route that divided
+    each unknown into a Fraction and cleared the denominators by their lcm,
+    on strictly increasing twists up to the budget's edge."""
+    twists = tuple(first + sum(gaps[:i]) for i in range(len(gaps) + 1))
+    s = hk_solve(twists)
+    old = hk_solve_over_fraction(twists)
+    assert s == old
+    assert s.to_json() == old.to_json()
+
+
 @given(st.dictionaries(st.integers(0, 40), st.integers(-3, 3).filter(bool), min_size=1, max_size=2), st.integers(1, 8))
 @settings(deadline=None, max_examples=80)
 def test_taylor_at_one_matches_synthetic_division(pattern, count):
@@ -585,7 +600,8 @@ def test_bareiss_solve_matches_fraction_solve(system):
         with pytest.raises(ValueError, match="^singular system$"):
             resolutions._solve_square(matrix, rhs)
         return
-    assert resolutions._solve_square(matrix, rhs) == solve_fraction(matrix, rhs)
+    nums, den = resolutions._solve_square(matrix, rhs)
+    assert [Fraction(x, den) for x in nums] == solve_fraction(matrix, rhs)
 
 
 def test_broken_quadric_tail_raises(monkeypatch):
