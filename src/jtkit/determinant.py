@@ -58,6 +58,45 @@ def _signed_sum(zero, products, start=None):
     return sum((sign * x * y for sign, x, y in products), zero if start is None else start)
 
 
+def _laplace_step(zero, level, entries, seen=0):
+    """One Laplace level step: the next level of partial minors.
+
+    level maps a subset bitmask of the lines taken so far to its partial
+    minor; entries holds the next line's nonzero (bit, sign_mask, entry)
+    triples.  Each nonzero minor spreads over the entries whose bit is not in
+    its subset, with the cofactor sign the parity of subset & sign_mask; a
+    subset with no bit at or above seen takes only the entries whose bit is
+    at or above seen.  The integers and other plain rings add the products
+    one by one; a ring with a sum_of_products (SchurClass) collects each new
+    subset's triples and sums them once through _signed_sum.  The step never
+    divides, so it is exact over any commutative ring with +, - and *.
+    """
+    fresh = [e for e in entries if e[0] >> seen]
+    if getattr(type(zero), "sum_of_products", None) is None:
+        nxt = {}
+        for subset, minor in level.items():
+            if minor == zero:
+                continue
+            for bit, sign_mask, entry in entries if subset >> seen else fresh:
+                if subset & bit:
+                    continue
+                term = minor * entry
+                if (subset & sign_mask).bit_count() % 2:
+                    term = -term
+                key = subset | bit
+                nxt[key] = nxt[key] + term if key in nxt else term
+        return nxt
+    products: dict[int, list] = {}
+    for subset, minor in level.items():
+        if minor == zero:
+            continue
+        for bit, sign_mask, entry in entries if subset >> seen else fresh:
+            if not subset & bit:
+                sign = -1 if (subset & sign_mask).bit_count() % 2 else 1
+                products.setdefault(subset | bit, []).append((sign, minor, entry))
+    return {key: _signed_sum(zero, triples) for key, triples in products.items()}
+
+
 # The largest order det_expand takes; its memo then holds C(8, 4) = 70 subsets.
 _EXPAND_MAX_ORDER = 8
 
@@ -66,15 +105,11 @@ def det_expand(rows: list[list], zero):
     """Determinant of a square matrix over any commutative ring exposing
     +, - and *; zero is the ring's additive identity.
 
-    Laplace expansion row by row, memoised on column subsets: after row i
-    there is one partial minor per (i+1)-subset of columns, and each one
-    spreads over the next row's entries.  Zero entries and zero partial
-    minors are skipped.  That is fewer than n*2^(n-1) ring multiplications and
-    no division, so it is exact over any ring; orders above
-    _EXPAND_MAX_ORDER are refused.  Each new partial minor is one
-    _signed_sum of its (cofactor sign, minor, entry) triples, so a ring with
-    a sum_of_products (SchurClass) builds it in one pass, with no negated
-    copy for the sign, and the integers add the products one by one.
+    Laplace expansion row by row on column subsets: row 0 seeds one partial
+    minor per nonzero entry, and each later row is one _laplace_step, whose
+    cofactor sign is the parity of the subset's columns right of the new
+    column.  That is fewer than n*2^(n-1) ring multiplications and no
+    division; orders above _EXPAND_MAX_ORDER are refused.
     """
     n = len(rows)
     if n > _EXPAND_MAX_ORDER:
@@ -86,19 +121,5 @@ def det_expand(rows: list[list], zero):
     # minors[S]: determinant of the rows so far on the column set S (a bitmask)
     minors = {1 << j: entry for j, entry in enumerate(rows[0]) if entry != zero}
     for row in rows[1:]:
-        # products[S]: the (sign, minor, entry) triples whose sum is the
-        # next minor on S
-        products: dict[int, list] = {}
-        for cols, minor in minors.items():
-            for j, entry in enumerate(row):
-                if cols >> j & 1 or entry == zero:
-                    continue
-                # the cofactor sign is the parity of the columns of S right of j
-                sign = -1 if (cols >> j).bit_count() % 2 else 1
-                products.setdefault(cols | 1 << j, []).append((sign, minor, entry))
-        minors = {}
-        for cols, triples in products.items():
-            m = _signed_sum(zero, triples)
-            if m != zero:
-                minors[cols] = m
+        minors = _laplace_step(zero, minors, [(1 << j, -1 << j, e) for j, e in enumerate(row) if e != zero])
     return minors.get((1 << n) - 1, zero)

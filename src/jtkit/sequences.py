@@ -12,12 +12,12 @@ policy of jtkit.memo.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import comb
 from operator import mul
-from typing import Callable
 
-from .determinant import _EXPAND_MAX_ORDER, _signed_sum, det_bareiss, det_expand
+from .determinant import _EXPAND_MAX_ORDER, _laplace_step, _signed_sum, det_bareiss, det_expand
 from .memo import _Canonical, memo_put
 from .powerseries import TruncSeries
 from .shapes import (
@@ -295,8 +295,8 @@ def jt_minor(a: GradedSequence, shape, r: int | None = None):
     r defaults to the number of rows needed, need, and must not be smaller.
     Padding to r multiplies the minor by a_0^(r - need), so a larger r gives
     the same value only when a_0 is the unit.  Integer sequences use Bareiss
-    elimination.  Class-valued sequences use det_expand, a Laplace expansion
-    memoised on column subsets: fewer than r*2^(r-1) ring multiplications at
+    elimination.  Class-valued sequences use det_expand, one _laplace_step
+    per row on column subsets: fewer than r*2^(r-1) ring multiplications at
     order r.  When a_0 is the unit and lambda_1 < r <= 8, a class minor is
     also the e-form jt_minor_dual of order lambda_1 (Macdonald, Symmetric
     Functions, I (5.4)-(5.5)), and that side runs when _dual_is_cheaper says
@@ -413,24 +413,25 @@ def _box_minors(a: GradedSequence, r: int, windows: list[int]):
     The (w+r) x r Toeplitz block T[k][c] = a_{k-r+1+c} holds the box: the
     minor of lambda is the determinant of T's rows k_i = lambda_i + r - i,
     i = 1..len(lambda) in decreasing order, on its first len(lambda)
-    columns, so row 0 is never used.  The sweep expands T column by column,
-    memoised on row subsets (bitmasks), as det_expand does on columns: after
-    column c it holds the partial minor of every (c+1)-subset of rows on
-    columns 0..c, and the subsets whose lowest row is at least r - c are the
-    shapes with c+1 rows.  T's entries do not depend on w, so a wider box
-    only adds rows: the sweep keeps its partial minors, pairs a subset that
-    the previous box held only with the new rows and a subset that holds a
-    new row with every row.  Zero entries and zero partial minors are
-    skipped, so all the boxes together cost at most sum_c c*C(w+r, c) ring
-    multiplications at the last window w, r*C(w+r, r) when a_0 != 0, and no
-    division.  Each box reads every term up to degree w + r - 1.  Raises
-    ValueError, before the box's first step, when C(w+r, min(r, (w+r)//2)),
-    the largest level a (w+r)-row block allows, exceeds _SWEEP_BOUND.
+    columns, so row 0 is never used.  The sweep seeds column 0 with the
+    nonzero entries of the new rows and takes one _laplace_step per later
+    column, on row subsets, with the parity of the subset's rows below the
+    new row as the cofactor sign: after column c it holds the partial minor
+    of every (c+1)-subset of rows on columns 0..c, and the subsets whose
+    lowest row is at least r - c are the shapes with c+1 rows.  T's entries
+    do not depend on w, so a wider box only adds rows: the sweep keeps its
+    partial minors and passes the step seen, the first new row, so that a
+    subset the previous box held takes only the new rows.  All the boxes together
+    cost at most sum_c c*C(w+r, c) ring multiplications at the last window
+    w, r*C(w+r, r) when a_0 != 0, and no division.  Each box reads every
+    term up to degree w + r - 1.  Raises ValueError, before the box's first
+    step, when C(w+r, min(r, (w+r)//2)), the largest level a (w+r)-row
+    block allows, exceeds _SWEEP_BOUND.
     """
     zero = a.zero_value()
-    # levels[c]: the partial minors on columns 0..c-1; the last column's
-    # are never extended, so they are not kept
-    levels = [{0: a.unit_value()}] + [{} for _ in range(r - 1)]
+    # levels[c]: the partial minors on columns 0..c-1, for 0 < c < r; the
+    # last column's are never extended, so they are not kept
+    levels = [{} for _ in range(r)]
     seen = 1  # rows below seen were in the previous block; row 0 never is
     for w in windows:
         n = w + r
@@ -445,25 +446,14 @@ def _box_minors(a: GradedSequence, r: int, windows: list[int]):
         last = w == windows[-1]
         new = {}
         for c in range(r):
-            level = levels[c]
-            if last:
-                levels[c] = None  # no later box extends it
+            # the cofactor sign is the parity of the subset's rows below k
             entries = [(1 << k, (1 << k) - 1, vals[k + c]) for k in range(1, n) if vals[k + c] != zero]
-            fresh = [e for e in entries if e[0] >> seen]
-            nxt = {}
-            for rows, minor in level.items():
-                if minor == zero:
-                    continue
-                for bit, below, entry in entries if rows >> seen else fresh:
-                    if rows & bit:
-                        continue
-                    # the empty subset's minor is the unit
-                    term = minor * entry if rows else entry
-                    # the cofactor sign is the parity of the subset's rows below k
-                    if (rows & below).bit_count() % 2:
-                        term = -term
-                    key = rows | bit
-                    nxt[key] = nxt[key] + term if key in nxt else term
+            if c:
+                nxt = _laplace_step(zero, levels[c], entries, seen)
+                if last:
+                    levels[c] = None  # no later box extends it
+            else:
+                nxt = {bit: entry for bit, _, entry in entries if bit >> seen}
             if c + 1 < r:
                 levels[c + 1].update(nxt)
             # shapes with c+1 rows: lambda_{c+1} = k_{c+1} - r + c + 1 >= 1

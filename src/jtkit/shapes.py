@@ -23,9 +23,9 @@ instead of contains and conjugate.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import gt, index, lt
-from typing import Iterable, Iterator
 
 
 def trim(parts: Iterable[int]) -> tuple[int, ...]:

@@ -443,6 +443,7 @@ import jtkit.cli
 wrapped, deferred = json.loads(sys.argv[1]), ("fractions", "decimal", "csv")
 assert all(name in sys.modules for name in wrapped), wrapped
 assert not any(name in sys.modules for name in deferred), deferred
+assert "typing" not in sys.modules
 frozen = []
 run = jtkit.cli.run
 jtkit.cli.run = lambda argv: frozen.append(gc.get_freeze_count()) or run(argv)
@@ -468,8 +469,9 @@ assert len(frozen) == 4 and min(frozen) > 0, frozen
 def test_import_budget():
     """What a CLI call imports, in a python -S process (no site packages):
     every module the bench tracer wraps loads with jtkit.cli, fractions,
-    decimal and csv only with the calls that use them, and main() freezes
-    the import-time heap before run()."""
+    decimal and csv only with the calls that use them, typing not at all
+    on import (annotations are strings under postponed evaluation), and
+    main() freezes the import-time heap before run()."""
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("tracing", root / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)

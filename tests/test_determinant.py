@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,11 @@ MATS = st.integers(1, 5).flatmap(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
     )
 )
+FRACTION_MATS = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.fractions(-9, 9, max_denominator=7), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
 
 
 @given(MATS)
@@ -25,10 +31,13 @@ def test_bareiss_matches_fraction_elimination(rows):
     assert det_bareiss(rows) == det_fraction(rows)
 
 
-@given(MATS)
+@given(MATS, FRACTION_MATS)
 @settings(deadline=None)
-def test_expand_matches_bareiss(rows):
+def test_expand_matches_bareiss(rows, fractions):
+    """det_expand on integers, and on Fraction, a plain ring that is neither
+    int nor SchurClass, against elimination."""
     assert det_expand(rows, 0) == det_bareiss(rows)
+    assert det_expand(fractions, Fraction(0)) == det_fraction(fractions)
 
 
 def test_empty_matrix():

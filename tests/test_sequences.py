@@ -351,6 +351,36 @@ def test_grown_sweep_yields_each_new_shape_once(case):
     assert union == whole
 
 
+# super:r,s with r, s <= 3, as (r, s, order, window) with order + window <= 10
+SUPER_BOXES = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 9), st.integers(1, 9)).filter(
+    lambda case: (case[0] or case[1]) and case[2] + case[3] <= 10
+)
+
+
+@given(SUPER_BOXES)
+@example((3, 3, 5, 5))
+@settings(deadline=None, max_examples=40)
+def test_super_box_minors_match_dim_super(case):
+    """Every straight minor of super:r,s is dim_super(lambda, r, s), a chain
+    count that shares no code with the Laplace step, and the sweep leaves out
+    exactly the shapes it counts 0."""
+    r, s, order, window = case
+    (sweep,) = _box_minors(parse_sequence_spec(f"super:{r},{s}"), order, [window])
+    minors = {_shape_of_rows(rows, order): value for rows, value in sweep.items()}
+    assert minors == {lam: n for lam in scan_partitions(order, window) if (n := dim_super(lam, r, s))}
+
+
+def test_poly_box_minors_are_schur_classes():
+    """For poly:m, a_d = h_d, so the sweep's minor of lambda is s_lambda
+    itself: on a whole 6x6 box of poly:2, and on each box of a grown poly:3
+    sweep, which yields the shapes with lambda_1 above the previous window."""
+    for spec, order, windows in (("poly:2", 6, [6]), ("poly:3", 5, [1, 2, 4, 7])):
+        a = parse_sequence_spec(spec)
+        for prev, window, sweep in zip([0] + windows, windows, _box_minors(a, order, windows)):
+            minors = {_shape_of_rows(rows, order): value for rows, value in sweep.items()}
+            assert minors == {lam: SchurClass.schur(lam) for lam in scan_partitions(order, window) if lam[0] > prev}
+
+
 @given(SCAN_CASES)
 @example(("list:1,2,-1,-20,3,1,4,1,5,9,2", 3, 2))
 @settings(deadline=None, max_examples=60)
