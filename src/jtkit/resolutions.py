@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, gcd
 
 from .quadric import QuadricContext, quadric_schur_dim
@@ -213,6 +214,37 @@ def _check_tail_terms(tail_terms) -> int:
     return tail_terms
 
 
+def _pure_table(lams, e, rank, tail_terms: int, ratio: int = 1, tail_label=None) -> BettiTable:
+    """The ladder table: row i has shape lams[i], twist e_1 + ... + e_i and
+    rank rank(shape), which must be positive or RuntimeError is raised.
+
+    A last shift above 1 ends the table there.  A last shift of 1 grows the
+    last shape by a column of j boxes for j = 1..tail_terms, whose rank must
+    be the last head rank times ratio^j, or RuntimeError is raised; the tail
+    is then recorded, unless a zero rank (ratio 0) ends the table first.
+    Tail rows carry tail_label(j), or else the grown shape."""
+    rows = []
+    for i, (lam, twist) in enumerate(zip(lams, accumulate(e, initial=0))):
+        value = rank(lam.parts)
+        if value <= 0:
+            raise RuntimeError(f"head rank {value} at index {i} is not positive")
+        rows.append(BettiRow(i, twist, value, label=SkewShape(lam.parts).label()))
+    if e[-1] > 1:
+        return BettiTable(tuple(rows))
+    last, base = rows[-1].index, rows[-1].rank
+    for j in range(1, tail_terms + 1):
+        shape = lams[-1].parts + (1,) * j
+        value = rank(shape)
+        expected = base * ratio**j
+        if value != expected:
+            raise RuntimeError(f"tail rank {value} at step {j}, expected {expected}")
+        if value == 0:
+            return BettiTable(tuple(rows))
+        label = SkewShape(shape).label() if tail_label is None else tail_label(j)
+        rows.append(BettiRow(last + j, twist + j, value, label=label))
+    return BettiTable(tuple(rows), BettiTail(start=last, rank=base, ratio=ratio))
+
+
 def quadric_pure_resolution(m: int, e, tail_terms: int = 4) -> BettiTable:
     """Betti table of the pure resolution with shifts e over the quadric ring
     in m variables.  A final shift above 1 gives a finite table; a final
@@ -227,27 +259,7 @@ def quadric_pure_resolution(m: int, e, tail_terms: int = 4) -> BettiTable:
         raise ValueError("shifts must be positive")
     tail_terms = _check_tail_terms(tail_terms)
     ctx = QuadricContext(m)
-    lams = efw_partitions(e, m)
-    twists = [0]
-    for i in range(1, m):
-        twists.append(twists[-1] + e[i - 1])
-    rows = []
-    for i in range(m):
-        rank = quadric_schur_dim(ctx, lams[i])
-        if rank <= 0:
-            raise RuntimeError(f"head rank {rank} at index {i} is not positive")
-        rows.append(BettiRow(i, twists[i], rank, label=SkewShape(lams[i].parts).label()))
-    if e[m - 1] > 1:
-        return BettiTable(tuple(rows))
-    base = lams[m - 1].parts
-    const = rows[-1].rank
-    for j in range(1, tail_terms + 1):
-        shape = base + (1,) * j
-        rank = quadric_schur_dim(ctx, shape)
-        if rank != const:
-            raise RuntimeError(f"tail rank {rank} at step {j} breaks constancy {const}")
-        rows.append(BettiRow(m - 1 + j, twists[m - 1] + j, rank, label=SkewShape(shape).label()))
-    return BettiTable(tuple(rows), BettiTail(start=m - 1, rank=const))
+    return _pure_table(efw_partitions(e, m), e, lambda shape: quadric_schur_dim(ctx, shape), tail_terms)
 
 
 def rnc_sequence(d: int) -> GradedSequence:
@@ -279,32 +291,15 @@ def rnc_pure_resolution(d: int, e, tail_terms: int = 4) -> BettiTable:
         raise ValueError("need d >= 1")
     tail_terms = _check_tail_terms(tail_terms)
     seq = rnc_sequence(d)
-    lams = efw_partitions(e, 4)
-    twists = [0, e[0], e[0] + e[1]]
-    rows = []
-    for i in range(3):
-        rank = jt_minor(seq, lams[i].parts)
-        if rank <= 0:
-            raise RuntimeError(f"head rank {rank} at index {i} is not positive")
-        rows.append(BettiRow(i, twists[i], rank, label=SkewShape(lams[i].parts).label()))
-    if e[2] > 1:
-        return BettiTable(tuple(rows))
-    ratio = d - 1
-    base_rank = rows[2].rank
     dee = SkewShape((d * e[0] + d * e[1] - 1, d * e[1]), (d - 1,) if d > 1 else ())
-    tail_shape = lams[2].parts
-    for j in range(1, tail_terms + 1):
-        tail_shape = tail_shape + (1,)
-        rank = jt_minor(seq, tail_shape)
-        expected = base_rank * ratio**j
-        if rank != expected:
-            raise RuntimeError(f"tail rank {rank} at step {j}, expected {expected}")
-        if rank == 0:
-            # d = 1: the tail vanishes and the table is finite
-            return BettiTable(tuple(rows))
-        label = attach_dot(dee, (d,) * j).label()
-        rows.append(BettiRow(2 + j, twists[2] + j, rank, label=label))
-    return BettiTable(tuple(rows), BettiTail(start=2, rank=base_rank, ratio=ratio))
+    return _pure_table(
+        efw_partitions(e, 3),
+        e,
+        lambda shape: jt_minor(seq, shape),
+        tail_terms,
+        ratio=d - 1,
+        tail_label=lambda j: attach_dot(dee, (d,) * j).label(),
+    )
 
 
 @dataclass(frozen=True)

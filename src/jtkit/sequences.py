@@ -21,7 +21,6 @@ from .determinant import _EXPAND_MAX_ORDER, _laplace_step, _signed_sum, det_bare
 from .memo import _Canonical, memo_put
 from .powerseries import TruncSeries
 from .shapes import (
-    Partition,
     SkewShape,
     _conj,
     _fits,
@@ -490,38 +489,30 @@ def pf_check(a: GradedSequence, max_order: int = 4, window: int = 8, scan_skew: 
     positive box costs one sweep of the largest window.  Each window reads
     terms up to degree window + max_order - 1, and raises ValueError before
     its step when its largest level could exceed _SWEEP_BOUND subsets.
-    Skew scans count the pairs (lambda, mu) with mu inside lambda, in the
-    scan order of lambda and then of mu, so mu = () comes first.  When a_0
-    is the unit, d -> a_d extends to a ring map that sends h_d to a_d, so
-    the minor of lambda/mu is the image of s_{lambda/mu}, a sum of s_nu with
-    nonnegative coefficients over shapes nu inside lambda and no later in
-    the scan order (Macdonald, Symmetric Functions, I.5).  The first negative pair is
-    then (lambda, ()) for the first lambda whose straight minor is negative,
-    so the scan takes one jt_minor per lambda and counts its subshapes.
-    That pair also reads the largest degree of any pair on lambda, so a
-    term that cannot be read raises at the same lambda as a scan of every
-    pair.  Other sequences take one minor per pair.
+    Skew scans walk lambda once and count the pairs (lambda, mu) with mu
+    inside lambda, in the scan order of lambda and then of mu, so mu = ()
+    comes first.  When a_0 is the unit, d -> a_d extends to a ring map that
+    sends h_d to a_d, so the minor of lambda/mu is the image of
+    s_{lambda/mu}, a sum of s_nu with nonnegative coefficients over shapes
+    nu inside lambda and no later in the scan order (Macdonald, Symmetric
+    Functions, I.5).  The first negative pair is then (lambda, ()) for the
+    first lambda whose straight minor is negative, so mu runs over () alone
+    and the scan adds lambda's other subshapes to checked.  That pair also
+    reads the largest degree of any pair on lambda, so a term that cannot be
+    read raises at the same lambda as a scan of every pair.  Otherwise mu
+    runs over every subshape of lambda, one jt_minor per pair.
     """
     if scan_skew:
+        derived = a.term(0) == a.unit_value()
         checked = 0
-        if a.term(0) == a.unit_value():
-            for lam in scan_partitions(max_order, window):
-                value = jt_minor(a, lam)
-                if _is_negative(a, value):
-                    return PFReport("negative", max_order, window, checked + 1, witness=(lam, (), value))
-                checked += sum(1 for _ in subpartitions(lam))
-            return PFReport("positive-up-to-bounds", max_order, window, checked)
-        inner = {}
         for lam in scan_partitions(max_order, window):
-            outer = Partition(lam)
-            for mu in subpartitions(lam):
-                sub = inner.get(mu)
-                if sub is None:
-                    sub = inner[mu] = Partition(mu)
-                value = jt_minor(a, SkewShape(outer, sub))
+            for mu in [()] if derived else subpartitions(lam):
+                value = jt_minor(a, SkewShape(lam, mu))
                 checked += 1
                 if _is_negative(a, value):
                     return PFReport("negative", max_order, window, checked, witness=(lam, mu, value))
+            if derived:
+                checked += sum(1 for _ in subpartitions(lam)) - 1
         return PFReport("positive-up-to-bounds", max_order, window, checked)
     if max_order < 1 or window < 1:
         return PFReport("positive-up-to-bounds", max_order, window, 0)

@@ -219,32 +219,25 @@ def _lr_contents(outer, inner, cap=None, paired=False) -> dict[tuple[int, ...], 
     for r in range(nrows):
         lo = inner[r] if r < len(inner) else 0
         cells.extend((r, c) for c in range(outer[r] - 1, lo - 1, -1))
-    grid: dict[tuple[int, int], int] = {}
+    n = len(cells)
+    index = {cell: i for i, cell in enumerate(cells)}
+    # per cell: the slots of the cells above it and to its right, both placed
+    # earlier, and its row's letter bound; slot n holds 0 for a cell with
+    # none above, slot n + 1 holds nletters for one with none to its right
+    bounds = [(index.get((r - 1, c), n), index.get((r, c + 1), n + 1), min(r + 1, nletters)) for r, c in cells]
+    placed = [0] * n + [0, nletters]
     counts = [0] * nletters
     tally: dict[tuple[int, ...], int] = {}
 
-    def in_shape(r: int, c: int) -> bool:
-        if r < 0 or r >= nrows:
-            return False
-        lo = inner[r] if r < len(inner) else 0
-        return lo <= c < outer[r]
-
     def rec(idx: int, shortfall: int):
-        if idx == len(cells):
+        if idx == n:
             if not shortfall:
                 content = trim(counts)
                 tally[content] = tally.get(content, 0) + 1
             return
-        r, c = cells[idx]
-        hi = min(r + 1, nletters)
-        above = grid.get((r - 1, c)) if in_shape(r - 1, c) else None
-        right = grid.get((r, c + 1)) if in_shape(r, c + 1) else None
-        left = len(cells) - idx - 1
-        for v in range(1, hi + 1):
-            if above is not None and v <= above:
-                continue
-            if right is not None and v > right:
-                continue
+        above, right, hi = bounds[idx]
+        left = n - idx - 1
+        for v in range(placed[above] + 1, min(hi, placed[right]) + 1):
             if v > 1 and counts[v - 2] < counts[v - 1] + 1:
                 continue
             if cap is not None and counts[v - 1] + 1 > cap[v - 1]:
@@ -253,9 +246,8 @@ def _lr_contents(outer, inner, cap=None, paired=False) -> dict[tuple[int, ...], 
             if short > left:
                 continue
             counts[v - 1] += 1
-            grid[(r, c)] = v
+            placed[idx] = v
             rec(idx + 1, short)
-            del grid[(r, c)]
             counts[v - 1] -= 1
 
     rec(0, 0)

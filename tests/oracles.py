@@ -20,9 +20,10 @@ series inverses by summing geometric powers, the multigraded Hilbert
 series by multiplying with those inverses instead of dividing, and its
 check's report one exponent tuple at a time, series
 products and quotients on exponent tuples instead of packed keys,
-Taylor coefficients at t = 1 by repeated synthetic division, and linear
-systems, hk_solve's among them, by Gauss-Jordan over Fraction, and
-hk_solve's own elimination with its unknowns kept as Fractions.  None of
+Taylor coefficients at t = 1 by repeated synthetic division, linear
+systems, hk_solve's among them, by Gauss-Jordan over Fraction,
+hk_solve's own elimination with its unknowns kept as Fractions, and the
+minors of tensoralg in closed form by the hook length formula.  None of
 these call the library code paths they check.
 
 The last few helpers instead cross two library routes against each other:
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add
 
 
@@ -825,3 +826,38 @@ def qdual_term_class(d: int):
     from jtkit.symfunc import SchurClass
 
     return SchurClass(1, {((1,) * k,): 1 for k in range(d, -1, -2)})
+
+
+def _partitions_of(n: int, largest: int):
+    """The partitions of n with parts at most largest, largest first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions_of(n - first, first):
+            yield (first,) + rest
+
+
+def hook_count(nu) -> int:
+    """Standard Young tableaux of shape nu, by the hook length formula."""
+    conj = conjugate_by_count(nu)
+    hooks = prod(p - j + conj[j] - i - 1 for i, p in enumerate(nu) for j in range(p))
+    return factorial(sum(nu)) // hooks
+
+
+def tensoralg_minor(lam, mu):
+    """The Jacobi-Trudi minor of lam/mu for tensoralg:m, with no LR product.
+
+    a_d = s_1^d is the image of h_d under the one-variable evaluation at
+    s_1, which sends s_{lam/mu} to s_1^n when lam/mu is a horizontal strip
+    of n boxes and to 0 otherwise (Macdonald, Symmetric Functions, I.5);
+    s_1^n is the sum of f^nu s_nu over the partitions nu of n."""
+    from jtkit.symfunc import SchurClass
+
+    lam, mu = trim_by_loop(lam), trim_by_loop(mu)
+    below = lam[1:] + (0,)
+    padded = mu + (0,) * (len(lam) - len(mu))
+    if not contains_by_index(lam, mu) or any(m < b for m, b in zip(padded, below)):
+        return SchurClass.zero(1)
+    n = sum(lam) - sum(mu)
+    return SchurClass(1, {(nu,): hook_count(nu) for nu in _partitions_of(n, n)})

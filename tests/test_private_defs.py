@@ -1,20 +1,23 @@
-"""Every private module-level function and class of the package is used: an
-AST scan with the standard library only.
+"""Every private module-level function, class and constant of the package is
+used: an AST scan with the standard library only.
 
 A definition counts as used when some other top-level statement of the
 package, in any module, loads its name, reads it as an attribute or imports
 it.  A use inside the definition itself, such as a recursive call, does not
-count.
+count.  A constant is a module-level assignment to a name such as _NAME,
+upper case after the underscore.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "jtkit"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+CONSTANT = re.compile(r"_[A-Z][A-Z0-9_]*")
 
 
 def _loaded_names(node) -> set[str]:
@@ -30,19 +33,29 @@ def _loaded_names(node) -> set[str]:
     return out
 
 
+def _defined_names(node) -> list[str]:
+    """The private function, class or constant names that node defines."""
+    if isinstance(node, DEFS):
+        return [node.name] if node.name.startswith("_") and not node.name.startswith("__") else []
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
+    return []
+
+
 def unreferenced_private_defs(paths) -> list[tuple[Path, int, str]]:
-    """(path, line, name) for each private module-level function or class
-    in paths that no other top-level statement of paths references."""
+    """(path, line, name) for each private module-level function, class or
+    constant in paths that no other top-level statement of paths
+    references."""
     defs, uses = [], []
     for path in paths:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, DEFS) and node.name.startswith("_") and not node.name.startswith("__"):
-                defs.append((path, node))
+            defs.extend((path, node, name) for name in _defined_names(node))
             uses.append((node, _loaded_names(node)))
     return [
-        (path, node.lineno, node.name)
-        for path, node in defs
-        if not any(node.name in names for other, names in uses if other is not node)
+        (path, node.lineno, name)
+        for path, node, name in defs
+        if not any(name in names for other, names in uses if other is not node)
     ]
 
 
@@ -70,8 +83,21 @@ def test_scan_sees_imports_attributes_and_self_use(tmp_path):
         "    pass\n"
         "x = y = None\n"
         "x._stored = 1\n"
+        "_READ = 1\n"
+        "_UNREAD: int = 2\n"
+        "_SELF = _SELF_TOO = 3\n"
+        "_lower = 4\n"
+        "def _reader():\n"
+        "    return _READ\n"
     )
     user = tmp_path / "user.py"
-    user.write_text("from lib import _imported\nimport lib\nvalue = lib._read\n")
+    user.write_text("from lib import _imported\nimport lib\nvalue = lib._read\nother = lib._reader\n")
     found = unreferenced_private_defs([lib, user])
-    assert [(line, name) for _, line, name in found] == [(1, "_recursive"), (7, "_Unused"), (12, "_stored")]
+    assert [(line, name) for _, line, name in found] == [
+        (1, "_recursive"),
+        (7, "_Unused"),
+        (12, "_stored"),
+        (17, "_UNREAD"),
+        (18, "_SELF"),
+        (18, "_SELF_TOO"),
+    ]

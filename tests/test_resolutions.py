@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+import hashlib
+import json
 import time
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -604,6 +607,26 @@ def test_bareiss_solve_matches_fraction_solve(system):
     assert [Fraction(x, den) for x in nums] == solve_fraction(matrix, rhs)
 
 
+
+# sha256 of the sorted-key JSON of every table below: a change to any row,
+# label or tail of any of them changes it
+PINNED_GRID_DIGEST = "093baa0c108fe69aefca0cc7d27e5a2f67c1eb1401b2d14ef7682ba1cbefb9c9"
+
+
+def test_pure_tables_match_pinned_digest():
+    """Quadric tables for m <= 5 and rational normal curve tables for d <= 6,
+    on every composition of shifts in {1, 2, 3}, with 6 tail terms: 525
+    tables, rows, labels and tails included, byte for byte."""
+    tables = {}
+    for m in range(1, 6):
+        for e in product((1, 2, 3), repeat=m):
+            tables[f"quadric {m} {e}"] = quadric_pure_resolution(m, e, tail_terms=6).to_json()
+    for d in range(1, 7):
+        for e in product((1, 2, 3), repeat=3):
+            tables[f"rnc {d} {e}"] = rnc_pure_resolution(d, e, tail_terms=6).to_json()
+    assert len(tables) == 525
+    assert hashlib.sha256(json.dumps(tables, sort_keys=True).encode()).hexdigest() == PINNED_GRID_DIGEST
+
 def test_broken_quadric_tail_raises(monkeypatch):
     real, calls = resolutions.quadric_schur_dim, []
 
@@ -613,7 +636,7 @@ def test_broken_quadric_tail_raises(monkeypatch):
         return real(ctx, shape) + (len(calls) > ctx.m)
 
     monkeypatch.setattr(resolutions, "quadric_schur_dim", drifting)
-    with pytest.raises(RuntimeError, match="^tail rank 5 at step 1 breaks constancy 4$"):
+    with pytest.raises(RuntimeError, match="^tail rank 5 at step 1, expected 4$"):
         quadric_pure_resolution(3, (1, 1, 1))
 
 

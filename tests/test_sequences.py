@@ -45,6 +45,7 @@ from oracles import (
     pf_check_per_shape,
     pieri_identity_check,
     schur_dimension_profile_pairwise,
+    tensoralg_minor,
     transpose_duality_check,
 )
 
@@ -379,6 +380,21 @@ def test_poly_box_minors_are_schur_classes():
         for prev, window, sweep in zip([0] + windows, windows, _box_minors(a, order, windows)):
             minors = {_shape_of_rows(rows, order): value for rows, value in sweep.items()}
             assert minors == {lam: SchurClass.schur(lam) for lam in scan_partitions(order, window) if lam[0] > prev}
+
+
+def test_tensoralg_minors_match_closed_form():
+    """tensoralg:2 against its closed form, which takes no LR product: jt_minor
+    on every skew pair of the 4x4 box, and a 5x4 _box_minors sweep, where
+    the one-row shapes are the only horizontal strips and so the only
+    nonzero minors."""
+    a = parse_sequence_spec("tensoralg:2")
+    pairs = [(lam, mu) for lam in scan_partitions(4, 4) for mu in subpartitions(lam)]
+    assert len(pairs) == 1763
+    for lam, mu in pairs:
+        assert jt_minor(a, SkewShape(lam, mu)) == tensoralg_minor(lam, mu), (lam, mu)
+    (sweep,) = _box_minors(a, 5, [4])
+    minors = {_shape_of_rows(rows, 5): value for rows, value in sweep.items()}
+    assert minors == {(n,): tensoralg_minor((n,), ()) for n in range(1, 5)}
 
 
 @given(SCAN_CASES)
