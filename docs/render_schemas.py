@@ -49,7 +49,9 @@ before any work: `--twists 0,2,...,78` (40 twists, size 10,647) and
 `--twists 0,1,1000000000` (size 120) run, `--twists 0,1,...,53` (54 twists,
 size 16,854) does not.
 
-`ortho-decomp` fills lambda/mu with LR tableaux for every mu inside lambda.
+`ortho-decomp` fills lambda/delta with LR tableaux for every delta inside
+lambda whose columns all have even length; the decomposition of any 30-box
+shape takes at most about 0.1 s on a 2-vCPU Xeon.
 A shape with more than 30 boxes (`error: a decomposition of a shape with N
 boxes is above the bound of 30 boxes`) is a domain error, exit code 1,
 raised before any work and after the stable-range check: `--m 10 --lambda

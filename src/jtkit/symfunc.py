@@ -199,17 +199,14 @@ def pieri_extensions(lam, k: int) -> list[tuple[int, ...]]:
     return sorted(_strip_shapes(lam, k, None))
 
 
-def _lr_contents(outer, inner, cap=None, paired=False) -> dict[tuple[int, ...], int]:
+def _lr_contents(outer, inner, cap=None) -> dict[tuple[int, ...], int]:
     """Tally the contents of all LR (lattice-word) tableaux on outer/inner.
 
     Cells are visited in reverse reading order, rows top to bottom and right
     to left within a row, so the ballot prefix property can be checked as
     each letter is placed.  cap bounds the count of each letter (used when a
-    single coefficient is wanted).  paired keeps only contents whose columns
-    all have even length, nu_1 = nu_2, nu_3 = nu_4 and so on: the ballot
-    property keeps each count of letter 2i at most that of letter 2i - 1,
-    and a filling is cut once that shortfall, summed over i, exceeds the
-    cells left.  outer and inner must be canonical parts tuples.
+    single coefficient is wanted).  outer and inner must be canonical parts
+    tuples.
     """
     if not _fits(outer, inner):
         raise ValueError(f"inner {inner} not inside outer {outer}")
@@ -229,28 +226,23 @@ def _lr_contents(outer, inner, cap=None, paired=False) -> dict[tuple[int, ...], 
     counts = [0] * nletters
     tally: dict[tuple[int, ...], int] = {}
 
-    def rec(idx: int, shortfall: int):
+    def rec(idx: int):
         if idx == n:
-            if not shortfall:
-                content = trim(counts)
-                tally[content] = tally.get(content, 0) + 1
+            content = trim(counts)
+            tally[content] = tally.get(content, 0) + 1
             return
         above, right, hi = bounds[idx]
-        left = n - idx - 1
         for v in range(placed[above] + 1, min(hi, placed[right]) + 1):
             if v > 1 and counts[v - 2] < counts[v - 1] + 1:
                 continue
             if cap is not None and counts[v - 1] + 1 > cap[v - 1]:
                 continue
-            short = shortfall + (1 if v % 2 else -1) if paired else 0
-            if short > left:
-                continue
             counts[v - 1] += 1
             placed[idx] = v
-            rec(idx + 1, short)
+            rec(idx + 1)
             counts[v - 1] -= 1
 
-    rec(0, 0)
+    rec(0)
     return tally
 
 

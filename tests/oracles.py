@@ -604,8 +604,9 @@ def multigraded_hs_report(m: int, n: int, trunc: int) -> dict:
 
 def ortho_multiplicities_by_lr(lam) -> dict:
     """Stable orthogonal multiplicities of a GL shape: for each mu inside
-    lam, the sum over nu of c^lam_{mu, (2 nu)'} with one lr_coefficient call
-    per pair, the transposed doubled partitions enumerated directly."""
+    lam, in subpartitions' order, the sum over nu of c^lam_{mu, (2 nu)'}
+    with one lr_coefficient call per pair, the transposed doubled partitions
+    enumerated directly."""
     from jtkit.shapes import conjugate, partitions_of, subpartitions
     from jtkit.symfunc import lr_coefficient
 

@@ -18,7 +18,7 @@ from jtkit.quadric import (
     quadric_schur_dim,
 )
 from jtkit.sequences import GradedSequence
-from jtkit.shapes import SkewShape, partitions_of
+from jtkit.shapes import SkewShape, conjugate, partitions_of
 from jtkit.symfunc import binom, dim_gl
 
 from conftest import partitions, sub_partition
@@ -201,6 +201,27 @@ def test_ortho_decomposition_frozen():
         orthogonal_stable_decomposition(CTX3, (1, 1))
 
 
+def test_ortho_route_tallies_even_column_shapes(monkeypatch):
+    """The decomposition takes one plain content tally of lam/delta for each
+    delta inside lam whose columns all have even length, 85 of them for this
+    30-box shape, and no tally per mu."""
+    calls = []
+    tally = quadric._lr_contents
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return tally(*args, **kwargs)
+
+    monkeypatch.setattr(quadric, "_lr_contents", record)
+    lam = (7, 6, 5, 4, 3, 2, 1, 1, 1)
+    orthogonal_stable_decomposition(QuadricContext(18), lam)
+    assert len(calls) == 85
+    assert len({args for args, _ in calls}) == 85
+    for args, kwargs in calls:
+        assert not kwargs and len(args) == 2 and args[0] == lam
+        assert all(c % 2 == 0 for c in conjugate(args[1])), args[1]
+
+
 def test_ortho_decomposition_budget():
     """Shapes above 30 boxes are refused before any filling; the stable
     range is checked first."""
@@ -222,14 +243,17 @@ def test_ortho_decomposition_dimension(lam):
         assert all(mult > 0 for _, mult in dec.entries)
 
 
-@given(partitions(max_size=12, max_part=6, max_length=4))
+@given(partitions(max_size=15, max_part=6, max_length=6))
 @example((6, 4, 2))
+@example((3, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1))
 @settings(deadline=None, max_examples=40)
 def test_ortho_decomposition_matches_lr_pairs(lam):
-    """The paired content tally per mu against one LR coefficient per
-    (mu, nu)."""
+    """One content tally of lam/delta per delta with even columns against
+    one LR coefficient c^lam_{mu,nu} per (mu, nu), nu with even rows
+    transposed: the oracle tallies lam/mu, the other side of the LR
+    symmetry.  Both list their entries in subpartitions' order."""
     dec = orthogonal_stable_decomposition(QuadricContext(2 * max(len(lam), 1)), lam)
-    assert dict(dec.entries) == ortho_multiplicities_by_lr(lam)
+    assert dec.entries == tuple(ortho_multiplicities_by_lr(lam).items())
 
 
 @given(partitions(max_size=6, max_part=4, max_length=3))

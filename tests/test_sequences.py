@@ -32,7 +32,7 @@ from jtkit.sequences import (
     veronese_identity_check,
 )
 from jtkit.shapes import SkewShape, scan_partitions, subpartitions
-from jtkit.symfunc import SchurClass, binom, dim_super
+from jtkit.symfunc import SchurClass, binom, dim_super, skew_to_straight
 
 from conftest import partitions, sub_partition
 from oracles import (
@@ -395,6 +395,20 @@ def test_tensoralg_minors_match_closed_form():
     (sweep,) = _box_minors(a, 5, [4])
     minors = {_shape_of_rows(rows, 5): value for rows, value in sweep.items()}
     assert minors == {(n,): tensoralg_minor((n,), ()) for n in range(1, 5)}
+
+
+def test_poly_skew_minors_are_skew_schur_classes():
+    """For poly:m the minor of lambda/mu is s_{lambda/mu}, which
+    skew_to_straight reads off one plain LR content tally: on every skew
+    pair of the 4x4 box, for poly:2 and poly:3, against jt_minor's
+    determinant expansion through mult_one."""
+    pairs = [(lam, mu) for lam in scan_partitions(4, 4) for mu in subpartitions(lam)]
+    assert len(pairs) == 1763
+    for spec in ("poly:2", "poly:3"):
+        a = parse_sequence_spec(spec)
+        for lam, mu in pairs:
+            shape = SkewShape(lam, mu)
+            assert jt_minor(a, shape) == skew_to_straight(shape), (spec, lam, mu)
 
 
 @given(SCAN_CASES)
