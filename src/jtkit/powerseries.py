@@ -26,9 +26,9 @@ and coerced term by term.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import mul
 
+from ._frozen import dataclass
 from .memo import _Canonical
 
 

@@ -7,11 +7,11 @@ The test suite runs them against each other; keep them independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb, prod
 from operator import lt
 
+from ._frozen import dataclass, field
 from .memo import memo_put
 from .powerseries import TruncSeries, _packed_div, _packed_mul, _packed_pow, _packing
 from .sequences import GradedSequence, jt_minor, make_sequence

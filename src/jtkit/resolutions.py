@@ -8,10 +8,10 @@ quadric; the rational normal curve of degree d produces ratio d - 1.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, gcd
 
+from ._frozen import dataclass
 from .quadric import QuadricContext, quadric_schur_dim
 from .sequences import GradedSequence, hs_series, jt_minor
 from .shapes import Partition, SkewShape, attach_dot

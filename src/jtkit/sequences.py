@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from math import comb
 from operator import mul
 
+from ._frozen import dataclass, field
 from .determinant import _EXPAND_MAX_ORDER, _laplace_step, _signed_sum, det_bareiss, det_expand
 from .memo import _Canonical, memo_put
 from .powerseries import TruncSeries

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from operator import gt, index, lt
+
+from ._frozen import dataclass
 
 
 def trim(parts: Iterable[int]) -> tuple[int, ...]:

@@ -21,11 +21,11 @@ checks, since their keys are canonical already.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, islice, product
 from math import comb, prod
 from operator import le, sub
 
+from ._frozen import dataclass
 from .memo import _Canonical, memo_put
 from .shapes import _conj, _fits, as_parts, as_shape, trim
 

@@ -8,8 +8,7 @@ must reproduce the Jacobi-Trudi minor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import dataclass
 from .sequences import GradedSequence, jt_minor
 from .shapes import SkewShape, as_parts, dotted_action, permutations_by_length
 from .symfunc import SchurClass, value_json

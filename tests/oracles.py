@@ -23,8 +23,9 @@ products and quotients on exponent tuples instead of packed keys,
 Taylor coefficients at t = 1 by repeated synthetic division, linear
 systems, hk_solve's among them, by Gauss-Jordan over Fraction,
 hk_solve's own elimination with its unknowns kept as Fractions, and the
-minors of tensoralg in closed form by the hook length formula.  None of
-these call the library code paths they check.
+minors of tensoralg in closed form by the hook length formula, and the
+frozen value classes by dataclasses.dataclass applied to their own class
+bodies.  None of these call the library code paths they check.
 
 The last few helpers instead cross two library routes against each other:
 the h-type and e-type minors of one shape, a class minor whatever side
@@ -34,7 +35,13 @@ quadric sequences as virtual GL classes read at dimension level.
 
 from __future__ import annotations
 
+import __future__
+import dataclasses
+import functools
+import importlib
+import inspect
 import itertools
+import textwrap
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from operator import add
@@ -862,3 +869,38 @@ def tensoralg_minor(lam, mu):
         return SchurClass.zero(1)
     n = sum(lam) - sum(mu)
     return SchurClass(1, {(nu,): hook_count(nu) for nu in _partitions_of(n, n)})
+
+
+# jtkit's frozen value classes, module by module in import order, each
+# module's classes in definition order
+FROZEN_CLASSES = {
+    "jtkit.shapes": ("Partition", "SkewShape", "Permutation"),
+    "jtkit.symfunc": ("SchurClass",),
+    "jtkit.powerseries": ("TruncSeries",),
+    "jtkit.sequences": ("GradedSequence", "PFReport"),
+    "jtkit.quadric": ("QuadricContext", "OrthogonalDecomposition"),
+    "jtkit.resolutions": ("BettiRow", "BettiTail", "BettiTable", "PurityReport", "HKSolution"),
+    "jtkit.zelevinsky": ("ComplexTerm", "ComplexLayout"),
+}
+
+
+@functools.cache
+def dataclass_twins() -> dict[str, type]:
+    """Each class of FROZEN_CLASSES made again by dataclasses.dataclass, from
+    its own source with the same flags and fields.
+
+    A class body runs in a copy of its module's namespace where the twins
+    made before it stand in for the library classes, so twin values hold
+    twin values.  Each twin is also bound in this module under its class's
+    name, where pickle looks for it."""
+    twins = {}
+    flags = __future__.annotations.compiler_flag
+    for modname, names in FROZEN_CLASSES.items():
+        module = importlib.import_module(modname)
+        namespace = {**vars(module), **twins, "dataclass": dataclasses.dataclass, "field": dataclasses.field}
+        for name in names:
+            source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+            exec(compile(source, module.__file__, "exec", flags, dont_inherit=True), namespace)
+            twin = twins[name] = globals()[name] = namespace[name]
+            twin.__module__ = __name__
+    return twins

@@ -444,6 +444,7 @@ wrapped, deferred = json.loads(sys.argv[1]), ("fractions", "decimal", "csv")
 assert all(name in sys.modules for name in wrapped), wrapped
 assert not any(name in sys.modules for name in deferred), deferred
 assert "typing" not in sys.modules
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
 frozen = []
 run = jtkit.cli.run
 jtkit.cli.run = lambda argv: frozen.append(gc.get_freeze_count()) or run(argv)
@@ -469,8 +470,9 @@ assert len(frozen) == 4 and min(frozen) > 0, frozen
 def test_import_budget():
     """What a CLI call imports, in a python -S process (no site packages):
     every module the bench tracer wraps loads with jtkit.cli, fractions,
-    decimal and csv only with the calls that use them, typing not at all
-    on import (annotations are strings under postponed evaluation), and
+    decimal and csv only with the calls that use them, typing, dataclasses
+    and inspect not at all on import (annotations are strings under
+    postponed evaluation, and jtkit._frozen makes the value classes), and
     main() freezes the import-time heap before run()."""
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("tracing", root / "bench" / "tracing.py")

@@ -1,8 +1,10 @@
-"""The value types: frozen slotted dataclasses, canonical at construction.
+"""The value types: frozen value classes made by jtkit._frozen.dataclass,
+canonical at construction.
 
 Checks that values survive pickle and copy, that every instance is immutable
-and has no __dict__, that equal values hash equal whatever form they were
-built from, and that the package keeps to this one immutability idiom.
+and the slotted ones have no __dict__, that equal values hash equal whatever
+form they were built from, that each class behaves as its dataclasses twin
+does, and that the package keeps to this one immutability idiom.
 """
 
 from __future__ import annotations
@@ -10,22 +12,30 @@ from __future__ import annotations
 import ast
 import copy
 import dataclasses
+import importlib
 import inspect
 import pickle
+import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jtkit
+from jtkit._frozen import fields
 from jtkit.powerseries import TruncSeries
-from jtkit.quadric import QuadricContext
-from jtkit.sequences import GradedSequence, make_sequence
+from jtkit.quadric import QuadricContext, orthogonal_stable_decomposition
+from jtkit.resolutions import hk_solve, quadric_pure_resolution
+from jtkit.sequences import GradedSequence, make_sequence, pf_check
 from jtkit.shapes import Partition, Permutation, SkewShape
 from jtkit.symfunc import SchurClass
+from jtkit.zelevinsky import jt_complex_layout
 
 from conftest import partitions, sub_partition
+from oracles import FROZEN_CLASSES, dataclass_twins
 
 VALUES = [
     Partition((3, 1, 0)),
@@ -37,6 +47,12 @@ VALUES = [
     SchurClass.zero(1),
     TruncSeries(2, 3, {(1, 0): 2, (0, 1): -1, (0, 0): 1}),
     TruncSeries.one(1, 0),
+    pf_check(make_sequence("heisenberg", u=1), 3, 3),
+    pf_check(make_sequence("poly", m=2), 2, 2),
+    quadric_pure_resolution(3, (1, 1, 1), tail_terms=2),
+    orthogonal_stable_decomposition(QuadricContext(5), (2, 1)),
+    hk_solve((0, 2, 3)),
+    jt_complex_layout(make_sequence("poly", m=2), (2, 1)),
 ]
 
 
@@ -66,19 +82,32 @@ FROZEN = [
 @pytest.mark.parametrize("value, init_fields", FROZEN, ids=[type(v).__name__ for v, _ in FROZEN])
 def test_frozen_slotted_contract(value, init_fields):
     cls = type(value)
-    assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen and "__slots__" in vars(cls)
+    assert vars(cls)["__slots__"] == fields(cls)
     assert tuple(inspect.signature(cls).parameters) == init_fields
     assert not hasattr(value, "__dict__")
-    for name in (f.name for f in dataclasses.fields(value)):
+    for name in fields(value):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
             delattr(value, name)
-    # for a name that is not a field, Python 3.11's frozen slotted dataclasses
-    # raise TypeError rather than AttributeError; either way nothing is stored
-    with pytest.raises((AttributeError, TypeError)):
+    with pytest.raises(AttributeError):
         value.extra = 1
     assert not hasattr(value, "extra")
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [(QuadricContext(3), "dual"), (QuadricContext(3), "m"), (SchurClass.zero(1), "foo"), (hk_solve((0, 2, 3)), "tail")],
+    ids=repr,
+)
+def test_frozen_errors_name_the_attribute_and_the_class(value, name):
+    """Setting or deleting any attribute of a frozen value, a property or a
+    name that is no field among them, raises AttributeError naming both."""
+    cls = type(value).__name__
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}' of frozen {cls}$"):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}' of frozen {cls}$"):
+        delattr(value, name)
 
 
 def test_sequences_and_contexts_compare_by_identity():
@@ -185,10 +214,192 @@ def _immutability_breaches(tree: ast.AST, path: str) -> list[str]:
 
 
 def test_one_immutability_idiom():
-    """Values are frozen dataclasses: no hand-written __slots__ or attribute
-    guards, and object.__setattr__ only where __post_init__ normalises."""
+    """Values are frozen value classes of jtkit._frozen, the one module that
+    writes __slots__, attribute guards and object.__setattr__ by hand;
+    elsewhere object.__setattr__ appears only where __post_init__
+    normalises."""
     root = Path(jtkit.__file__).parent
-    breaches = []
-    for path in sorted(root.glob("*.py")):
-        breaches += _immutability_breaches(ast.parse(path.read_text()), path.name)
-    assert breaches == []
+    breaches = {path.name: _immutability_breaches(ast.parse(path.read_text()), path.name) for path in root.glob("*.py")}
+    assert breaches.pop("_frozen.py")
+    assert [b for found in breaches.values() for b in found] == []
+
+
+# --- each frozen class against its dataclasses twin --------------------------
+
+LIBRARY = {name: getattr(importlib.import_module(mod), name) for mod, names in FROZEN_CLASSES.items() for name in names}
+
+
+def test_every_frozen_class_has_a_twin():
+    importlib.import_module("jtkit.cli")  # loads every module of the package
+    made = {
+        name
+        for modname, module in list(sys.modules.items())
+        if modname.startswith("jtkit.")
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__ == modname and "__frozen_fields__" in vars(obj)
+    }
+    assert made == LIBRARY.keys()
+
+
+def _constant_term(seq, d):
+    """A term function that pickle can find by name."""
+    return 1
+
+
+SMALL = st.integers(0, 2)
+PARTS = partitions(max_size=3, max_part=2, max_length=2)
+TERMS = st.integers(1, 2).flatmap(
+    lambda k: st.tuples(st.just(k), st.dictionaries(st.tuples(*[PARTS] * k), st.integers(-1, 1), max_size=2))
+)
+# an integer, or the (k, terms) of a SchurClass
+VALUE = st.one_of(st.integers(-1, 2), TERMS)
+COMPLEX_TERM = st.tuples(SMALL, PARTS, PARTS, VALUE)
+
+
+def _value(c, v):
+    return v if isinstance(v, int) else c["SchurClass"](*v)
+
+
+def _complex_term(c, degree, sigma, weight, v):
+    return c["ComplexTerm"](degree, sigma, weight, _value(c, v))
+
+
+def _graded_sequence(c, name, k):
+    """An integer sequence for k = 0, else a class sequence with k factors."""
+    if not k:
+        return c["GradedSequence"](name, "integer", _constant_term)
+    return c["GradedSequence"](name, "class", _constant_term, k, (2,) * k)
+
+
+def _betti_table(c, steps, tail, step, ratio):
+    rows, index, twist = [], -1, -1
+    for di, dt, rank in steps:
+        index, twist = index + di, twist + dt
+        rows.append(c["BettiRow"](index, twist, rank, None if rank == 1 else f"({rank})"))
+    last = rows[-1]
+    return c["BettiTable"](tuple(rows), c["BettiTail"](last.index, last.rank, step, ratio) if tail else None)
+
+
+# for each frozen class: a strategy for plain field data, and how to build a
+# value from that data given a dict of classes (the library's or the twins')
+BUILDERS = {
+    "Partition": (st.tuples(PARTS, SMALL), lambda c, parts, zeros: c["Partition"](parts + (0,) * zeros)),
+    "SkewShape": (
+        PARTS.flatmap(lambda lam: st.tuples(st.just(lam), sub_partition(lam))),
+        lambda c, lam, mu: c["SkewShape"](lam, mu),
+    ),
+    "Permutation": (
+        st.integers(0, 3).flatmap(lambda n: st.tuples(st.permutations(range(1, n + 1)))),
+        lambda c, word: c["Permutation"](tuple(word)),
+    ),
+    "SchurClass": (TERMS, lambda c, k, terms: c["SchurClass"](k, terms)),
+    "TruncSeries": (
+        st.tuples(SMALL, st.dictionaries(st.tuples(SMALL), st.integers(-1, 1), max_size=2)),
+        lambda c, trunc, coeffs: c["TruncSeries"](1, trunc, coeffs),
+    ),
+    "GradedSequence": (st.tuples(st.sampled_from(["a", "b"]), SMALL), _graded_sequence),
+    "PFReport": (
+        st.tuples(st.sampled_from(["positive-up-to-bounds", "negative"]), SMALL, SMALL, st.none() | VALUE),
+        lambda c, verdict, order, checked, witness: c["PFReport"](
+            verdict, order, order, checked, None if witness is None else ((2, 1), (1,), _value(c, witness))
+        ),
+    ),
+    "QuadricContext": (st.tuples(st.integers(1, 3)), lambda c, m: c["QuadricContext"](m)),
+    "OrthogonalDecomposition": (
+        st.tuples(SMALL, PARTS, st.lists(st.tuples(PARTS, SMALL), max_size=2).map(tuple)),
+        lambda c, *args: c["OrthogonalDecomposition"](*args),
+    ),
+    "BettiRow": (st.tuples(SMALL, SMALL, SMALL, st.none() | st.just("(1)")), lambda c, *args: c["BettiRow"](*args)),
+    "BettiTail": (
+        st.tuples(SMALL, SMALL, st.integers(1, 2), st.integers(1, 2)),
+        lambda c, *args: c["BettiTail"](*args),
+    ),
+    "BettiTable": (
+        st.tuples(
+            st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=3),
+            st.booleans(),
+            st.integers(1, 2),
+            st.integers(1, 2),
+        ),
+        _betti_table,
+    ),
+    "PurityReport": (
+        st.tuples(
+            st.booleans(), st.booleans(), st.lists(SMALL, max_size=2).map(tuple), st.none() | SMALL, SMALL, SMALL
+        ),
+        lambda c, *args: c["PurityReport"](*args),
+    ),
+    "HKSolution": (
+        st.tuples(st.lists(SMALL, max_size=3).map(tuple), st.lists(SMALL, max_size=3)),
+        lambda c, ints, raw: c["HKSolution"](ints, ints, ints[::-1], tuple(Fraction(n, 2) for n in raw)),
+    ),
+    "ComplexTerm": (COMPLEX_TERM, _complex_term),
+    "ComplexLayout": (
+        st.tuples(SMALL, PARTS, st.lists(COMPLEX_TERM, max_size=2), VALUE),
+        lambda c, n, lam, terms, minor: c["ComplexLayout"](
+            "poly:2", n, lam, (), tuple(_complex_term(c, *t) for t in terms), _value(c, minor)
+        ),
+    ),
+}
+
+
+def _recipe(name):
+    return st.tuples(st.just(name), BUILDERS[name][0])
+
+
+NAMES = st.sampled_from(sorted(BUILDERS))
+# two values of one class, or of any two classes
+PAIRS = st.one_of(
+    NAMES.flatmap(lambda name: st.tuples(_recipe(name), _recipe(name))),
+    st.tuples(NAMES.flatmap(_recipe), NAMES.flatmap(_recipe)),
+)
+COPIERS = [copy.copy, copy.deepcopy] + [
+    lambda v, protocol=protocol: pickle.loads(pickle.dumps(v, protocol))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+]
+
+
+def _build(classes, recipe):
+    name, data = recipe
+    return BUILDERS[name][1](classes, *data)
+
+
+def _attempt(action):
+    """What action returns, or the name of the exception it raises."""
+    try:
+        return "returned", action()
+    except Exception as e:
+        return "raised", type(e).__name__
+
+
+def _hash_seen(value):
+    """The hash, unless the class keeps object's identity hash."""
+    return "identity" if type(value).__hash__ is object.__hash__ else _attempt(lambda: hash(value))
+
+
+def _observe(a, b) -> list:
+    """What the value protocol shows of a and b: their reprs, equality both
+    ways and with ANY (which a NotImplemented lets decide), their hashes,
+    and what copy, deepcopy and each pickle protocol give back for a."""
+    seen = [repr(a), repr(b), a == b, b == a, a != b, a == a, a == ANY, _hash_seen(a), _hash_seen(b)]
+    for copier in COPIERS:
+        how, other = _attempt(lambda: copier(a))
+        seen.append(other if how == "raised" else (type(other).__name__, repr(other), other == a, _hash_seen(other)))
+    return seen
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_frozen_class_signature_and_fields_match_dataclass_twin(name):
+    cls, twin = LIBRARY[name], dataclass_twins()[name]
+    assert str(inspect.signature(cls)) == str(inspect.signature(twin))
+    assert fields(cls) == tuple(f.name for f in dataclasses.fields(twin))
+    assert name in BUILDERS, "the behaviour test below draws no values of this class"
+
+
+@given(PAIRS)
+@settings(deadline=None, max_examples=300)
+def test_frozen_classes_behave_as_dataclass_twins(recipes):
+    """Built from the same drawn fields, a pair of library values shows what
+    the pair of dataclasses twins shows."""
+    twins = dataclass_twins()
+    assert _observe(*(_build(LIBRARY, r) for r in recipes)) == _observe(*(_build(twins, r) for r in recipes))
