@@ -360,20 +360,13 @@ def partitions_of(n: int, max_part: int | None = None, max_length: int | None = 
     The first part increases outermost, so for n=4 the order is
     (1,1,1,1), (2,1,1), (2,2), (3,1), (4).
     """
-    if max_part is None:
-        max_part = n
-    if max_length is None:
-        max_length = n
-    if n == 0:
-        yield ()
-        return
-    if n < 0 or max_length <= 0 or max_part <= 0:
-        return
-    # a first part below n / max_length leaves the other rows too much, and
-    # past max_part * max_length the range is empty
-    for first in range(-(-n // max_length), min(n, max_part) + 1):
-        for rest in partitions_of(n - first, max_part=first, max_length=max_length - 1):
-            yield (first,) + rest
+    # no part and no length exceeds n, so a huge bound builds no huge
+    # tuple; n = 0 reaches _inside with no rows and yields ()
+    part = n if max_part is None else min(max_part, n)
+    rows = n if max_length is None else min(max_length, n)
+    if n and (min(part, rows) <= 0 or n > part * rows):
+        return iter(())
+    return _inside(n, (part,) * rows, part)
 
 
 def scan_partitions(max_length: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -392,21 +385,27 @@ def subpartitions(lam) -> Iterator[tuple[int, ...]]:
         yield from _inside(n, lam, lam[0] if lam else 0)
 
 
-def _inside(n: int, bounds: tuple[int, ...], cap: int) -> Iterator[tuple[int, ...]]:
+def _inside(n: int, bounds: tuple[int, ...], cap: int, row: int = 0) -> Iterator[tuple[int, ...]]:
     """Partitions of n with parts at most cap whose i-th part is at most
-    bounds[i], in lexicographically ascending order.  bounds is weakly
+    bounds[row + i], in lexicographically ascending order.  bounds is weakly
     decreasing and some such partition must exist.  The first part starts
     at the least value whose rows can hold n, so every call yields."""
     if not n:
         yield ()
         return
-    if len(bounds) == 1:
-        yield (n,)
-        return
-    rest = bounds[1:]
-    first = -(-n // len(bounds))
-    while first + sum(min(b, first) for b in rest) < n:
-        first += 1
-    for first in range(first, min(n, cap, bounds[0]) + 1):
-        for tail in _inside(n - first, rest, first):
-            yield (first,) + tail
+    left = len(bounds) - row
+    first = -(-n // left)
+    # left rows of a first part within every bound below already hold n
+    if first > bounds[-1]:
+        while first + sum(min(b, first) for b in bounds[row + 1 :]) < n:
+            first += 1
+    top = min(n, cap, bounds[row])
+    row += 1
+    for first in range(first, top + 1):
+        rest = n - first
+        if rest <= 1 or left == 2:
+            # the tail is empty, a single 1 or the last row: no call needed
+            yield (first, rest) if rest else (first,)
+        else:
+            for tail in _inside(rest, bounds, first, row):
+                yield (first,) + tail

@@ -3,6 +3,7 @@
 Everything here recomputes library results by a different algorithm:
 shape canonicalization, conjugates and containment one part at a time,
 the partitions inside a shape by choosing every row and sorting the set,
+the partitions of n by their first part,
 tableau counts by direct chain recursion and, for super tableaux, by
 filling the diagram cell by cell and by strip chains grown forward from
 the inner shape alone, determinants by fraction Gaussian
@@ -23,7 +24,8 @@ products and quotients on exponent tuples instead of packed keys,
 Taylor coefficients at t = 1 by repeated synthetic division, linear
 systems, hk_solve's among them, by Gauss-Jordan over Fraction,
 hk_solve's own elimination with its unknowns kept as Fractions, and the
-minors of tensoralg in closed form by the hook length formula, and the
+minors of tensoralg in closed form by the hook length formula, those
+of tensor:poly:m,poly:m as the coproduct of a Schur class, and the
 frozen value classes by dataclasses.dataclass applied to their own class
 bodies.  None of these call the library code paths they check.
 
@@ -92,6 +94,25 @@ def subpartitions_by_sorting(lam) -> list[tuple[int, ...]]:
                 yield trim_by_loop((first,) + rest)
 
     return sorted(set(rec(trim_by_loop(lam))), key=lambda t: (sum(t), t))
+
+
+def partitions_by_first_part(n: int, max_part: int | None = None, max_length: int | None = None):
+    """The partitions of n with at most max_length parts, each at most
+    max_part (None: no bound), in lexicographically ascending order: each
+    first part from the least that the other rows can follow up to the
+    largest, then the rest of n below it on one row fewer."""
+    if max_part is None:
+        max_part = n
+    if max_length is None:
+        max_length = n
+    if n == 0:
+        yield ()
+        return
+    if n < 0 or max_length <= 0 or max_part <= 0:
+        return
+    for first in range(-(-n // max_length), min(n, max_part) + 1):
+        for rest in partitions_by_first_part(n - first, first, max_length - 1):
+            yield (first,) + rest
 
 
 _SSYT_MEMO = {}
@@ -330,7 +351,7 @@ def chi_o_peeling(mu, m) -> int:
     """Stable orthogonal character dimension by peeling doubled-row LR terms
     out of the GL dimension: chi(mu) = dim_gl(mu, m) minus the sum over
     nonempty nu and alpha of c^mu_{alpha, 2 nu} chi(alpha)."""
-    from jtkit.shapes import partitions_of, subpartitions
+    from jtkit.shapes import subpartitions
     from jtkit.symfunc import dim_gl, lr_coefficient
 
     mu = tuple(x for x in mu if x)
@@ -341,7 +362,7 @@ def chi_o_peeling(mu, m) -> int:
     total = dim_gl(mu, m)
     size = sum(mu)
     for half in range(1, size // 2 + 1):
-        for nu in partitions_of(half):
+        for nu in partitions_by_first_part(half):
             doubled = tuple(2 * p for p in nu)
             for alpha in subpartitions(mu):
                 if sum(alpha) == size - 2 * half:
@@ -614,7 +635,7 @@ def ortho_multiplicities_by_lr(lam) -> dict:
     lam, in subpartitions' order, the sum over nu of c^lam_{mu, (2 nu)'}
     with one lr_coefficient call per pair, the transposed doubled partitions
     enumerated directly."""
-    from jtkit.shapes import conjugate, partitions_of, subpartitions
+    from jtkit.shapes import conjugate, subpartitions
     from jtkit.symfunc import lr_coefficient
 
     out = {}
@@ -623,7 +644,7 @@ def ortho_multiplicities_by_lr(lam) -> dict:
         if rem % 2:
             continue
         mult = sum(
-            lr_coefficient(lam, mu, conjugate(tuple(2 * p for p in nu))) for nu in partitions_of(rem // 2)
+            lr_coefficient(lam, mu, conjugate(tuple(2 * p for p in nu))) for nu in partitions_by_first_part(rem // 2)
         )
         if mult:
             out[mu] = mult
@@ -836,16 +857,6 @@ def qdual_term_class(d: int):
     return SchurClass(1, {((1,) * k,): 1 for k in range(d, -1, -2)})
 
 
-def _partitions_of(n: int, largest: int):
-    """The partitions of n with parts at most largest, largest first."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions_of(n - first, first):
-            yield (first,) + rest
-
-
 def hook_count(nu) -> int:
     """Standard Young tableaux of shape nu, by the hook length formula."""
     conj = conjugate_by_count(nu)
@@ -868,7 +879,24 @@ def tensoralg_minor(lam, mu):
     if not contains_by_index(lam, mu) or any(m < b for m, b in zip(padded, below)):
         return SchurClass.zero(1)
     n = sum(lam) - sum(mu)
-    return SchurClass(1, {(nu,): hook_count(nu) for nu in _partitions_of(n, n)})
+    return SchurClass(1, {(nu,): hook_count(nu) for nu in partitions_by_first_part(n)})
+
+
+def tensor_poly_minor(lam):
+    """The Jacobi-Trudi minor of lam for tensor:poly:m,poly:m, with no LR
+    product.
+
+    a_d = sum_i h_i (x) h_{d-i} is the image of h_d under the coproduct,
+    a ring map that sends s_lam to the sum over mu inside lam of
+    s_mu (x) s_{lam/mu} (Macdonald, Symmetric Functions, I.5); each
+    s_{lam/mu} is expanded by skew_to_straight's one LR content tally."""
+    from jtkit.shapes import SkewShape
+    from jtkit.symfunc import SchurClass, external_product, skew_to_straight
+
+    total = SchurClass.zero(2)
+    for mu in subpartitions_by_sorting(lam):
+        total = total + external_product(SchurClass.schur(mu), skew_to_straight(SkewShape(lam, mu)))
+    return total
 
 
 # jtkit's frozen value classes, module by module in import order, each

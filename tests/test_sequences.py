@@ -45,6 +45,7 @@ from oracles import (
     pf_check_per_shape,
     pieri_identity_check,
     schur_dimension_profile_pairwise,
+    tensor_poly_minor,
     tensoralg_minor,
     transpose_duality_check,
 )
@@ -395,6 +396,16 @@ def test_tensoralg_minors_match_closed_form():
     (sweep,) = _box_minors(a, 5, [4])
     minors = {_shape_of_rows(rows, 5): value for rows, value in sweep.items()}
     assert minors == {(n,): tensoralg_minor((n,), ()) for n in range(1, 5)}
+
+
+def test_tensor_box_minors_match_coproduct():
+    """tensor:poly:2,poly:2 against the coproduct of s_lambda, which takes
+    no mult_one product: the whole 4x4 _box_minors sweep, whose 69 shapes
+    all have a nonzero minor."""
+    (sweep,) = _box_minors(parse_sequence_spec("tensor:poly:2,poly:2"), 4, [4])
+    minors = {_shape_of_rows(rows, 4): value for rows, value in sweep.items()}
+    assert len(minors) == 69
+    assert minors == {lam: tensor_poly_minor(lam) for lam in scan_partitions(4, 4)}
 
 
 def test_poly_skew_minors_are_skew_schur_classes():

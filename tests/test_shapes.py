@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from math import comb
@@ -8,6 +10,7 @@ from math import comb
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jtkit
 from jtkit.shapes import (
     Partition,
     Permutation,
@@ -32,7 +35,13 @@ from jtkit.shapes import (
 from jtkit.symfunc import dim_gl
 
 from conftest import partitions, sub_partition
-from oracles import conjugate_by_count, contains_by_index, subpartitions_by_sorting, trim_by_loop
+from oracles import (
+    conjugate_by_count,
+    contains_by_index,
+    partitions_by_first_part,
+    subpartitions_by_sorting,
+    trim_by_loop,
+)
 
 PARTS = partitions(max_size=12, max_part=8, max_length=5)
 PAIRS = PARTS.flatmap(lambda lam: st.tuples(st.just(lam), sub_partition(lam)))
@@ -332,16 +341,59 @@ def test_subpartitions_match_sorted_oracle(lam):
 
 
 def test_scan_partitions_fill_the_box():
-    for rows in range(1, 7):
-        for cols in range(1, 7):
+    """The box's nonempty partitions in the sorted oracle's order; a box
+    with no rows or no columns holds none."""
+    for rows in range(-2, 7):
+        for cols in range(-2, 7):
             box = list(scan_partitions(rows, cols))
-            assert len(set(box)) == len(box) == comb(rows + cols, rows) - 1
+            if min(rows, cols) <= 0:
+                assert box == [], (rows, cols)
+                continue
+            assert box == subpartitions_by_sorting((cols,) * rows)[1:]
+            assert len(box) == comb(rows + cols, rows) - 1
 
 
-@given(st.integers(1, 30), st.integers(1, 6), st.integers(1, 6))
+BOUND = st.none() | st.integers(-2, 9)
+
+
+@given(st.integers(-3, 30), BOUND, BOUND)
+@example(5, None, 10**9)
+@example(5, 10**9, None)
+@example(30, 10**9, 10**9)
+@example(0, -2, -2)
+@settings(deadline=None)
 def test_partitions_of_past_the_box_is_empty(n, max_part, max_length):
+    """partitions_of lists what the first-part recursion lists, with no
+    bound meaning n and huge bounds at no cost, and lists nothing exactly
+    when n is negative or, for positive n, outside the bounds' box."""
     got = list(partitions_of(n, max_part, max_length))
-    assert (got == []) == (n > max_part * max_length)
+    assert got == list(partitions_by_first_part(n, max_part, max_length))
+    part = n if max_part is None else max_part
+    rows = n if max_length is None else max_length
+    assert (got == []) == (n < 0 or n > 0 and (min(part, rows) <= 0 or n > part * rows))
+
+
+def _self_recursive_generators(tree: ast.AST, module: str) -> list[str]:
+    """module.name for each function in tree that yields and calls itself by
+    name."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = list(ast.walk(node))
+            yields = any(isinstance(sub, (ast.Yield, ast.YieldFrom)) for sub in body)
+            calls = {sub.func.id for sub in body if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)}
+            if yields and node.name in calls:
+                out.append(f"{module}.{node.name}")
+    return out
+
+
+def test_one_partition_enumerator():
+    """Every listing of partitions goes through shapes._inside: it is the one
+    function of the package that yields and calls itself."""
+    found = []
+    for path in sorted(Path(jtkit.__file__).parent.glob("*.py")):
+        found += _self_recursive_generators(ast.parse(path.read_text()), path.stem)
+    assert found == ["shapes._inside"]
 
 
 @given(PARTS.flatmap(lambda lam: st.tuples(st.just(lam), sub_partition(lam))))
