@@ -23,6 +23,18 @@ def det_bareiss(rows: list[list[int]]) -> int:
         raise ValueError(f"det_bareiss needs integer entries, got {bad!r}") from None
     if any(len(r) != n for r in m):
         raise ValueError("det_bareiss needs a square matrix")
+    return _bareiss(m) * m[n - 1][n - 1]
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Bareiss elimination (Math. Comp. 22, 1968), in place, of the n rows
+    of the integer matrix m on their first n columns, updating every column
+    the rows hold and leaving the entries below the diagonal as they were:
+    m[n-1][n-1] ends as the determinant of the row-swapped first n columns.
+    Each step divides exactly by the previous pivot (Sylvester's identity),
+    else ArithmeticError.  Returns the sign of the row swaps, or 0 when a
+    pivot column before the last is zero on and below the diagonal."""
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -34,15 +46,19 @@ def det_bareiss(rows: list[list[int]]) -> int:
                     break
             else:
                 return 0
+        top = m[k]
+        p = top[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+            row = m[i]
+            f = row[k]
+            for j in range(k + 1, len(row)):
+                num = row[j] * p - f * top[j]
                 q, r = divmod(num, prev)
                 if r:
                     raise ArithmeticError(f"Bareiss step {num} not divisible by pivot {prev}")
-                m[i][j] = q
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                row[j] = q
+        prev = p
+    return sign
 
 
 def _signed_sum(zero, products, start=None):

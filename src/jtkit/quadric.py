@@ -7,15 +7,14 @@ The test suite runs them against each other; keep them independent.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 from math import comb, prod
-from operator import lt
 
 from ._frozen import dataclass, field
 from .memo import memo_put
 from .powerseries import TruncSeries, _packed_div, _packed_mul, _packed_pow, _packing
 from .sequences import GradedSequence, jt_minor, make_sequence
-from .shapes import SkewShape, _fits, as_parts, as_shape, subpartitions, trim
+from .shapes import SkewShape, _conj, as_parts, as_shape, subpartitions
 from .symfunc import _lr_contents, dim_gl_skew, dim_super
 
 _QSD_CACHE: dict = {}
@@ -66,14 +65,13 @@ def quadric_schur_dim(ctx: QuadricContext, shape, method: str = "jt") -> int:
         value = jt_minor(ctx.sequence, s)
     elif method == "vertical_strip":
         value = 0
-        # alpha runs over shapes with lam/alpha a vertical strip, mu inside
-        for pick in product(*[(p - 1, p) for p in lam]):
-            if any(map(lt, pick, pick[1:])):
-                continue
-            alpha = trim(pick)
-            if not _fits(alpha, mu):
-                continue
-            value += dim_gl_skew(SkewShape(alpha, s.inner), ctx.m - 1)
+        # alpha runs over shapes with lam/alpha a vertical strip, mu inside:
+        # column j of alpha runs over [max(lam'_{j+1}, mu'_j), lam'_j]
+        lam_c = _conj(lam)
+        cols = zip_longest(lam_c, lam_c[1:], _conj(mu), fillvalue=0)
+        heights = [range(max(nxt, inner), top + 1) for top, nxt, inner in cols]
+        for alpha_c in product(*heights):
+            value += dim_gl_skew(SkewShape(_conj(alpha_c), s.inner), ctx.m - 1)
     else:
         value = dim_super(lam, ctx.m - 1, 1, mu)
     return memo_put(_QSD_CACHE, key, value)

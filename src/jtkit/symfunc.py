@@ -32,7 +32,6 @@ from .shapes import _conj, _fits, as_parts, as_shape, trim
 _MULT_CACHE: dict = {}
 _SKEW_CACHE: dict = {}
 _DIM_GL_CACHE: dict = {}
-_DIM_SKEW_CACHE: dict = {}
 _DIM_SUPER_CACHE: dict = {}
 
 # _strip_shapes runs its product when that visits at most _PRODUCT_ANY
@@ -307,13 +306,7 @@ def dim_gl(lam, m: int) -> int:
 
 def dim_gl_skew(shape, m: int) -> int:
     """Dimension of the skew Schur functor on an m-dimensional space."""
-    s = as_shape(shape)
-    key = (s.outer.parts, s.inner.parts, int(m))
-    hit = _DIM_SKEW_CACHE.get(key)
-    if hit is not None:
-        return hit
-    total = sum(c * dim_gl(nu, m) for nu, c in _skew_tally(s).items())
-    return memo_put(_DIM_SKEW_CACHE, key, total)
+    return sum(c * dim_gl(nu, m) for nu, c in _skew_tally(as_shape(shape)).items())
 
 
 def _strip_chains(start: tuple[int, ...], letters: int, rows) -> dict:

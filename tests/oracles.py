@@ -704,17 +704,15 @@ def series_div_tuples(a, b):
 def taylor_remainders(coeffs, count: int) -> list[Fraction]:
     """First count coefficients of the expansion around t = 1 of the
     polynomial with the given coefficient list, by repeated synthetic
-    division by (t - 1)."""
-    p = [Fraction(c) for c in coeffs]
+    division by (t - 1).  Integer coefficients stay integers until the
+    remainders are returned."""
+    p = list(coeffs)
     out = []
     for _ in range(count):
-        # Horner pass: remainder is p(1), quotient stays in the list
-        acc = Fraction(0)
-        for j in range(len(p) - 1, -1, -1):
-            acc += p[j]
-            p[j] = acc
-        out.append(p[0])
-        p = p[1:] or [Fraction(0)]
+        # Horner pass, the sums from the top: remainder is p(1), quotient the rest
+        p = list(itertools.accumulate(reversed(p)))[::-1]
+        out.append(Fraction(p[0]))
+        p = p[1:] or [0]
     return out
 
 

@@ -85,6 +85,12 @@ def test_unknown_method():
 
 
 @given(st.integers(2, 5), SKEW)
+# long columns: the vertical-strip route lists only the shapes it sums over,
+# not the 2^l(lam) row picks
+@example(3, ((1,) * 30, ()))
+@example(5, ((1,) * 30, (1, 1, 1)))
+@example(4, ((2,) * 10 + (1,) * 10, ()))
+@example(5, ((2,) * 10 + (1,) * 10, (2, 2, 1)))
 @settings(deadline=None, max_examples=80)
 def test_three_routes_agree(m, pair):
     lam, mu = pair

@@ -23,7 +23,7 @@ from jtkit.resolutions import (
     rnc_sequence,
     validate_purity,
 )
-from jtkit import resolutions
+from jtkit import determinant, resolutions
 from jtkit.sequences import make_sequence
 from jtkit.symfunc import dim_gl
 
@@ -558,6 +558,8 @@ def test_hk_cost_does_not_grow_with_twist_size():
 
 
 @given(st.sets(st.integers(0, 60), min_size=2, max_size=8))
+# 35 twists spread to 16,354: size 34^2 * 14 bits = 16,184, at the budget's edge
+@example({481 * k for k in range(35)})
 @settings(deadline=None, max_examples=60)
 def test_hk_matches_fraction_route(tw_set):
     twists = tuple(sorted(tw_set))
@@ -605,6 +607,25 @@ def test_bareiss_solve_matches_fraction_solve(system):
         return
     nums, den = resolutions._solve_square(matrix, rhs)
     assert [Fraction(x, den) for x in nums] == solve_fraction(matrix, rhs)
+
+
+def test_solve_goes_through_bareiss(monkeypatch):
+    """_solve_square eliminates with determinant's one Bareiss pass, and
+    hk_solve solves once per branch."""
+    assert resolutions._bareiss is determinant._bareiss
+    calls = []
+
+    def recording(m):
+        calls.append((len(m), len(m[0])))
+        return determinant._bareiss(m)
+
+    monkeypatch.setattr(resolutions, "_bareiss", recording)
+    assert resolutions._solve_square([[0, 2], [3, 1]], [4, 5]) == ([6, 12], 6)
+    assert calls == [(2, 3)]
+    calls.clear()
+    s = hk_solve((0, 1, 3, 4, 7))
+    assert calls == [(4, 5), (4, 5)]
+    assert (s.tail, s.finite, s.tail_raw) == hk_solve_by_fractions((0, 1, 3, 4, 7))
 
 
 

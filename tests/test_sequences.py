@@ -751,6 +751,27 @@ def test_parse_sequence_spec():
         assert str(err.value) == message
 
 
+def test_nested_spec_parses_each_substring_once(monkeypatch):
+    """Each tensor cut tries every prefix as its left side; one parse of each
+    substring per parse_sequence_spec call keeps a deep spec polynomial in
+    its depth, not exponential."""
+    calls = []
+    real = sequences._strip_parens
+    monkeypatch.setattr(sequences, "_strip_parens", lambda text: calls.append(text) or real(text))
+    assert parse_sequence_spec("tensor:" * 16 + "quadric:2" + ",quadric:2" * 16).term(1) == 17 * 2
+    assert len(calls) < 1000
+    deep = parse_sequence_spec("tensor:" * 40 + "quadric:2" + ",quadric:2" * 40)
+    # the product of the 41 factors' series, up to degree 2
+    q2 = make_sequence("quadric", m=2)
+    want = [1, 0, 0]
+    for _ in range(41):
+        want = [sum(want[i] * q2.term(d - i) for i in range(d + 1)) for d in range(3)]
+    assert [deep.term(d) for d in range(3)] == want
+    # a builder's ValueError still escapes from inside the nesting
+    with pytest.raises(ValueError, match="^quadric needs m >= 1$"):
+        parse_sequence_spec("tensor:" * 3 + "quadric:2" + ",quadric:2" * 2 + ",quadric:0")
+
+
 @pytest.mark.parametrize(
     "kind, params, name",
     [
@@ -835,7 +856,7 @@ def _probe_caches(raw_cap):
 def test_cache_size_env_round_trip():
     default = _probe_caches(None)
     assert default["cap"] == 1 << 20
-    assert len(default["caches"]) == 10  # six module caches, two for each of two sequences
+    assert len(default["caches"]) == 9  # five module caches, two for each of two sequences
     assert min(default["caches"].values()) > 16  # the probe fills every cache past the small caps
     for raw, cap in (("0", 0), ("16", 16)):
         run = _probe_caches(raw)
