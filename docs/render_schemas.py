@@ -31,6 +31,14 @@ up to `--window` and stops at an early witness, so only a scan that
 reaches such a window fails:
 `--seq quadric:3 --order 14 --window 14` exits 1 at window 8, while
 `--seq heisenberg --order 12 --window 30` finds its witness at window 4.
+A negative `--order` or `--window` is a domain error (`error: scan order
+and window must be nonnegative`, exit code 1); a zero one scans the empty
+box and reports `checked` 0.
+
+A sequence spec (`--seq`, `--a`, `--b`) holds at most 128 separators (`:`,
+`,` and `(`), checked before any parsing: a longer one is a usage error,
+`argument --seq: sequence spec has N separators (':', ',' and '('), more
+than 128`, exit code 2.
 
 `hs-check` solves every coefficient of an n-variable series to degree
 `--trunc`, C(n + trunc, n) of them, after about n^2 series products.  More

@@ -2,15 +2,16 @@
 
 dataclass and field stand in for the part of dataclasses that the package
 uses, so that importing jtkit loads neither dataclasses nor inspect, and
-decorating a class runs one exec.  Every class is frozen, and the generated
-methods keep dataclass semantics: __init__ sets every field with
-object.__setattr__ and then calls __post_init__; __eq__ compares the field
-tuples of two instances of the same class and returns NotImplemented
-otherwise; __hash__ hashes that tuple; __repr__ lists the fields that have
-repr=True.  A method or __hash__ that the class body defines is never
-replaced.  Assigning or deleting any attribute raises AttributeError, and
-slotted classes get __getstate__/__setstate__, so that pickle and copy still
-work.  This is the only module that sets attributes by hand.
+decorating a class runs one exec.  Every class is frozen and slotted, so
+no instance has a __dict__, and the generated methods keep dataclass
+semantics: __init__ sets every field with object.__setattr__ and then calls
+__post_init__; __eq__ (unless eq=False) compares the field tuples of two
+instances of the same class and returns NotImplemented otherwise; __hash__
+hashes that tuple; __repr__ lists the fields that have repr=True.  A method
+or __hash__ that the class body defines is never replaced.  Assigning or
+deleting any attribute raises AttributeError, and __getstate__/__setstate__
+keep pickle and copy working.  This is the only module that sets attributes
+by hand.
 """
 
 _MISSING = object()
@@ -34,10 +35,10 @@ def fields(obj) -> tuple[str, ...]:
     return obj.__frozen_fields__
 
 
-def dataclass(*, frozen, slots=False, eq=True, repr=True):
-    if not frozen:
-        raise TypeError("jtkit value classes are frozen")
-    return lambda cls: _build(cls, slots, eq, repr)
+def dataclass(*, frozen, slots, eq=True):
+    if not (frozen and slots):
+        raise TypeError("jtkit value classes are frozen and slotted")
+    return lambda cls: _build(cls, eq)
 
 
 def _setattr(self, name, value):
@@ -57,15 +58,13 @@ def _setstate(self, state):
         object.__setattr__(self, name, value)
 
 
-def _build(cls, slots, eq, repr):
+def _build(cls, eq):
     body = dict(cls.__dict__)
     annotations = body.get("__annotations__", {})
     specs = {}
     for name in annotations:
-        spec = body.get(name, _MISSING)
+        spec = body.pop(name, _MISSING)
         specs[name] = spec if isinstance(spec, _Field) else _Field(True, spec, _MISSING, True)
-        if slots or isinstance(spec, _Field):
-            body.pop(name, None)
     names = tuple(specs)
     env = {"__name__": cls.__module__, "_set": object.__setattr__}
     params, sets = ["self"], []
@@ -101,17 +100,14 @@ def _build(cls, slots, eq, repr):
     for method in ("__init__", "__eq__", "__hash__", "__repr__"):
         env[method].__qualname__ = f"{cls.__qualname__}.{method}"
     env["__init__"].__annotations__ = {**annotations, "return": None}
-    made = {"__init__": env["__init__"], "__frozen_fields__": names, "__setattr__": _setattr, "__delattr__": _delattr}
-    if repr:
-        made["__repr__"] = env["__repr__"]
+    made = {"__init__": env["__init__"], "__repr__": env["__repr__"], "__frozen_fields__": names, "__slots__": names}
+    made.update(__setattr__=_setattr, __delattr__=_delattr, __getstate__=_getstate, __setstate__=_setstate)
     if eq:
         made["__eq__"] = env["__eq__"]
         own_hash = body.get("__hash__", _MISSING)
         if own_hash is _MISSING or (own_hash is None and "__eq__" in body):
             body.pop("__hash__", None)
             made["__hash__"] = env["__hash__"]
-    if slots:
-        made.update(__slots__=names, __getstate__=_getstate, __setstate__=_setstate)
     for key, value in made.items():
         body.setdefault(key, value)
     for key in ("__dict__", "__weakref__"):

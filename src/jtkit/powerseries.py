@@ -121,7 +121,7 @@ def _packed_pow(a: dict, n: int, limit: int) -> dict:
     return result
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True)
 class TruncSeries:
     """A power series in nvars variables, cut off above total degree trunc."""
 

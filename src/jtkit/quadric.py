@@ -104,7 +104,7 @@ def chi_o_dim(mu, m: int) -> int:
     return 2 * q if mu and 2 * len(mu) == m else q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrthogonalDecomposition:
     m: int
     lam: tuple

@@ -20,7 +20,7 @@ from .symfunc import dim_gl
 from .powerseries import TruncSeries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BettiRow:
     index: int
     twist: int
@@ -34,7 +34,7 @@ class BettiRow:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BettiTail:
     """Eventually geometric continuation: from start onward the twist grows
     by step, at least 1, and the rank picks up a factor of ratio per index."""
@@ -55,7 +55,7 @@ class BettiTail:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BettiTable:
     rows: tuple
     tail: BettiTail | None = None
@@ -303,7 +303,7 @@ def rnc_pure_resolution(d: int, e, tail_terms: int = 4) -> BettiTable:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PurityReport:
     is_polynomial: bool
     nonnegative: bool
@@ -367,7 +367,7 @@ def validate_purity(
     return PurityReport(is_poly, nonneg, tuple(reported), dim, bound, tail_horizon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HKSolution:
     """The two-dimensional space of pure Betti vectors for a quadric ring in
     n variables, presented by two primitive basis vectors: one with a

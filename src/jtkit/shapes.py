@@ -88,7 +88,7 @@ def contains(outer, inner) -> bool:
     return _fits(as_parts(outer), as_parts(inner))
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A partition stored canonically (weakly decreasing, no trailing zeros).
 
@@ -143,7 +143,7 @@ class Partition:
         return f"Partition{self.parts!r}"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True)
 class SkewShape:
     """A skew shape outer/inner with inner contained in outer."""
 
@@ -289,7 +289,7 @@ def attach_dot(d: SkewShape, c) -> SkewShape:
     return _attach(as_shape(d), c, merge_row=False)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """A permutation of {1..n} in one-line notation."""
 

@@ -382,7 +382,7 @@ def dim_super(lam, r: int, s: int, mu=()) -> int:
     return memo_put(_DIM_SUPER_CACHE, key, total)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True)
 class SchurClass:
     """An integer combination of products of Schur functors.
 

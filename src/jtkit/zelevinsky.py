@@ -14,7 +14,7 @@ from .shapes import SkewShape, as_parts, dotted_action, permutations_by_length
 from .symfunc import SchurClass, value_json
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexTerm:
     degree: int
     sigma: tuple
@@ -25,7 +25,7 @@ class ComplexTerm:
         return {"sigma": list(self.sigma), "weight": list(self.weight), "value": value_json(self.value)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexLayout:
     """All n! terms of the complex, grouped by homological degree, plus the
     minor the Euler characteristic must hit."""

@@ -36,3 +36,15 @@ def sub_partition(lam):
         return tuple(x for x in out if x)
 
     return st.lists(st.integers(0, 10 ** 6), min_size=len(lam), max_size=len(lam)).map(build)
+
+
+# one sequence spec of each kind that ran away before parse_sequence_spec
+# bounded its separators, with that count: unbounded recursion, a nested
+# tensor: that did not finish in 30 s, a long list: that every cut split
+# again (6 s), and deep parentheses (0.9 s)
+RUNAWAY_SPECS = {
+    "veronese": ("veronese:" * 600 + "quadric:2" + ",2" * 600, 1201),
+    "tensor": ("tensor:" * 400 + "quadric:2" + ",quadric:2" * 400, 1201),
+    "list": ("tensor:list:" + "1," * 4000 + "quadric:2", 4003),
+    "parens": ("(" * 4000 + "quadric:2" + ")" * 4000, 4001),
+}

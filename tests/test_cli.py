@@ -14,6 +14,8 @@ from jtkit import cli
 from jtkit.cli import run
 from jtkit.schemas import SCHEMAS
 
+from conftest import RUNAWAY_SPECS
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -284,6 +286,28 @@ def test_pf_check_honours_max_cost(capsys):
     assert payload["verdict"] == "positive-up-to-bounds"
     # the cap bounds class determinants only; integer scans are cheap at any order
     check_json(capsys, "pf-check", "--seq", "quadric:3", "--order", "4", "--window", "3", "--max-cost", "3")
+
+
+def test_pf_check_refuses_negative_bounds(capsys):
+    for order, window in (("-1", "-3"), ("-1", "2"), ("2", "-1")):
+        code, out, err = invoke(capsys, "pf-check", "--seq", "quadric:3", "--order", order, "--window", window)
+        assert (code, out, err) == (1, "", "error: scan order and window must be nonnegative\n")
+    # a zero bound still scans the empty box
+    for order, window in (("0", "3"), ("3", "0")):
+        payload = check_json(capsys, "pf-check", "--seq", "quadric:3", "--order", order, "--window", window)
+        assert (payload["verdict"], payload["checked"]) == ("positive-up-to-bounds", 0)
+
+
+def test_spec_separator_bound_is_a_usage_error(capsys):
+    for spec, separators in RUNAWAY_SPECS.values():
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "pf-check", "--seq", spec)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"jtkit pf-check: error: argument --seq: sequence spec has {separators} separators "
+            "(':', ',' and '('), more than 128"
+        )
 
 
 def test_pf_check_sweep_budget(capsys):

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +16,7 @@ from jtkit import memo, quadric, sequences, symfunc
 from jtkit.quadric import METHODS, QuadricContext, quadric_schur_dim
 from jtkit.sequences import (
     GradedSequence,
+    PFReport,
     _box_minors,
     _shape_of_rows,
     e_class,
@@ -34,7 +38,7 @@ from jtkit.sequences import (
 from jtkit.shapes import SkewShape, scan_partitions, subpartitions
 from jtkit.symfunc import SchurClass, binom, dim_super, skew_to_straight
 
-from conftest import partitions, sub_partition
+from conftest import RUNAWAY_SPECS, partitions, sub_partition
 from oracles import (
     compositions_of,
     det_fraction,
@@ -275,6 +279,16 @@ def test_pf_check_negative_witness():
     assert rep.checked == 16
     data = rep.to_json()
     assert data["witness"]["value"] == -60
+
+
+@pytest.mark.parametrize("skew", [False, True])
+def test_pf_check_bounds(skew):
+    """A negative order or window is refused; a zero one scans the empty box."""
+    for order, window in ((-1, -3), (-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="^scan order and window must be nonnegative$"):
+            pf_check(Q3, order, window, scan_skew=skew)
+    for order, window in ((0, 3), (3, 0), (0, 0)):
+        assert pf_check(Q3, order, window, scan_skew=skew) == PFReport("positive-up-to-bounds", order, window, 0)
 
 
 def test_pf_check_heisenberg():
@@ -742,13 +756,46 @@ def test_parse_sequence_spec():
     n = parse_sequence_spec("hadamard:list:1,2,3,squares")
     assert [n.term(i) for i in range(3)] == [1, 8, 27]
     unparsable = ("", "poly", "poly:x", "veronese:poly:2", "what:3", "squares:3", "heisenberg:", "list:", "poly:2,3")
+    # 128 separators are accepted, 129 are not
+    assert parse_sequence_spec("list:" + ",".join(["1"] * 128)).term(127) == 1
     for bad, message in [(b, f"cannot parse sequence spec {b!r}") for b in unparsable] + [
         ("quadric:0", "quadric needs m >= 1"),
         ("quadric_dual:0", "qdual needs m >= 1"),
+        ("list:" + ",".join(["1"] * 129), "sequence spec has 129 separators (':', ',' and '('), more than 128"),
     ]:
         with pytest.raises(ValueError) as err:
             parse_sequence_spec(bad)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("spec, separators", RUNAWAY_SPECS.values(), ids=RUNAWAY_SPECS)
+def test_spec_separator_bound(spec, separators):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        parse_sequence_spec(spec)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == f"sequence spec has {separators} separators (':', ',' and '('), more than 128"
+
+
+def test_every_spec_in_the_repo_is_within_the_bound():
+    """Each spec-like word of the tests, the benchmark's workloads, the
+    scripts, README and docs meets the separator bound: it parses, or it is
+    refused for another reason (the tests' deliberately bad specs)."""
+    root = Path(__file__).resolve().parents[1]
+    texts = [root / "README.md", root / "bench" / "workloads.py", *root.glob("tests/*.py"), *root.glob("scripts/*.py")]
+    texts += root.glob("docs/*")
+    heads = sorted({*sequences._KINDS, *sequences._ALIASES, "veronese", "hadamard", "tensor", "segre"}, key=len)
+    pattern = rf"(?<![\w-])(?:{'|'.join(heads[::-1])})(?::[\w:,()-]*)?"
+    specs = {spec for path in texts for spec in re.findall(pattern, path.read_text())}
+    parsed = set()
+    for spec in specs:
+        try:
+            parse_sequence_spec(spec)
+        except ValueError as e:
+            assert "separators" not in str(e), spec
+        else:
+            parsed.add(spec)
+    assert "list:2,3,1,4,1,5,9,2,6,5,3,5,8,9,7,9,3,2,3,8,4,6" in parsed and len(parsed) > 50
 
 
 def test_nested_spec_parses_each_substring_once(monkeypatch):
@@ -843,8 +890,12 @@ print(json.dumps({"cap": memo.CAP, "caches": caches, "answers": out}))
 """
 
 
+# a child interpreter imports jtkit from this checkout, installed or not
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
 def _probe_caches(raw_cap):
-    env = dict(os.environ)
+    env = dict(SRC_ENV)
     env.pop("JTKIT_CACHE_SIZE", None)
     if raw_cap is not None:
         env["JTKIT_CACHE_SIZE"] = raw_cap
@@ -911,7 +962,7 @@ for name, check in checks.items():
 
 
 def test_input_checks_survive_optimized_mode():
-    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS], capture_output=True, text=True, env=SRC_ENV)
     assert out.returncode == 0, out.stderr
     assert out.stdout == ""
 

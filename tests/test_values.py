@@ -2,7 +2,7 @@
 canonical at construction.
 
 Checks that values survive pickle and copy, that every instance is immutable
-and the slotted ones have no __dict__, that equal values hash equal whatever
+and slotted, with no __dict__, that equal values hash equal whatever
 form they were built from, that each class behaves as its dataclasses twin
 does, and that the package keeps to this one immutability idiom.
 """
@@ -25,10 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jtkit
+from jtkit import _frozen
 from jtkit._frozen import fields
 from jtkit.powerseries import TruncSeries
 from jtkit.quadric import QuadricContext, orthogonal_stable_decomposition
-from jtkit.resolutions import hk_solve, quadric_pure_resolution
+from jtkit.resolutions import hk_solve, quadric_pure_resolution, validate_purity
 from jtkit.sequences import GradedSequence, make_sequence, pf_check
 from jtkit.shapes import Partition, Permutation, SkewShape
 from jtkit.symfunc import SchurClass
@@ -67,6 +68,9 @@ def test_values_pickle_and_copy_by_value(value):
         assert repr(other) == repr(value)
 
 
+TABLE = quadric_pure_resolution(3, (1, 1, 1), tail_terms=2)
+LAYOUT = jt_complex_layout(make_sequence("poly", m=2), (2, 1))
+
 # one instance of each frozen class, with its positional constructor fields
 FROZEN = [
     (Partition((2, 1)), ("parts",)),
@@ -76,6 +80,18 @@ FROZEN = [
     (TruncSeries(1, 2, {(1,): 1}), ("nvars", "trunc", "coeffs")),
     (make_sequence("poly", m=2), ("name", "value_kind", "term_fn", "factor_count", "factor_dims")),
     (QuadricContext(2), ("m",)),
+    (pf_check(make_sequence("heisenberg", u=1), 3, 3), ("verdict", "order", "window", "checked", "witness")),
+    (orthogonal_stable_decomposition(QuadricContext(5), (2, 1)), ("m", "lam", "entries")),
+    (TABLE.rows[0], ("index", "twist", "rank", "label")),
+    (TABLE.tail, ("start", "rank", "step", "ratio")),
+    (TABLE, ("rows", "tail")),
+    (
+        validate_purity(TABLE, make_sequence("quadric", m=3)),
+        ("is_polynomial", "nonnegative", "coefficients", "dimension", "bound", "horizon"),
+    ),
+    (hk_solve((0, 2, 3)), ("twists", "tail", "finite", "tail_raw")),
+    (LAYOUT.terms[0], ("degree", "sigma", "weight", "value")),
+    (LAYOUT, ("sequence", "n", "lam", "mu", "terms", "minor")),
 ]
 
 
@@ -93,6 +109,14 @@ def test_frozen_slotted_contract(value, init_fields):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert not hasattr(value, "extra")
+
+
+@pytest.mark.parametrize(
+    "flags", [{"frozen": False, "slots": True}, {"frozen": True, "slots": False}, {"frozen": True, "slots": True, "repr": False}]
+)
+def test_dataclass_makes_only_frozen_slotted_classes(flags):
+    with pytest.raises(TypeError):
+        _frozen.dataclass(**flags)
 
 
 @pytest.mark.parametrize(
@@ -184,6 +208,20 @@ def test_trunc_series_canonical_form(n_coeffs, trunc, data):
         assert other == s and hash(other) == hash(s)
 
 
+# the flags of a value class's decorator: every class is frozen and slotted,
+# and the classes that compare by identity say eq=False
+DATACLASS_FLAGS = ({"frozen": True, "slots": True}, {"frozen": True, "slots": True, "eq": False})
+
+
+def _dataclass_flags(decorator: ast.expr) -> dict | None:
+    """The keyword flags of a dataclass decorator, or None for another one."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    func = call.func if call else decorator
+    if getattr(func, "id", getattr(func, "attr", None)) != "dataclass":
+        return None
+    return {k.arg: ast.literal_eval(k.value) for k in call.keywords} if call else {}
+
+
 def _immutability_breaches(tree: ast.AST, path: str) -> list[str]:
     out = []
 
@@ -192,6 +230,10 @@ def _immutability_breaches(tree: ast.AST, path: str) -> list[str]:
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__delattr__"):
                     out.append(f"{path}:{item.lineno} {node.name} defines {item.name}")
+            for decorator in node.decorator_list:
+                flags = _dataclass_flags(decorator)
+                if flags is not None and flags not in DATACLASS_FLAGS:
+                    out.append(f"{path}:{decorator.lineno} {node.name} is a dataclass with flags {flags}")
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
@@ -214,10 +256,11 @@ def _immutability_breaches(tree: ast.AST, path: str) -> list[str]:
 
 
 def test_one_immutability_idiom():
-    """Values are frozen value classes of jtkit._frozen, the one module that
-    writes __slots__, attribute guards and object.__setattr__ by hand;
-    elsewhere object.__setattr__ appears only where __post_init__
-    normalises."""
+    """Values are frozen slotted value classes of jtkit._frozen, the one
+    module that writes __slots__, attribute guards and object.__setattr__ by
+    hand; elsewhere object.__setattr__ appears only where __post_init__
+    normalises, and every dataclass decorator passes frozen=True and
+    slots=True, with eq=False alone beside them."""
     root = Path(jtkit.__file__).parent
     breaches = {path.name: _immutability_breaches(ast.parse(path.read_text()), path.name) for path in root.glob("*.py")}
     assert breaches.pop("_frozen.py")
@@ -238,7 +281,7 @@ def test_every_frozen_class_has_a_twin():
         for name, obj in vars(module).items()
         if isinstance(obj, type) and obj.__module__ == modname and "__frozen_fields__" in vars(obj)
     }
-    assert made == LIBRARY.keys()
+    assert made == LIBRARY.keys() == {type(value).__name__ for value, _ in FROZEN}
 
 
 def _constant_term(seq, d):
