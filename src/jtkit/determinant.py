@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from operator import index
 
 
@@ -74,43 +75,84 @@ def _signed_sum(zero, products, start=None):
     return sum((sign * x * y for sign, x, y in products), zero if start is None else start)
 
 
-def _laplace_step(zero, level, entries, seen=0):
+def _laplace_step(zero, level, entries, seen=0, sums=None, limit=0):
     """One Laplace level step: the next level of partial minors.
 
     level maps a subset bitmask of the lines taken so far to its partial
-    minor; entries holds the next line's nonzero (bit, sign_mask, entry)
-    triples.  Each nonzero minor spreads over the entries whose bit is not in
-    its subset, with the cofactor sign the parity of subset & sign_mask; a
-    subset with no bit at or above seen takes only the entries whose bit is
-    at or above seen.  The integers and other plain rings add the products
-    one by one; a ring with a sum_of_products (SchurClass) collects each new
-    subset's triples and sums them once through _signed_sum.  The step never
-    divides, so it is exact over any commutative ring with +, - and *.
+    minor, every subset of one size.  entries holds the next line's
+    (bit, entry) pairs over every line a subset can hold, a zero entry
+    flagged as None, in the order in which the cofactor sign flips: a
+    subset's product with an entry has the sign (-1)^j, j the number of the
+    subset's bits before it.  So each subset walks the entries once with a
+    running sign that flips at each of its own bits, and no product is
+    compared with zero.  A subset with no bit at or above seen takes only the
+    entries at or above seen, which come after all its bits: with the sign
+    (-1)^|S|, the same for the whole level.  The integers and other plain
+    rings add the products one by one; a ring with a sum_of_products
+    (SchurClass) collects each new subset's triples and sums them once
+    through _signed_sum.  The step never divides, so it is exact over any
+    commutative ring with +, - and *.
+
+    Given sums, which holds the sum of the bit positions of every subset of
+    level, the entries must come in ascending bit order: the step then forms
+    only the subsets whose position sum is at most limit, each subset
+    walking its entries only as far as that allows, and records each new
+    subset's sum in sums.
     """
-    fresh = [e for e in entries if e[0] >> seen]
-    if getattr(type(zero), "sum_of_products", None) is None:
-        nxt = {}
+    fresh = [e for e in entries if e[0] >> seen and e[1] is not None]
+    odd = bool(level) and next(iter(level)).bit_count() % 2
+    if sums is not None:
+        # how many of its lines each subset walks, and the new subsets' sums
+        cuts = {}
+        bits = [e[0] for e in entries], [e[0] for e in fresh]
+        for subset in level:
+            total, old = sums[subset], not subset >> seen
+            cut = cuts[subset] = bisect_right(bits[old], 1 << (limit - total)) if limit >= total else 0
+            for bit, entry in (fresh if old else entries)[:cut]:
+                if entry is not None and not subset & bit:
+                    sums[subset | bit] = total + bit.bit_length() - 1
+    nxt: dict = {}
+    if getattr(type(zero), "sum_of_products", None) is not None:
         for subset, minor in level.items():
             if minor == zero:
                 continue
-            for bit, sign_mask, entry in entries if subset >> seen else fresh:
+            if subset >> seen:
+                lines, sign = entries, 1
+            else:
+                lines, sign = fresh, -1 if odd else 1
+            if sums is not None:
+                lines = lines[: cuts[subset]]
+            for bit, entry in lines:
                 if subset & bit:
-                    continue
-                term = minor * entry
-                if (subset & sign_mask).bit_count() % 2:
-                    term = -term
-                key = subset | bit
-                nxt[key] = nxt[key] + term if key in nxt else term
-        return nxt
-    products: dict[int, list] = {}
+                    sign = -sign
+                elif entry is not None:
+                    key = subset | bit
+                    if key in nxt:
+                        nxt[key].append((sign, minor, entry))
+                    else:
+                        nxt[key] = [(sign, minor, entry)]
+        return {key: _signed_sum(zero, triples) for key, triples in nxt.items()}
     for subset, minor in level.items():
         if minor == zero:
             continue
-        for bit, sign_mask, entry in entries if subset >> seen else fresh:
-            if not subset & bit:
-                sign = -1 if (subset & sign_mask).bit_count() % 2 else 1
-                products.setdefault(subset | bit, []).append((sign, minor, entry))
-    return {key: _signed_sum(zero, triples) for key, triples in products.items()}
+        if subset >> seen:
+            lines = entries
+        else:
+            lines = fresh
+            if odd:
+                minor = -minor
+        if sums is not None:
+            lines = lines[: cuts[subset]]
+        for bit, entry in lines:
+            if subset & bit:
+                minor = -minor
+            elif entry is not None:
+                key = subset | bit
+                if key in nxt:
+                    nxt[key] += minor * entry
+                else:
+                    nxt[key] = minor * entry
+    return nxt
 
 
 # The largest order det_expand takes; its memo then holds C(8, 4) = 70 subsets.
@@ -122,10 +164,11 @@ def det_expand(rows: list[list], zero):
     +, - and *; zero is the ring's additive identity.
 
     Laplace expansion row by row on column subsets: row 0 seeds one partial
-    minor per nonzero entry, and each later row is one _laplace_step, whose
-    cofactor sign is the parity of the subset's columns right of the new
-    column.  That is fewer than n*2^(n-1) ring multiplications and no
-    division; orders above _EXPAND_MAX_ORDER are refused.
+    minor per nonzero entry, and each later row is one _laplace_step over
+    its entries in descending column order, as the cofactor sign is the
+    parity of the subset's columns right of the new column.  That is fewer
+    than n*2^(n-1) ring multiplications and no division; orders above
+    _EXPAND_MAX_ORDER are refused.
     """
     n = len(rows)
     if n > _EXPAND_MAX_ORDER:
@@ -137,5 +180,6 @@ def det_expand(rows: list[list], zero):
     # minors[S]: determinant of the rows so far on the column set S (a bitmask)
     minors = {1 << j: entry for j, entry in enumerate(rows[0]) if entry != zero}
     for row in rows[1:]:
-        minors = _laplace_step(zero, minors, [(1 << j, -1 << j, e) for j, e in enumerate(row) if e != zero])
+        entries = [(1 << j, None if row[j] == zero else row[j]) for j in range(n - 1, -1, -1)]
+        minors = _laplace_step(zero, minors, entries)
     return minors.get((1 << n) - 1, zero)

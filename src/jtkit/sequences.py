@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from math import comb
-from operator import mul
+from operator import index, mul
 
 from ._frozen import dataclass, field
 from .determinant import _EXPAND_MAX_ORDER, _laplace_step, _signed_sum, det_bareiss, det_expand
@@ -31,6 +31,15 @@ from .shapes import (
     trim,
 )
 from .symfunc import SchurClass, binom, external_product, value_json
+
+
+def _int(x, what: str) -> int:
+    """x as an int through operator.index (ints, bools and types with
+    __index__); anything else raises ValueError rather than being truncated."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -52,12 +61,14 @@ class GradedSequence:
     def __post_init__(self):
         if self.value_kind not in ("integer", "class"):
             raise ValueError(f"unknown value kind {self.value_kind!r}")
-        dims = self.factor_dims
-        if self.value_kind == "class" and (dims is None or len(tuple(dims)) != self.factor_count):
-            raise ValueError("class sequences need one dimension per factor")
         object.__setattr__(self, "name", str(self.name))
-        object.__setattr__(self, "factor_count", int(self.factor_count))
-        object.__setattr__(self, "factor_dims", tuple(int(x) for x in dims) if dims is not None else None)
+        object.__setattr__(self, "factor_count", _int(self.factor_count, "factor_count"))
+        dims = self.factor_dims
+        if dims is not None:
+            dims = tuple(_int(x, "a factor dimension") for x in dims)
+            object.__setattr__(self, "factor_dims", dims)
+        if self.value_kind == "class" and (dims is None or len(dims) != self.factor_count):
+            raise ValueError("class sequences need one dimension per factor")
         if self.value_kind == "class":
             view = GradedSequence(f"dims({self.name})", "integer", lambda seq, d: self.dims(d))
             object.__setattr__(self, "_dim_view", view)
@@ -72,7 +83,10 @@ class GradedSequence:
         return self._unit
 
     def term(self, d: int):
-        d = int(d)
+        """The degree-d value: zero below degree 0.  A degree or an integer
+        value that is not an integer raises ValueError."""
+        if type(d) is not int:
+            d = _int(d, "a degree")
         if d < 0:
             return self.zero_value()
         hit = self._terms.get(d)
@@ -80,7 +94,7 @@ class GradedSequence:
             return hit
         value = self.term_fn(self, d)
         if self.value_kind == "integer":
-            value = int(value)
+            value = _int(value, f"term {d} of {self.name}")
         return memo_put(self._terms, d, value)
 
     def dims(self, d: int) -> int:
@@ -214,7 +228,10 @@ def make_sequence(kind: str, **params) -> GradedSequence:
     for p in names:
         _check(p in params, f"{kind} needs parameter {p!r}")
         value = params.pop(p)
-        values.append(tuple(int(x) for x in value) if p == "dims" else int(value))
+        if p == "dims":
+            values.append(tuple(_int(x, f"a {kind} value") for x in value))
+        else:
+            values.append(_int(value, f"{kind} parameter {p}"))
     _check(not params, f"unexpected parameters for {kind}: {sorted(params)}")
     term = build(*values)
     flat = values[0] if names == ("dims",) else values
@@ -226,7 +243,7 @@ def make_sequence(kind: str, **params) -> GradedSequence:
 
 def veronese(a: GradedSequence, d: int) -> GradedSequence:
     """Degree-d Veronese subsequence: term i is a's term d*i."""
-    d = int(d)
+    d = _int(d, "veronese d")
     if d < 1:
         raise ValueError("veronese needs d >= 1")
     return GradedSequence(
@@ -348,7 +365,7 @@ def _padding(lam, mu, r, what="the shape") -> int:
     need = max(len(lam), len(mu))
     if r is None:
         return need
-    r = int(r)
+    r = _int(r, "the padding")
     if r < need:
         raise ValueError(f"padding {r} smaller than {what} needs ({need})")
     return r
@@ -367,8 +384,8 @@ def _det(a: GradedSequence, rows):
 def index_to_shapes(j_idx, i_idx):
     """Translate strictly increasing index sets to the (lambda, mu) pair whose
     Jacobi-Trudi minor the index minor computes."""
-    j_idx = tuple(int(x) for x in j_idx)
-    i_idx = tuple(int(x) for x in i_idx)
+    j_idx = tuple(_int(x, "an index") for x in j_idx)
+    i_idx = tuple(_int(x, "an index") for x in i_idx)
     r = len(j_idx)
     if len(i_idx) != r or r == 0:
         raise ValueError("index sets must be nonempty and the same length")
@@ -402,7 +419,7 @@ def _is_negative(a: GradedSequence, value) -> bool:
 _SWEEP_BOUND = 1 << 18
 
 
-def _box_minors(a: GradedSequence, r: int, windows: list[int]):
+def _box_minors(a: GradedSequence, r: int, windows: list[int], cap=(None,)):
     """Sweep the boxes of shapes with at most r rows and parts at most w,
     for each w of the increasing list windows in turn, and yield for each box a
     dict of the nonzero straight Jacobi-Trudi minors of the shapes that the
@@ -412,25 +429,39 @@ def _box_minors(a: GradedSequence, r: int, windows: list[int]):
     The (w+r) x r Toeplitz block T[k][c] = a_{k-r+1+c} holds the box: the
     minor of lambda is the determinant of T's rows k_i = lambda_i + r - i,
     i = 1..len(lambda) in decreasing order, on its first len(lambda)
-    columns, so row 0 is never used.  The sweep seeds column 0 with the
-    nonzero entries of the new rows and takes one _laplace_step per later
-    column, on row subsets, with the parity of the subset's rows below the
-    new row as the cofactor sign: after column c it holds the partial minor
-    of every (c+1)-subset of rows on columns 0..c, and the subsets whose
-    lowest row is at least r - c are the shapes with c+1 rows.  T's entries
-    do not depend on w, so a wider box only adds rows: the sweep keeps its
-    partial minors and passes the step seen, the first new row, so that a
-    subset the previous box held takes only the new rows.  All the boxes together
-    cost at most sum_c c*C(w+r, c) ring multiplications at the last window
-    w, r*C(w+r, r) when a_0 != 0, and no division.  Each box reads every
-    term up to degree w + r - 1.  Raises ValueError, before the box's first
-    step, when C(w+r, min(r, (w+r)//2)), the largest level a (w+r)-row
-    block allows, exceeds _SWEEP_BOUND.
+    columns, so row 0 is never used.  The sweep starts from the empty
+    subset and takes one _laplace_step per column c, over the rows from
+    max(1, r-1-c) up in ascending order: column c is zero below row r-1-c,
+    so these rows hold every row of a c-subset, and the cofactor sign is the
+    parity of the subset's rows below the new row.  After column c it holds
+    the partial minor of every (c+1)-subset of rows on columns 0..c, and the
+    subsets whose lowest row is at least r - c are the shapes with c+1 rows.
+    T's entries do not depend on w, so a wider box only adds rows: the sweep
+    keeps its partial minors and passes the step seen, the first new row, so
+    that a subset the previous box held takes only the new rows.  All the
+    boxes together cost at most sum_c c*C(w+r, c) ring multiplications at
+    the last window w, r*C(w+r, r) when a_0 != 0, and no division.
+
+    cap is a one-element list that the caller may set between boxes to a
+    shape size: later boxes then yield only the shapes of at most that size.
+    A partial minor on rows k_1 > k_2 > ... feeds only the shapes whose row
+    set holds its rows, and in each of them the row k_i has a part of at
+    least max(1, k_i - r + i), so the sweep keeps no subset whose sum of
+    those bounds exceeds the cap.  A c-subset's parts k_i - r + i are at
+    least 0, so that sum is its row sum minus c(2r-c-1)/2, plus one for
+    each of the bottom rows r-c, r-c+1, ... that it holds: the step carries
+    each subset's row sum and forms no subset that the row sum alone puts
+    over the cap, and the sweep drops those that the bottom rows put over.
+
+    Each box reads every term up to degree w + r - 1.  Raises ValueError,
+    before the box's first step, when C(w+r, min(r, (w+r)//2)), the largest
+    level a (w+r)-row block allows, exceeds _SWEEP_BOUND.
     """
     zero = a.zero_value()
-    # levels[c]: the partial minors on columns 0..c-1, for 0 < c < r; the
-    # last column's are never extended, so they are not kept
-    levels = [{} for _ in range(r)]
+    # levels[c]: the partial minors on columns 0..c-1, for c < r; the last
+    # column's are never extended, so they are not kept
+    levels = [{0: a.unit_value()}] + [{} for _ in range(r - 1)]
+    sums = None  # the row sum of every subset held, once cap is set
     seen = 1  # rows below seen were in the previous block; row 0 never is
     for w in windows:
         n = w + r
@@ -440,24 +471,34 @@ def _box_minors(a: GradedSequence, r: int, windows: list[int]):
                 f"a minor sweep at order {r}, window {w} may hold {worst} partial minors "
                 f"in one level, above the bound {_SWEEP_BOUND}"
             )
-        # vals[k + c] = T[k][c]: degree k + c - r + 1, zero below degree 0
-        vals = [zero] * (r - 1) + [a.term(d) for d in range(n)]
+        # vals[k + c] = T[k][c]: degree k + c - r + 1; a zero is None
+        vals = [None] * (r - 1) + [None if t == zero else t for t in [a.term(d) for d in range(n)]]
+        if cap[0] is not None and sums is None:
+            sums = {rows: sum(k for k in range(n) if rows >> k & 1) for level in levels for rows in level}
         last = w == windows[-1]
         new = {}
         for c in range(r):
-            # the cofactor sign is the parity of the subset's rows below k
-            entries = [(1 << k, (1 << k) - 1, vals[k + c]) for k in range(1, n) if vals[k + c] != zero]
-            if c:
-                nxt = _laplace_step(zero, levels[c], entries, seen)
-                if last:
-                    levels[c] = None  # no later box extends it
-            else:
-                nxt = {bit: entry for bit, _, entry in entries if bit >> seen}
+            # rows from max(1, r-1-c) hold every row of a c-subset; the cofactor
+            # sign is the parity of the subset's rows below the new row
+            lo = max(1, r - 1 - c)
+            entries = [(1 << k, vals[k + c]) for k in range(lo, n)]
+            limit = None if sums is None else cap[0] + (c + 1) * (2 * r - c - 2) // 2
+            nxt = _laplace_step(zero, levels[c], entries, seen, sums, limit)
+            if last:
+                levels[c] = None  # no later box extends it
+            if sums is not None and lo == r - 1 - c:
+                # each of the bottom rows lo, lo+1, ... that a subset holds adds one to its bound
+                for rows in [rows for rows in nxt if rows >> lo & 1]:
+                    run = rows >> lo
+                    if sums[rows] + (run ^ (run + 1)).bit_length() - 1 > limit:
+                        del nxt[rows]
             if c + 1 < r:
                 levels[c + 1].update(nxt)
             # shapes with c+1 rows: lambda_{c+1} = k_{c+1} - r + c + 1 >= 1
             low = (1 << (r - c)) - 1
-            new.update((rows, m) for rows, m in nxt.items() if m != zero and not rows & low)
+            for rows, m in nxt.items():
+                if not rows & low and m != zero:
+                    new[rows] = m
         seen = n
         yield new
 
@@ -485,10 +526,15 @@ def pf_check(a: GradedSequence, max_order: int = 4, window: int = 8, scan_skew: 
     Straight scans grow one _box_minors sweep through windows 1, 2, 4, ...
     up to window, and stop at the first window whose least negative shape
     has size at most that window: every shape before it in the scan order
-    lies in that smaller box, so it is the witness of the whole box.  A
-    positive box costs one sweep of the largest window.  Each window reads
-    terms up to degree window + max_order - 1, and raises ValueError before
-    its step when its largest level could exceed _SWEEP_BOUND subsets.
+    lies in that smaller box, so it is the witness of the whole box.  Until
+    then the least negative size n found so far caps the sweep at n - 1: a
+    later window's shapes have larger first parts than any shape found, so
+    of them only the smaller ones can come before it in the scan order, and
+    the later windows make no partial minor that feeds only shapes of size
+    n or more.  A positive box costs one sweep of the largest window.  Each
+    window reads terms up to degree window + max_order - 1, and raises
+    ValueError before its step when its largest level could exceed
+    _SWEEP_BOUND subsets, cap or no cap.
     Skew scans walk lambda once and count the pairs (lambda, mu) with mu
     inside lambda, in the scan order of lambda and then of mu, so mu = ()
     comes first.  When a_0 is the unit, d -> a_d extends to a ring map that
@@ -503,6 +549,7 @@ def pf_check(a: GradedSequence, max_order: int = 4, window: int = 8, scan_skew: 
     runs over every subshape of lambda, one jt_minor per pair.  A negative
     max_order or window raises ValueError; a zero one scans the empty box.
     """
+    max_order, window = _int(max_order, "the scan order"), _int(window, "the scan window")
     if max_order < 0 or window < 0:
         raise ValueError("scan order and window must be nonnegative")
     if scan_skew:
@@ -522,16 +569,22 @@ def pf_check(a: GradedSequence, max_order: int = 4, window: int = 8, scan_skew: 
     # the powers of two below window, then window
     steps = [1 << i for i in range((window - 1).bit_length())] + [window]
     negative = {}
-    for step, minors in zip(steps, _box_minors(a, max_order, steps)):
-        negative.update(
-            (_shape_of_rows(rows, max_order), value) for rows, value in minors.items() if _is_negative(a, value)
-        )
+    cap = [None]
+    for step, minors in zip(steps, _box_minors(a, max_order, steps, cap)):
+        # an integer box whose least minor is not negative adds no shape
+        if a.value_kind == "class" or (minors and min(minors.values()) < 0):
+            negative.update(
+                (_shape_of_rows(rows, max_order), value) for rows, value in minors.items() if _is_negative(a, value)
+            )
         if negative:
             lam = min(negative, key=lambda p: (sum(p), p))
             if sum(lam) <= step or step == window:
                 shapes = enumerate(scan_partitions(max_order, window), 1)
                 checked = next(i for i, shape in shapes if shape == lam)
                 return PFReport("negative", max_order, window, checked, witness=(lam, (), negative[lam]))
+            # a later window's shapes have larger first parts than lam, so only
+            # the smaller ones can come before it in the scan order
+            cap[0] = sum(lam) - 1
     return PFReport("positive-up-to-bounds", max_order, window, comb(max_order + window, window) - 1)
 
 
@@ -545,7 +598,7 @@ def e_class(a: GradedSequence, d: int):
     summand +-a_n needs no product and is its start, and every other summand
     is a (sign, a_k, e_{n-k}) triple, so a class e_n is summed in one dict
     with no negated copy of any product."""
-    d = int(d)
+    d = _int(d, "the degree")
     if d < 0:
         return a.zero_value()
     hit = a._eclasses.get(d)
@@ -585,7 +638,7 @@ def veronese_identity_check(a: GradedSequence, d: int, shape, r: int | None = No
     s = as_shape(shape)
     lam, mu = s.outer.parts, s.inner.parts
     r = _padding(lam, mu, r)
-    d = int(d)
+    d = _int(d, "veronese d")
     if d < 1:
         raise ValueError("veronese needs d >= 1")
     lhs = jt_minor(veronese(a, d), s, r)
@@ -630,7 +683,7 @@ def schur_dimension_profile(a: GradedSequence, r_max: int, s_max: int):
     rectangle, its first shape in scan order.  So the answer is read off
     the first vanishing shape: its (r, s) when it is a rectangle that the
     vanishing shapes, and only they, contain, else None."""
-    r_max, s_max = int(r_max), int(s_max)
+    r_max, s_max = _int(r_max, "r_max"), _int(s_max, "s_max")
     if r_max < 0 or s_max < 0:
         raise ValueError("profile bounds must be nonnegative")
     (minors,) = _box_minors(a.dim_view(), r_max + 1, [s_max + 1])

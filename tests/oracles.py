@@ -16,7 +16,8 @@ lattice records by a pruned recursion over the rows, class products from
 those expansions one term pair at a time, Jacobi-Trudi complex terms by
 one product per weight entry, positivity scans and hook
 profiles by one Jacobi-Trudi minor per shape, skew positivity scans by
-one minor per pair of shapes,
+one minor per pair of shapes, Laplace steps with each cofactor sign read
+off a sign mask, and straight scans by growing boxes with no size cap,
 series inverses by summing geometric powers, the multigraded Hilbert
 series by multiplying with those inverses instead of dividing, and its
 check's report one exponent tuple at a time, series
@@ -529,6 +530,98 @@ def pf_check_per_pair(seq, max_order: int, window: int):
             if _is_negative(seq, value):
                 return PFReport("negative", max_order, window, checked, witness=(lam, mu, value))
     return PFReport("positive-up-to-bounds", max_order, window, checked)
+
+
+def laplace_step_by_sign_mask(zero, level, entries, seen=0):
+    """One Laplace level step with each product's cofactor sign read off
+    the subset: entries holds the next line's nonzero (bit, sign_mask, entry)
+    triples, and a nonzero minor on subset spreads over the entries whose
+    bit is not in it, with the sign the parity of subset & sign_mask.  A
+    subset with no bit at or above seen takes only the entries whose bit is
+    at or above seen.  Every ring, classes too, adds its products one by one
+    with + and unary -."""
+    fresh = [e for e in entries if e[0] >> seen]
+    nxt = {}
+    for subset, minor in level.items():
+        if minor == zero:
+            continue
+        for bit, sign_mask, entry in entries if subset >> seen else fresh:
+            if subset & bit:
+                continue
+            term = minor * entry
+            if (subset & sign_mask).bit_count() % 2:
+                term = -term
+            key = subset | bit
+            nxt[key] = nxt[key] + term if key in nxt else term
+    return nxt
+
+
+def box_minors_by_sign_mask(seq, r: int, windows):
+    """The straight minors of the growing boxes of order r, one dict of the
+    new shapes' nonzero minors per window, by a sweep that builds every
+    subset of every box (no cap) with laplace_step_by_sign_mask: column 0
+    seeds the new rows' nonzero entries, and each later column takes the
+    nonzero entries of every row 1..w+r-1 with the sign mask of the rows
+    below it.  The same windows refuse with the same message as
+    jtkit.sequences._box_minors."""
+    from jtkit.sequences import _SWEEP_BOUND
+
+    zero = seq.zero_value()
+    levels = [{} for _ in range(r)]
+    seen = 1
+    for w in windows:
+        n = w + r
+        worst = comb(n, min(r, n // 2))
+        if worst > _SWEEP_BOUND:
+            raise ValueError(
+                f"a minor sweep at order {r}, window {w} may hold {worst} partial minors "
+                f"in one level, above the bound {_SWEEP_BOUND}"
+            )
+        vals = [zero] * (r - 1) + [seq.term(d) for d in range(n)]
+        new = {}
+        for c in range(r):
+            entries = [(1 << k, (1 << k) - 1, vals[k + c]) for k in range(1, n) if vals[k + c] != zero]
+            if c:
+                nxt = laplace_step_by_sign_mask(zero, levels[c], entries, seen)
+            else:
+                nxt = {bit: entry for bit, _, entry in entries if bit >> seen}
+            if c + 1 < r:
+                levels[c + 1].update(nxt)
+            low = (1 << (r - c)) - 1
+            new.update((rows, m) for rows, m in nxt.items() if m != zero and not rows & low)
+        seen = n
+        yield new
+
+
+def pf_check_uncapped(seq, max_order: int, window: int):
+    """Straight positivity scan through box_minors_by_sign_mask over the
+    windows 1, 2, 4, ..., window, each box computed whole: it stops at the
+    first window whose least negative shape has size at most that window."""
+    from jtkit.sequences import PFReport
+    from jtkit.shapes import scan_partitions
+
+    if max_order < 0 or window < 0:
+        raise ValueError("scan order and window must be nonnegative")
+    if max_order < 1 or window < 1:
+        return PFReport("positive-up-to-bounds", max_order, window, 0)
+    steps = [1 << i for i in range((window - 1).bit_length())] + [window]
+    negative = {}
+    integer = seq.value_kind == "integer"
+    for step, minors in zip(steps, box_minors_by_sign_mask(seq, max_order, steps)):
+        for rows, value in minors.items():
+            if value < 0 if integer else not value.is_nonnegative():
+                parts = []
+                while rows:
+                    k = rows.bit_length() - 1
+                    rows ^= 1 << k
+                    parts.append(k - max_order + 1 + len(parts))
+                negative[tuple(parts)] = value
+        if negative:
+            lam = min(negative, key=lambda p: (sum(p), p))
+            if sum(lam) <= step or step == window:
+                checked = list(scan_partitions(max_order, window)).index(lam) + 1
+                return PFReport("negative", max_order, window, checked, witness=(lam, (), negative[lam]))
+    return PFReport("positive-up-to-bounds", max_order, window, comb(max_order + window, window) - 1)
 
 
 def schur_dimension_profile_pairwise(seq, r_max: int, s_max: int):

@@ -4,14 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jtkit.determinant import det_bareiss, det_expand
+from jtkit.determinant import _laplace_step, det_bareiss, det_expand
 from jtkit.sequences import parse_sequence_spec
+from jtkit.symfunc import SchurClass
 
 from conftest import partitions, sub_partition
-from oracles import det_fraction, det_permutations
+from oracles import det_fraction, det_permutations, laplace_step_by_sign_mask
 
 MATS = st.integers(1, 5).flatmap(
     lambda n: st.lists(
@@ -162,3 +163,78 @@ def test_expand_class_equal_rows_vanish(spec, pair, data):
     got = det_expand(rows, zero)
     assert got == det_permutations(rows, zero)
     assert got.is_zero()
+
+
+# Laplace steps against the sign-mask step they replace.  A level holds
+# subsets of one size on lines 0..L-1; the entries cover every line, zeros
+# included, so that the new step flags them and the old one drops them.
+_CLASS_PARTS = st.sampled_from([(), (1,), (2,), (1, 1)])
+RING_VALUES = {
+    "int": (0, st.integers(-4, 4)),
+    "fraction": (Fraction(0), st.fractions(-3, 3, max_denominator=4)),
+    "class1": (
+        SchurClass.zero(1),
+        st.dictionaries(st.tuples(_CLASS_PARTS), st.integers(-2, 2), max_size=2).map(lambda t: SchurClass(1, t)),
+    ),
+    "class2": (
+        SchurClass.zero(2),
+        st.dictionaries(st.tuples(_CLASS_PARTS, _CLASS_PARTS), st.integers(-2, 2), max_size=2).map(
+            lambda t: SchurClass(2, t)
+        ),
+    ),
+}
+
+
+@st.composite
+def step_inputs(draw):
+    """(ring, zero, level, entries, ascending, seen): a level of c-subsets of
+    L lines with their partial minors, one entry per line, and the order in
+    which the step walks the lines.  Zeros are drawn often, among the
+    minors and the entries; seen splits the subsets only in ascending order,
+    as in the sweep, and is 0 in descending order, as in det_expand."""
+    ring = draw(st.sampled_from(sorted(RING_VALUES)))
+    zero, values = RING_VALUES[ring]
+    value = st.one_of(st.just(zero), values)
+    lines = draw(st.integers(1, 6))
+    size = draw(st.integers(0, lines - 1))
+    subsets = draw(
+        st.lists(st.sets(st.integers(0, lines - 1), min_size=size, max_size=size), min_size=1, max_size=8)
+    )
+    level = {sum(1 << b for b in s): draw(value) for s in subsets}
+    entries = [draw(value) for _ in range(lines)]
+    ascending = draw(st.booleans())
+    seen = draw(st.integers(0, lines)) if ascending else 0
+    return ring, zero, level, entries, ascending, seen
+
+
+def _old_and_new_entries(zero, entries, ascending):
+    order = range(len(entries)) if ascending else range(len(entries) - 1, -1, -1)
+    new = [(1 << j, None if entries[j] == zero else entries[j]) for j in order]
+    # the old step's sign mask: the lines the walk passes before line j
+    old = [(1 << j, (1 << j) - 1 if ascending else -2 << j, e) for j, e in enumerate(entries) if e != zero]
+    return old, new
+
+
+@given(step_inputs())
+@example(("int", 0, {0b011: 2, 0b101: 0, 0b100: 1}, [3, 0, -1, 2], True, 2))
+@settings(deadline=None, max_examples=300)
+def test_laplace_step_matches_sign_mask_step(case):
+    ring, zero, level, entries, ascending, seen = case
+    old, new = _old_and_new_entries(zero, entries, ascending)
+    assert _laplace_step(zero, level, new, seen) == laplace_step_by_sign_mask(zero, level, old, seen)
+
+
+@given(step_inputs().filter(lambda case: case[4]), st.integers(0, 20))
+@settings(deadline=None, max_examples=200)
+def test_capped_laplace_step_keeps_the_subsets_within_the_limit(case, limit):
+    """With sums, the step forms exactly the uncapped step's subsets whose
+    sum of bit positions is at most limit, with the same minors, and
+    records each one's sum."""
+    ring, zero, level, entries, ascending, seen = case
+    old, new = _old_and_new_entries(zero, entries, ascending)
+    position_sum = lambda subset: sum(k for k in range(subset.bit_length()) if subset >> k & 1)
+    sums = {subset: position_sum(subset) for subset in level}
+    capped = _laplace_step(zero, level, new, seen, sums, limit)
+    whole = laplace_step_by_sign_mask(zero, level, old, seen)
+    assert capped == {key: m for key, m in whole.items() if position_sum(key) <= limit}
+    assert all(sums[key] == position_sum(key) for key in capped)

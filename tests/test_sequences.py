@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jtkit import memo, quadric, sequences, symfunc
+from jtkit import determinant, memo, quadric, sequences, symfunc
 from jtkit.quadric import METHODS, QuadricContext, quadric_schur_dim
 from jtkit.sequences import (
     GradedSequence,
@@ -47,6 +47,7 @@ from oracles import (
     minor_by_toeplitz,
     pf_check_per_pair,
     pf_check_per_shape,
+    pf_check_uncapped,
     pieri_identity_check,
     schur_dimension_profile_pairwise,
     tensor_poly_minor,
@@ -548,6 +549,73 @@ def test_pf_check_class_above_expansion_bound():
         pf_check_per_shape(make_sequence("poly", m=2), 9, 1)
     rep = pf_check(make_sequence("poly", m=2), 9, 1)
     assert (rep.verdict, rep.checked) == ("positive-up-to-bounds", 9)
+
+
+# Negative scans, integer and class, against the uncapped oracle: the named
+# negative specs of SCAN_SPECS, lists drawn at random (zeros, negative terms
+# and lists too short for the box included) and segre:poly:m,poly:n, whose
+# first negative shape is (2, 2, 2).  Class boxes keep order + window <= 8.
+NEGATIVE_SPECS = SCAN_SPECS[8:14]
+RANDOM_LISTS = st.lists(st.integers(-2, 6), min_size=1, max_size=14).map(lambda xs: "list:" + ",".join(map(str, xs)))
+CAPPED_CASES = st.one_of(
+    st.tuples(st.one_of(st.sampled_from(NEGATIVE_SPECS), RANDOM_LISTS), st.integers(0, 6), st.integers(0, 8)),
+    st.tuples(st.sampled_from(("segre:poly:2,poly:2", "segre:poly:2,poly:3")), st.integers(1, 5)).flatmap(
+        lambda case: st.tuples(st.just(case[0]), st.just(case[1]), st.integers(1, 8 - case[1]))
+    ),
+)
+
+
+@given(CAPPED_CASES)
+@example(("segre:poly:2,poly:2", 4, 4))
+@example(("hadamard:quadric:2,squares", 6, 8))
+@example(("list:1,2,0,3,-1,1,1,1,1,1,1,1,1,1", 5, 8))
+@settings(deadline=None, max_examples=150)
+def test_capped_pf_check_matches_uncapped_scan(case):
+    """The verdict, checked and witness, or the refusal, of the scan that
+    caps its later windows below the least negative size, against growing
+    boxes built whole."""
+    assert _report_or_error(pf_check, *case) == _report_or_error(pf_check_uncapped, *case)
+
+
+def test_negative_class_scan_route(monkeypatch):
+    """pf_check(segre:poly:2,poly:2, 5, 5) finds (2, 2, 2), the 21st shape,
+    at window 2, whose box takes 90 of the step's class products; windows 4
+    and 5, capped at size 5, take 23 more.  Boxes built whole take 442
+    products at (4, 5), and 1,128 in about 75 s at (5, 5)."""
+    products = []
+    signed_sum = determinant._signed_sum
+
+    def counted(zero, triples, start=None):
+        products.extend(triples)
+        return signed_sum(zero, triples, start)
+
+    monkeypatch.setattr(determinant, "_signed_sum", counted)
+    rep = pf_check(parse_sequence_spec("segre:poly:2,poly:2"), 5, 5)
+    assert (rep.verdict, rep.witness[0], rep.checked) == ("negative", (2, 2, 2), 21)
+    assert len(products) <= 113
+
+
+def test_integers_are_checked_not_truncated():
+    """Each of these was truncated by int(), or failed with another
+    exception, before every integer went through operator.index."""
+    with pytest.raises(ValueError, match="a list value must be an integer, got 1.5"):
+        make_sequence("list", dims=(1.5, 2.7))
+    halves = GradedSequence("h", "integer", lambda seq, d: d / 2)
+    with pytest.raises(ValueError, match="term 0 of h must be an integer, got 0.0"):
+        halves.term(0)
+    with pytest.raises(ValueError, match="a degree must be an integer, got 2.5"):
+        Q3.term(2.5)
+    with pytest.raises(ValueError, match="veronese d must be an integer, got 2.5"):
+        veronese(Q3, 2.5)
+    with pytest.raises(ValueError, match="the scan window must be an integer, got 2.0"):
+        pf_check(Q3, 3, 2.0)
+    # bools are integers, and a report prints them as such
+    assert pf_check(Q3, True, True).to_json()["order"] == 1
+    assert Q3.term(True) == Q3.term(1)
+    # factor dimensions are read once, so a generator is not used up by the
+    # length check before they are stored
+    once = GradedSequence("once", "class", POLY3.term_fn, 1, (m for m in [3]))
+    assert (once.factor_dims, once.dims(2)) == ((3,), POLY3.dims(2))
 
 
 def _cap_answers(lam, d, m):
