@@ -91,6 +91,12 @@ stdout: `validate quadric --m 3 --shifts 1,1,2` has B = 3, so `--horizon 4
 more: `validate quadric --m 3 --shifts 1,1,1 --tail 64` has B = 67 and
 certifies with horizon 73.
 
+`resolve` and `validate` read `--m` for `quadric`, `--d` for `rnc`, `--dim`
+and `--count` for `poly`, and `--tail` for `quadric` and `rnc`.  Giving a
+ring a flag that it does not read is a usage error (`usage error: --tail is
+read by quadric and rnc only, not by resolve poly`), exit code 2, nothing
+on stdout.
+
 Partitions are encoded as arrays of weakly decreasing positive integers.
 Class values (for sequences carrying symbolic terms) are arrays of
 `{"partitions": [...], "coeff": n}` entries; integer values stay bare.

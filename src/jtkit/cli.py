@@ -75,7 +75,7 @@ def _seq_arg(text: str):
 
 def _guard_cost(seq, lam, mu, pad, max_cost: int) -> None:
     need = max(len(lam), len(mu), 1)
-    r = need if pad is None else int(pad)
+    r = need if pad is None else pad
     if seq.value_kind == "class" and r > max_cost:
         raise ValueError(f"determinant order {r} exceeds --max-cost {max_cost}")
 
@@ -205,25 +205,32 @@ def _cmd_efw(args):
     }, table.to_csv
 
 
+# the ring-specific flags of resolve and validate that each ring reads, the
+# one it needs first; each of them is None unless given
+_RING_FLAGS = {"quadric": ("m", "tail"), "rnc": ("d", "tail"), "poly": ("dim", "count")}
+
+
 def _build_table(args):
+    for flag in ("m", "d", "dim", "tail", "count"):
+        readers = [ring for ring, flags in _RING_FLAGS.items() if flag in flags]
+        if getattr(args, flag) is not None and args.ring not in readers:
+            raise UsageError(f"--{flag} is read by {' and '.join(readers)} only, not by {args.cmd} {args.ring}")
+    needed = _RING_FLAGS[args.ring][0]
+    if getattr(args, needed) is None:
+        raise UsageError(f"{args.cmd} {args.ring} needs --{needed}")
+    tail = 4 if args.tail is None else args.tail
     if args.ring == "quadric":
-        if args.m is None:
-            raise UsageError(f"{args.cmd} quadric needs --m")
         seq = make_sequence("quadric", m=args.m)
-        table = quadric_pure_resolution(args.m, args.shifts, args.tail)
+        table = quadric_pure_resolution(args.m, args.shifts, tail)
         params = {"ring": "quadric", "m": args.m, "shifts": list(args.shifts)}
     elif args.ring == "rnc":
-        if args.d is None:
-            raise UsageError(f"{args.cmd} rnc needs --d")
         seq = rnc_sequence(args.d)
-        table = rnc_pure_resolution(args.d, args.shifts, args.tail)
+        table = rnc_pure_resolution(args.d, args.shifts, tail)
         params = {"ring": "rnc", "d": args.d, "shifts": list(args.shifts)}
     else:
-        if args.e_dim is None:
-            raise UsageError(f"{args.cmd} poly needs --dim")
-        seq = make_sequence("poly", m=args.e_dim).dim_view()
-        table = efw_betti(args.shifts, args.e_dim, args.count)
-        params = {"ring": "poly", "dim": args.e_dim, "shifts": list(args.shifts)}
+        seq = make_sequence("poly", m=args.dim).dim_view()
+        table = efw_betti(args.shifts, args.dim, args.count)
+        params = {"ring": "poly", "dim": args.dim, "shifts": list(args.shifts)}
     return seq, table, params
 
 
@@ -386,8 +393,8 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--shifts", type=_ints_arg, required=True)
         p.add_argument("--m", type=int, default=None)
         p.add_argument("--d", type=int, default=None)
-        p.add_argument("--dim", dest="e_dim", type=int, default=None)
-        p.add_argument("--tail", type=int, default=4)
+        p.add_argument("--dim", type=int, default=None, metavar="E_DIM")
+        p.add_argument("--tail", type=int, default=None)
         p.add_argument("--count", type=int, default=None)
         if name == "validate":
             p.add_argument("--horizon", type=int, default=None)

@@ -30,6 +30,7 @@ from operator import mul
 
 from ._frozen import dataclass
 from .memo import _Canonical
+from .shapes import _int
 
 
 def _packing(nvars: int, trunc: int) -> tuple[tuple[int, ...], int]:
@@ -130,19 +131,22 @@ class TruncSeries:
     coeffs: dict | None = None
 
     def __post_init__(self):
-        nvars, trunc = self.nvars, self.trunc
+        nvars, trunc = _int(self.nvars, "nvars"), _int(self.trunc, "trunc")
         if nvars < 1 or trunc < 0:
             raise ValueError(f"series need nvars >= 1 and trunc >= 0, got {nvars}, {trunc}")
         coeffs = self.coeffs
         if type(coeffs) is not _Canonical:
             merged = {}
             for exps, c in (coeffs or {}).items():
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(_int(e, "an exponent") for e in exps)
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise ValueError(f"exponent {exps} is not {nvars} nonnegative integers")
-                if sum(exps) <= trunc and c != 0:
-                    merged[exps] = merged.get(exps, 0) + int(c)
+                c = _int(c, "a coefficient")
+                if sum(exps) <= trunc and c:
+                    merged[exps] = merged.get(exps, 0) + c
             coeffs = merged
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "coeffs", {e: c for e, c in coeffs.items() if c})
 
     @classmethod
@@ -224,6 +228,7 @@ class TruncSeries:
         return NotImplemented
 
     def __pow__(self, n: int):
+        n = _int(n, "a series power")
         if n < 0:
             raise ValueError(f"series power needs n >= 0, got {n}")
         weights, limit = _packing(self.nvars, self.trunc)

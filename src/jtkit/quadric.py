@@ -14,7 +14,7 @@ from ._frozen import dataclass, field
 from .memo import memo_put
 from .powerseries import TruncSeries, _packed_div, _packed_mul, _packed_pow, _packing
 from .sequences import GradedSequence, jt_minor, make_sequence
-from .shapes import SkewShape, _conj, as_parts, as_shape, subpartitions
+from .shapes import SkewShape, _conj, _int, as_parts, as_shape, subpartitions
 from .symfunc import _lr_contents, dim_gl_skew, dim_super
 
 _QSD_CACHE: dict = {}
@@ -29,7 +29,7 @@ class QuadricContext:
     sequence: GradedSequence = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = int(self.m)
+        m = _int(self.m, "m")
         if m < 1:
             raise ValueError("quadric context needs m >= 1")
         object.__setattr__(self, "m", m)
@@ -89,7 +89,7 @@ def chi_o_dim(mu, m: int) -> int:
     the stable range 2 l(mu) <= m.
     """
     mu = as_parts(mu)
-    m = int(m)
+    m = _int(m, "m")
     if 2 * len(mu) > m:
         raise ValueError(f"stable range needs 2*l(mu) <= m, got mu={mu}, m={m}")
     n, odd = divmod(m, 2)
@@ -217,7 +217,7 @@ def multigraded_hs_check(m: int, n: int, trunc: int = 8) -> dict:
     (k div B^(n-1)) B^n, B = trunc + 1, which moves its degree digit up;
     the expected coefficients are built one variable at a time.
     """
-    m, n, trunc = int(m), int(n), int(trunc)
+    m, n, trunc = _int(m, "m"), _int(n, "n"), _int(trunc, "trunc")
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     if trunc < 0 or trunc > 12:

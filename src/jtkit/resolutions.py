@@ -15,7 +15,7 @@ from ._frozen import dataclass
 from .determinant import _bareiss
 from .quadric import QuadricContext, quadric_schur_dim
 from .sequences import GradedSequence, hs_series, jt_minor
-from .shapes import Partition, SkewShape, attach_dot
+from .shapes import Partition, SkewShape, _int, attach_dot
 from .symfunc import dim_gl
 from .powerseries import TruncSeries
 
@@ -148,10 +148,10 @@ def efw_partitions(e, count: int) -> list[Partition]:
     to the next row.  Raises ValueError, before any work, when count is
     above _EFW_MAX_RUNGS.
     """
-    e = tuple(int(x) for x in e)
+    e = tuple(_int(x, "a shift") for x in e)
     if not e or any(x < 1 for x in e):
         raise ValueError(f"shifts must be positive integers, got {e}")
-    count = int(count)
+    count = _int(count, "count")
     if count < 1:
         raise ValueError("count must be at least 1")
     if count > _EFW_MAX_RUNGS:
@@ -178,15 +178,14 @@ def efw_betti(e, e_dim: int, count: int | None = None) -> BettiTable:
     more than _EFW_MAX_RUNGS of them, so e_dim of 512 or more is refused
     unless count is at most 512.
     """
-    e = tuple(int(x) for x in e)
-    e_dim = int(e_dim)
+    e = tuple(_int(x, "a shift") for x in e)
+    e_dim = _int(e_dim, "e_dim")
     if e_dim < 1:
         raise ValueError("e_dim must be at least 1")
-    if count is None:
-        count = e_dim + 1
+    count = e_dim + 1 if count is None else _int(count, "count")
     if _extended_shift(e, e_dim) > 1:
         return BettiTable(())
-    lams = efw_partitions(e, min(int(count), e_dim + 1))
+    lams = efw_partitions(e, min(count, e_dim + 1))
     rows = []
     twist = 0
     for i, lam in enumerate(lams):
@@ -207,7 +206,7 @@ _TAIL_MAX_TERMS = 64
 
 
 def _check_tail_terms(tail_terms) -> int:
-    tail_terms = int(tail_terms)
+    tail_terms = _int(tail_terms, "tail_terms")
     if tail_terms < 1:
         raise ValueError("tail_terms must be at least 1")
     if tail_terms > _TAIL_MAX_TERMS:
@@ -252,8 +251,8 @@ def quadric_pure_resolution(m: int, e, tail_terms: int = 4) -> BettiTable:
     shift of 1 gives a linear constant tail, checked and recorded; a tail
     rank that breaks constancy raises RuntimeError.  More than
     _TAIL_MAX_TERMS tail terms raise ValueError before any work."""
-    m = int(m)
-    e = tuple(int(x) for x in e)
+    m = _int(m, "m")
+    e = tuple(_int(x, "a shift") for x in e)
     if len(e) != m:
         raise ValueError(f"need exactly m = {m} shifts, got {len(e)}")
     if any(x < 1 for x in e):
@@ -266,7 +265,7 @@ def quadric_pure_resolution(m: int, e, tail_terms: int = 4) -> BettiTable:
 def rnc_sequence(d: int) -> GradedSequence:
     """Dimension sequence of the degree-d Veronese of a polynomial ring in
     two variables: 1, d + 1, 2d + 1, ..."""
-    d = int(d)
+    d = _int(d, "d")
     if d < 1:
         raise ValueError("need d >= 1")
     return GradedSequence(f"veronese(dims(poly:2),{d})", "integer", lambda seq, i: d * i + 1)
@@ -282,16 +281,14 @@ def rnc_pure_resolution(d: int, e, tail_terms: int = 4) -> BettiTable:
     tail rows carry the ribbon-extended skew shapes whose functors realize
     them.  More than _TAIL_MAX_TERMS tail terms raise ValueError before any
     work."""
-    d = int(d)
-    e = tuple(int(x) for x in e)
+    d = _int(d, "d")
+    e = tuple(_int(x, "a shift") for x in e)
     if len(e) != 3:
         raise ValueError(f"need exactly 3 shifts, got {len(e)}")
     if any(x < 1 for x in e):
         raise ValueError("shifts must be positive")
-    if d < 1:
-        raise ValueError("need d >= 1")
+    seq = rnc_sequence(d)  # refuses d < 1
     tail_terms = _check_tail_terms(tail_terms)
-    seq = rnc_sequence(d)
     dee = SkewShape((d * e[0] + d * e[1] - 1, d * e[1]), (d - 1,) if d > 1 else ())
     return _pure_table(
         efw_partitions(e, 3),
@@ -340,10 +337,10 @@ def validate_purity(
     increase and the tail, with step at least 1, starts at its anchor row.
     """
     if table.is_empty():
-        return PurityReport(True, True, (), 0, 0, 24 if tail_horizon is None else int(tail_horizon))
+        return PurityReport(True, True, (), 0, 0, 24 if tail_horizon is None else _int(tail_horizon, "tail_horizon"))
     bound = table.max_twist() + 1
-    need = bound + max(int(margin), 1)
-    tail_horizon = max(24, need) if tail_horizon is None else int(tail_horizon)
+    need = bound + max(_int(margin, "margin"), 1)
+    tail_horizon = max(24, need) if tail_horizon is None else _int(tail_horizon, "tail_horizon")
     if tail_horizon < need:
         raise ValueError(f"horizon {tail_horizon} too small to certify, need at least {need}")
     t = table.tail
@@ -456,10 +453,8 @@ def hk_solve(twists, n: int | None = None) -> HKSolution:
     variables, which here resolves a module of finite length.  Raises
     ValueError, before any work, when the system's size, (n - 1)^2 times the
     bit length of the largest twist, is above _HK_MAX_SIZE."""
-    twists = tuple(int(x) for x in twists)
-    if n is None:
-        n = len(twists)
-    n = int(n)
+    twists = tuple(_int(x, "a twist") for x in twists)
+    n = len(twists) if n is None else _int(n, "n")
     if n != len(twists):
         raise ValueError(f"need n = {n} twists, got {len(twists)}")
     if n < 2:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from math import comb
-from operator import index, mul
+from operator import mul
 
 from ._frozen import dataclass, field
 from .determinant import _EXPAND_MAX_ORDER, _laplace_step, _signed_sum, det_bareiss, det_expand
@@ -24,6 +24,7 @@ from .shapes import (
     SkewShape,
     _conj,
     _fits,
+    _int,
     as_shape,
     conjugate,
     scan_partitions,
@@ -31,15 +32,6 @@ from .shapes import (
     trim,
 )
 from .symfunc import SchurClass, binom, external_product, value_json
-
-
-def _int(x, what: str) -> int:
-    """x as an int through operator.index (ints, bools and types with
-    __index__); anything else raises ValueError rather than being truncated."""
-    try:
-        return index(x)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -639,9 +631,7 @@ def veronese_identity_check(a: GradedSequence, d: int, shape, r: int | None = No
     lam, mu = s.outer.parts, s.inner.parts
     r = _padding(lam, mu, r)
     d = _int(d, "veronese d")
-    if d < 1:
-        raise ValueError("veronese needs d >= 1")
-    lhs = jt_minor(veronese(a, d), s, r)
+    lhs = jt_minor(veronese(a, d), s, r)  # veronese refuses d < 1
     alpha = trim(tuple(d * (lam[i - 1] if i <= len(lam) else 0) + (d - 1) * (r - i) for i in range(1, r + 1)))
     beta = trim(tuple(d * (mu[j - 1] if j <= len(mu) else 0) + (d - 1) * (r - j) for j in range(1, r + 1)))
     rhs = jt_minor(a, SkewShape(alpha, beta), r)
@@ -727,17 +717,11 @@ def _strip_parens(text: str) -> str:
     text = text.strip()
     while text.startswith("(") and text.endswith(")"):
         depth = 0
-        ok = True
-        for i, ch in enumerate(text):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(text) - 1:
-                    ok = False
-                    break
-        if not ok:
-            break
+        for ch in text[:-1]:
+            depth += (ch == "(") - (ch == ")")
+            if not depth:
+                # the first "(" closes before the last ")"
+                return text
         text = text[1:-1].strip()
     return text
 
@@ -815,7 +799,4 @@ def _parse_uncached(text: str, seen: dict):
 
 
 def _is_int(text: str) -> bool:
-    t = text.strip()
-    if t.startswith("-"):
-        t = t[1:]
-    return t.isdigit()
+    return text.strip().removeprefix("-").isdigit()

@@ -2,10 +2,12 @@
 
 Conventions used throughout the package:
 
+* every integer a caller passes goes through operator.index, in trim for
+  the parts of a partition and in _int for one integer: ints, bools and
+  types with __index__ are taken, anything else raises ValueError.
 * partitions are tuples of weakly decreasing positive integers; the empty
-  tuple is the empty partition.  trim builds one from raw parts: it takes
-  ints and other integer types (bools, anything with __index__), refuses
-  floats, strings and fractions, and drops trailing zeros.
+  tuple is the empty partition.  trim builds one from raw parts and drops
+  trailing zeros.
 * compositions are tuples of positive integers (order matters).
 * weights are plain integer tuples of a fixed length; entries may be
   negative.  They are produced by the dotted action and never validated
@@ -27,6 +29,14 @@ from collections.abc import Iterable, Iterator
 from operator import gt, index, lt
 
 from ._frozen import dataclass
+
+
+def _int(x, what: str) -> int:
+    """x through operator.index; ValueError naming what, never truncation."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
 def trim(parts: Iterable[int]) -> tuple[int, ...]:
@@ -210,7 +220,7 @@ def skew_from_boxes(boxes: Iterable[tuple[int, int]]) -> SkewShape:
     range must be a contiguous, nonempty run, runs must be pairwise disjoint,
     and both boundary profiles must be weakly decreasing going down.
     """
-    blist = [(int(r), int(c)) for r, c in boxes]
+    blist = [(_int(r, "a box row"), _int(c, "a box column")) for r, c in boxes]
     if not blist:
         return SkewShape((), ())
     if len(set(blist)) != len(blist):
@@ -241,7 +251,7 @@ def ribbon_of(c) -> SkewShape:
     Row lengths are c_r, ..., c_1 reading top to bottom and consecutive rows
     share exactly one column.
     """
-    alpha = tuple(int(a) for a in c)
+    alpha = tuple(_int(a, "a composition part") for a in c)
     if not alpha or any(a < 1 for a in alpha):
         raise ValueError(f"composition parts must be positive: {alpha}")
     r = len(alpha)
@@ -296,7 +306,7 @@ class Permutation:
     word: tuple[int, ...]
 
     def __post_init__(self):
-        w = tuple(int(x) for x in self.word)
+        w = tuple(_int(x, "a permutation entry") for x in self.word)
         if sorted(w) != list(range(1, len(w) + 1)):
             raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
         object.__setattr__(self, "word", w)
@@ -329,7 +339,7 @@ class Permutation:
 
 def dotted_action(s: Permutation, w: Iterable[int]) -> tuple[int, ...]:
     """The dotted action s(w + rho) - rho with rho = (n-1, ..., 1, 0)."""
-    w = tuple(int(x) for x in w)
+    w = tuple(_int(x, "a weight entry") for x in w)
     n = s.n()
     if len(w) != n:
         raise ValueError(f"weight length {len(w)} != permutation size {n}")

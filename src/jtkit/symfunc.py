@@ -27,7 +27,7 @@ from operator import le, sub
 
 from ._frozen import dataclass
 from .memo import _Canonical, memo_put
-from .shapes import _conj, _fits, as_parts, as_shape, trim
+from .shapes import _conj, _fits, _int, as_parts, as_shape, trim
 
 _MULT_CACHE: dict = {}
 _SKEW_CACHE: dict = {}
@@ -192,7 +192,7 @@ def _expansion(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict[tuple[int, ...]
 def pieri_extensions(lam, k: int) -> list[tuple[int, ...]]:
     """Partitions obtained from lam by adding a horizontal strip of k boxes.
     A negative k is refused."""
-    lam, k = as_parts(lam), int(k)
+    lam, k = as_parts(lam), _int(k, "k")
     if k < 0:
         raise ValueError(f"pieri_extensions needs k >= 0, got {k}")
     return sorted(_strip_shapes(lam, k, None))
@@ -282,7 +282,7 @@ def dim_gl(lam, m: int) -> int:
     more than m rows.
     """
     lam = as_parts(lam)
-    m = int(m)
+    m = _int(m, "m")
     if m < 0:
         raise ValueError(f"dim_gl needs m >= 0, got {m}")
     if len(lam) > m:
@@ -350,7 +350,7 @@ def dim_super(lam, r: int, s: int, mu=()) -> int:
     are taken, weighted by binomials, so the cost does not grow with r or s.
     """
     lam, mu = as_parts(lam), as_parts(mu)
-    r, s = int(r), int(s)
+    r, s = _int(r, "r"), _int(s, "s")
     if r < 0 or s < 0:
         raise ValueError(f"dim_super needs r, s >= 0, got r={r}, s={s}")
     if not _fits(lam, mu):
@@ -399,7 +399,7 @@ class SchurClass:
     terms: dict | None = None
 
     def __post_init__(self):
-        k = int(self.k)
+        k = _int(self.k, "factor_count")
         if k < 1:
             raise ValueError("factor_count must be at least 1")
         if type(self.terms) is _Canonical:
@@ -407,7 +407,7 @@ class SchurClass:
         else:
             merged: dict[tuple[tuple[int, ...], ...], int] = {}
             for key, coeff in (self.terms or {}).items():
-                coeff = int(coeff)
+                coeff = _int(coeff, "a coefficient")
                 if coeff == 0:
                     continue
                 tkey = tuple(as_parts(p) for p in key)
@@ -447,7 +447,7 @@ class SchurClass:
 
     def dim(self, dims) -> int:
         """Evaluate at concrete vector space dimensions, one per factor."""
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(_int(d, "a factor dimension") for d in dims)
         if len(dims) != self.k:
             raise ValueError(f"dim needs {self.k} dimensions, one per factor, got {len(dims)}")
         total = 0
@@ -553,7 +553,7 @@ class SchurClass:
             key = tuple(tuple(p) for p in entry["partitions"])
             if k is None:
                 k = len(key)
-            terms[key] = terms.get(key, 0) + int(entry["coeff"])
+            terms[key] = terms.get(key, 0) + _int(entry["coeff"], "a coefficient")
         if k is None:
             raise ValueError("factor_count needed for an empty class")
         return cls(k, terms)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ._frozen import dataclass
 from .sequences import GradedSequence, jt_minor
-from .shapes import SkewShape, as_parts, dotted_action, permutations_by_length
+from .shapes import SkewShape, _int, as_parts, dotted_action, permutations_by_length
 from .symfunc import SchurClass, value_json
 
 
@@ -90,9 +90,7 @@ def jt_complex_layout(a: GradedSequence, lam, mu=(), n: int | None = None) -> Co
     mu = as_parts(mu)
     shape = SkewShape(lam, mu)
     need = max(len(lam), len(mu), 1)
-    if n is None:
-        n = need
-    n = int(n)
+    n = need if n is None else _int(n, "n")
     if n < need:
         raise ValueError(f"padding {n} smaller than the shape needs ({need})")
     lampad = lam + (0,) * (n - len(lam))

@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -25,12 +26,21 @@ CORPUS = Path(__file__).resolve().parent / "cli_corpus.json"
 
 def call_digest(argv: list[str]) -> str:
     """sha256 of the JSON list [exit code, stdout, stderr] of one in-process
-    jtkit.cli.run call."""
+    jtkit.cli.run call.  argparse wraps help and usage to the terminal's
+    width, so the call runs at 80 columns, the width of a run without one."""
     from jtkit.cli import run
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(list(argv))
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(list(argv))
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     text = json.dumps([code, out.getvalue(), err.getvalue()])
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from jtkit import cli
 from jtkit.cli import run
@@ -167,6 +168,36 @@ def test_tail_budget(capsys):
             assert time.perf_counter() - start < 1.0
             assert code == 1 and out == ""
             assert err == "error: a tail of 65 terms is above the bound of 64 terms\n"
+
+
+# one call per ring that gives the flags it reads, and each flag that only
+# other rings read, with those rings
+RING_CALLS = {
+    "quadric": ["--m", "3", "--shifts", "1,1,1"],
+    "rnc": ["--d", "3", "--shifts", "1,2,1"],
+    "poly": ["--dim", "3", "--shifts", "1,2,1,1"],
+}
+UNREAD_FLAGS = [
+    ("poly", "--tail", "quadric and rnc"),
+    ("quadric", "--count", "poly"),
+    ("rnc", "--count", "poly"),
+    ("quadric", "--d", "rnc"),
+    ("quadric", "--dim", "poly"),
+    ("rnc", "--m", "quadric"),
+    ("rnc", "--dim", "poly"),
+    ("poly", "--m", "quadric"),
+    ("poly", "--d", "rnc"),
+]
+
+
+@pytest.mark.parametrize("cmd", ["resolve", "validate"])
+@pytest.mark.parametrize("ring, flag, readers", UNREAD_FLAGS)
+def test_a_flag_the_ring_does_not_read_is_a_usage_error(capsys, cmd, ring, flag, readers):
+    code, out, err = invoke(capsys, cmd, ring, *RING_CALLS[ring], flag, "9")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {flag} is read by {readers} only, not by {cmd} {ring}\n"
+    # without the flag the call runs
+    assert invoke(capsys, cmd, ring, *RING_CALLS[ring])[0] == 0
 
 
 def test_resolve_json(capsys):

@@ -106,10 +106,18 @@ def test_division_checks_operands():
 
 
 def test_construction_coerces_and_checks():
-    s = TruncSeries(2, 3, {(1.0, 0): 3, (True, 1): 2.0, (3, 1): 5, (0, 2): 0})
-    assert s.coeffs == {(1, 0): 3, (1, 1): 2}
+    class One:
+        def __index__(self):
+            return 1
+
+    s = TruncSeries(2, 3, {(One(), 0): 3, (True, 1): One(), (3, 1): 5, (0, 2): 0})
+    assert s.coeffs == {(1, 0): 3, (1, 1): 1}
     assert all(type(e) is int for exps in s.coeffs for e in exps)
     assert all(type(c) is int for c in s.coeffs.values())
+    # floats are refused, whole ones too, not truncated
+    for coeffs in ({(1.0, 0): 3}, {(1, 0): 2.0}, {(3, 1): 2.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TruncSeries(2, 3, coeffs)
     with pytest.raises(ValueError, match="not 2 nonnegative"):
         TruncSeries(2, 3, {(1, -1): 1})
     with pytest.raises(ValueError, match="not 2 nonnegative"):

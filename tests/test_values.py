@@ -4,7 +4,8 @@ canonical at construction.
 Checks that values survive pickle and copy, that every instance is immutable
 and slotted, with no __dict__, that equal values hash equal whatever
 form they were built from, that each class behaves as its dataclasses twin
-does, and that the package keeps to this one immutability idiom.
+does, and that the package keeps to this one immutability idiom and to
+one integer check, which every integer argument passes through.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import dataclasses
 import importlib
 import inspect
 import pickle
+import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import ANY
@@ -28,11 +31,19 @@ import jtkit
 from jtkit import _frozen
 from jtkit._frozen import fields
 from jtkit.powerseries import TruncSeries
-from jtkit.quadric import QuadricContext, orthogonal_stable_decomposition
-from jtkit.resolutions import hk_solve, quadric_pure_resolution, validate_purity
+from jtkit.quadric import QuadricContext, chi_o_dim, multigraded_hs_check, orthogonal_stable_decomposition
+from jtkit.resolutions import (
+    efw_betti,
+    efw_partitions,
+    hk_solve,
+    quadric_pure_resolution,
+    rnc_pure_resolution,
+    rnc_sequence,
+    validate_purity,
+)
 from jtkit.sequences import GradedSequence, make_sequence, pf_check
-from jtkit.shapes import Partition, Permutation, SkewShape
-from jtkit.symfunc import SchurClass
+from jtkit.shapes import Partition, Permutation, SkewShape, dotted_action, ribbon_of, skew_from_boxes
+from jtkit.symfunc import SchurClass, dim_gl, dim_super, pieri_extensions
 from jtkit.zelevinsky import jt_complex_layout
 
 from conftest import partitions, sub_partition
@@ -265,6 +276,159 @@ def test_one_immutability_idiom():
     breaches = {path.name: _immutability_breaches(ast.parse(path.read_text()), path.name) for path in root.glob("*.py")}
     assert breaches.pop("_frozen.py")
     assert [b for found in breaches.values() for b in found] == []
+
+
+# where int() may run in the package: each site parses text (a CLI list, the
+# JTKIT_CACHE_SIZE variable, the checked digit strings of a sequence spec) or
+# reads argparse's exit code; every other integer goes through shapes._int
+INT_PARSING_SITES = {
+    ("cli.py", "_ints_arg"): 1,
+    ("cli.py", "run"): 1,
+    ("memo.py", "_read_cap"): 1,
+    ("sequences.py", "_parse_uncached"): 2,
+}
+
+
+def _integer_calls(tree: ast.AST, path: str) -> list[tuple[str, str, str, int]]:
+    """(path, enclosing function, callee, line) of each int() call and each
+    call of operator.index in tree."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, ast.Call):
+            f = node.func
+            from_operator = isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "operator"
+            callee = f.attr if from_operator else getattr(f, "id", None)
+            if callee in ("int", "index"):
+                out.append((path, func, callee, node.lineno))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "module scope")
+    return out
+
+
+def test_one_integer_idiom():
+    """One helper, shapes._int, holds the scalar operator.index check (trim
+    and det_bareiss map index over whole vectors), no other module defines
+    its own, and int(), which truncates, runs only where text is parsed."""
+    root = Path(jtkit.__file__).parent
+    calls = [c for path in sorted(root.glob("*.py")) for c in _integer_calls(ast.parse(path.read_text()), path.name)]
+    ints = [c for c in calls if c[2] == "int"]
+    stray = [f"{path}:{line} int() in {func}" for path, func, _, line in ints if (path, func) not in INT_PARSING_SITES]
+    assert stray == []
+    assert Counter((path, func) for path, func, _, _ in ints) == INT_PARSING_SITES
+    assert [c[:3] for c in calls if c[2] == "index"] == [("shapes.py", "_int", "index")]
+    helpers = [
+        path.name
+        for path in root.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_int"
+    ]
+    assert helpers == ["shapes.py"]
+
+
+class _Index:
+    """An integer type that is not an int: it has __index__ and nothing else."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+_QUADRIC_TABLE = quadric_pure_resolution(3, (1, 1, 2))
+_Q3 = make_sequence("quadric", m=3)
+
+# (argument, call with x at that argument, an integer it accepts there); the
+# message names the argument
+INTEGER_ARGUMENTS = [
+    ("a box row", lambda x: skew_from_boxes([(x, 0), (0, 0)]), 1),
+    ("a box column", lambda x: skew_from_boxes([(0, 0), (0, x)]), 1),
+    ("a composition part", lambda x: ribbon_of((2, x)), 1),
+    ("a permutation entry", lambda x: Permutation((2, x)), 1),
+    ("a weight entry", lambda x: dotted_action(Permutation((2, 1)), (x, 0)), 1),
+    ("k", lambda x: pieri_extensions((2, 1), x), 1),
+    ("m", lambda x: dim_gl((2, 1), x), 3),
+    ("r", lambda x: dim_super((2, 1), x, 1), 1),
+    ("s", lambda x: dim_super((2, 1), 1, x), 1),
+    ("factor_count", lambda x: SchurClass(x, {}), 1),
+    ("a coefficient", lambda x: SchurClass(1, {((1,),): x}), 1),
+    ("a factor dimension", lambda x: SchurClass.schur((2,)).dim((x,)), 1),
+    ("a coefficient", lambda x: SchurClass.from_json([{"partitions": [[1]], "coeff": x}]), 1),
+    ("nvars", lambda x: TruncSeries(x, 3, {}), 1),
+    ("trunc", lambda x: TruncSeries(1, x, {(1,): 1}), 1),
+    ("an exponent", lambda x: TruncSeries(1, 3, {(x,): 1}), 1),
+    ("a coefficient", lambda x: TruncSeries(1, 3, {(0,): x}), 1),
+    ("a series power", lambda x: TruncSeries(1, 3, {(0,): 1, (1,): 1}) ** x, 1),
+    ("m", lambda x: QuadricContext(x).m, 1),
+    ("m", lambda x: chi_o_dim((1,), x), 3),
+    ("m", lambda x: multigraded_hs_check(x, 2, 3), 1),
+    ("n", lambda x: multigraded_hs_check(2, x, 3), 1),
+    ("trunc", lambda x: multigraded_hs_check(2, 2, x), 1),
+    ("a shift", lambda x: efw_partitions((2, x), 2), 1),
+    ("count", lambda x: efw_partitions((2, 1), x), 1),
+    ("e_dim", lambda x: efw_betti((1, 2), x), 1),
+    ("count", lambda x: efw_betti((1, 2), 3, x), 1),
+    ("m", lambda x: quadric_pure_resolution(x, (1, 1, 2)), 3),
+    ("a shift", lambda x: quadric_pure_resolution(3, (1, 1, x)), 1),
+    ("tail_terms", lambda x: quadric_pure_resolution(3, (1, 1, 1), x), 1),
+    ("d", lambda x: rnc_sequence(x).term(2), 1),
+    ("d", lambda x: rnc_pure_resolution(x, (1, 2, 1)), 1),
+    ("a shift", lambda x: rnc_pure_resolution(3, (1, 2, x)), 1),
+    ("tail_terms", lambda x: rnc_pure_resolution(3, (1, 1, 1), x), 1),
+    ("tail_horizon", lambda x: validate_purity(_QUADRIC_TABLE, _Q3, tail_horizon=x), 24),
+    ("margin", lambda x: validate_purity(_QUADRIC_TABLE, _Q3, margin=x), 1),
+    ("a twist", lambda x: hk_solve((0, x, 3)), 1),
+    ("n", lambda x: hk_solve((0, 1, 3), x), 3),
+    ("n", lambda x: jt_complex_layout(_Q3, (2, 1), (), x), 2),
+]
+
+
+def _answer(call, x):
+    """What call(x) gives: its value, as JSON where it has a form, or the
+    type and message of the error it raises."""
+    try:
+        value = call(x)
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
+    return value.to_json() if hasattr(value, "to_json") else value
+
+
+@pytest.mark.parametrize("what, call, good", INTEGER_ARGUMENTS, ids=[f"{i}-{a[0]}" for i, a in enumerate(INTEGER_ARGUMENTS)])
+def test_integer_arguments_are_checked_not_truncated(what, call, good):
+    """Every integer argument goes through operator.index: a float, a string
+    or a fraction raises ValueError naming the argument, and True and an
+    __index__ type give the int's answer."""
+    for bad in (2.5, "3", Fraction(3, 2)):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer, got {re.escape(repr(bad))}$"):
+            call(bad)
+    call(good)
+    assert _answer(call, _Index(good)) == _answer(call, good)
+    assert _answer(call, True) == _answer(call, 1)
+
+
+# each call was answered at the integer part of its float before every
+# integer went through operator.index
+TRUNCATED = [
+    ("a coefficient", lambda: SchurClass(1, {((1,),): 1.5})),
+    ("a coefficient", lambda: TruncSeries(1, 3, {(0,): 2.5})),
+    ("m", lambda: dim_gl((2, 1), 3.9)),
+    ("a twist", lambda: hk_solve((0, 1.5, 3))),
+    ("a permutation entry", lambda: Permutation((1.0, 2.9, 3))),
+    ("m", lambda: QuadricContext(3.5)),
+    ("m", lambda: multigraded_hs_check(2.5, 2, 6)),
+    ("a factor dimension", lambda: SchurClass.schur((1,)).dim((2.9,))),
+]
+
+
+@pytest.mark.parametrize("what, call", TRUNCATED, ids=[what for what, _ in TRUNCATED])
+def test_floats_that_were_truncated_are_refused(what, call):
+    with pytest.raises(ValueError, match=f"^{what} must be an integer"):
+        call()
 
 
 # --- each frozen class against its dataclasses twin --------------------------
