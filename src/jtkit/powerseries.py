@@ -246,16 +246,19 @@ class TruncSeries:
         """Reinterpret in a larger variable set; positions[k] is the new index
         of the current k-th variable; the positions must be distinct indices
         in range(nvars)."""
-        positions = tuple(positions)
+        nvars, positions = _int(nvars, "nvars"), tuple(positions)
         if len(positions) != self.nvars or nvars < self.nvars:
             raise ValueError(f"embed needs one position per variable and nvars >= {self.nvars}")
-        in_range = all(isinstance(p, int) and 0 <= p < nvars for p in positions)
-        if not in_range or len(set(positions)) != len(positions):
+        try:
+            spots = tuple(_int(p, "a position") for p in positions)
+        except ValueError:
+            spots = None
+        if spots is None or not all(0 <= p < nvars for p in spots) or len(set(spots)) != len(spots):
             raise ValueError(f"embed positions {positions} are not distinct indices in range({nvars})")
         out = {}
         for e, c in self.coeffs.items():
             ne = [0] * nvars
-            for k, p in enumerate(positions):
+            for k, p in enumerate(spots):
                 ne[p] = e[k]
             out[tuple(ne)] = c
         return TruncSeries(nvars, self.trunc, _Canonical(out))

@@ -37,19 +37,14 @@ class BettiRow:
 @dataclass(frozen=True, slots=True)
 class BettiTail:
     """Eventually geometric continuation: from start onward the twist grows
-    by step, at least 1, and the rank picks up a factor of ratio per index."""
+    by 1 and the rank picks up a factor of ratio per index."""
 
     start: int
     rank: int
-    step: int = 1
     ratio: int = 1
 
-    def __post_init__(self):
-        if self.step < 1:
-            raise ValueError(f"tail step must be at least 1, got {self.step}")
-
     def to_json(self) -> dict:
-        out = {"start": self.start, "rank": self.rank, "step": self.step}
+        out = {"start": self.start, "rank": self.rank, "step": 1}
         if self.ratio != 1:
             out["ratio"] = self.ratio
         return out
@@ -83,7 +78,7 @@ class BettiTable:
                 if row.index <= t.start:
                     continue
                 k = row.index - t.start
-                if row.twist != base.twist + t.step * k:
+                if row.twist != base.twist + k:
                     raise ValueError(f"tail twist mismatch at index {row.index}")
                 if row.rank != t.rank * t.ratio**k:
                     raise ValueError(f"tail rank mismatch at index {row.index}")
@@ -109,7 +104,7 @@ class BettiTable:
                 return row.twist
         if self.tail is not None and index > self.tail.start:
             base = next(r for r in self.rows if r.index == self.tail.start)
-            return base.twist + self.tail.step * (index - self.tail.start)
+            return base.twist + index - self.tail.start
         raise ValueError(f"no row at index {index}")
 
     def to_json(self) -> dict:
@@ -268,7 +263,7 @@ def rnc_sequence(d: int) -> GradedSequence:
     d = _int(d, "d")
     if d < 1:
         raise ValueError("need d >= 1")
-    return GradedSequence(f"veronese(dims(poly:2),{d})", "integer", lambda seq, i: d * i + 1)
+    return GradedSequence(f"veronese(dims(poly:2),{d})", lambda seq, i: d * i + 1)
 
 
 def rnc_pure_resolution(d: int, e, tail_terms: int = 4) -> BettiTable:
@@ -334,7 +329,7 @@ def validate_purity(
     coefficient is checked, or the certification refuses to answer.  None
     takes the horizon 24, or the least that clears the bound if that is
     more.  The numerator has one term per degree, since twists strictly
-    increase and the tail, with step at least 1, starts at its anchor row.
+    increase and the tail, whose twists step by 1, starts at its anchor row.
     """
     if table.is_empty():
         return PurityReport(True, True, (), 0, 0, 24 if tail_horizon is None else _int(tail_horizon, "tail_horizon"))
@@ -352,7 +347,7 @@ def validate_purity(
         anchor = next(r for r in table.rows if r.index == t.start)
         sign = -1 if t.start % 2 else 1
         for j in range(tail_horizon - anchor.twist + 1):
-            numerator[(anchor.twist + t.step * j,)] = sign * t.rank * (-t.ratio) ** j
+            numerator[(anchor.twist + j,)] = sign * t.rank * (-t.ratio) ** j
     series = TruncSeries(1, tail_horizon, numerator) * hs_series(a, tail_horizon)
     coeffs = series.univariate_coeffs()
     is_poly = all(c == 0 for c in coeffs[bound + 1 :])

@@ -37,13 +37,16 @@ from .symfunc import SchurClass, binom, external_product, value_json
 @dataclass(frozen=True, slots=True, eq=False)
 class GradedSequence:
     """A graded sequence of integers or Schur classes, total in the degree.
-    Equality is identity, as each instance owns its memos."""
+    Given factor_dims, one dimension per tensor factor, its terms are
+    classes over len(factor_dims) factors; without, they are integers.
+    value_kind and factor_count are derived from factor_dims.  Equality is
+    identity, as each instance owns its memos."""
 
     name: str
-    value_kind: str
     term_fn: Callable
-    factor_count: int = 1
     factor_dims: tuple[int, ...] | None = None
+    value_kind: str = field(init=False)
+    factor_count: int = field(init=False)
     _terms: dict = field(init=False, default_factory=dict)
     _eclasses: dict = field(init=False, default_factory=dict)
     _dim_view: GradedSequence | None = field(init=False, default=None)
@@ -51,22 +54,20 @@ class GradedSequence:
     _unit: object = field(init=False, default=1)
 
     def __post_init__(self):
-        if self.value_kind not in ("integer", "class"):
-            raise ValueError(f"unknown value kind {self.value_kind!r}")
         object.__setattr__(self, "name", str(self.name))
-        object.__setattr__(self, "factor_count", _int(self.factor_count, "factor_count"))
-        dims = self.factor_dims
-        if dims is not None:
-            dims = tuple(_int(x, "a factor dimension") for x in dims)
-            object.__setattr__(self, "factor_dims", dims)
-        if self.value_kind == "class" and (dims is None or len(dims) != self.factor_count):
-            raise ValueError("class sequences need one dimension per factor")
-        if self.value_kind == "class":
-            view = GradedSequence(f"dims({self.name})", "integer", lambda seq, d: self.dims(d))
-            object.__setattr__(self, "_dim_view", view)
-            # immutable, so one zero and one unit serve every call
-            object.__setattr__(self, "_zero", SchurClass.zero(self.factor_count))
-            object.__setattr__(self, "_unit", SchurClass.unit(self.factor_count))
+        if self.factor_dims is None:
+            object.__setattr__(self, "value_kind", "integer")
+            object.__setattr__(self, "factor_count", 1)
+            return
+        dims = tuple(_int(x, "a factor dimension") for x in self.factor_dims)
+        object.__setattr__(self, "factor_dims", dims)
+        object.__setattr__(self, "value_kind", "class")
+        object.__setattr__(self, "factor_count", len(dims))
+        view = GradedSequence(f"dims({self.name})", lambda seq, d: self.dims(d))
+        object.__setattr__(self, "_dim_view", view)
+        # immutable, so one zero and one unit serve every call
+        object.__setattr__(self, "_zero", SchurClass.zero(len(dims)))
+        object.__setattr__(self, "_unit", SchurClass.unit(len(dims)))
 
     def zero_value(self):
         return self._zero
@@ -229,8 +230,7 @@ def make_sequence(kind: str, **params) -> GradedSequence:
     flat = values[0] if names == ("dims",) else values
     if flat:
         name += ":" + ",".join(map(str, flat))
-    dims = tuple(values) if value_kind == "class" else None
-    return GradedSequence(name, value_kind, term, 1, dims)
+    return GradedSequence(name, term, tuple(values) if value_kind == "class" else None)
 
 
 def veronese(a: GradedSequence, d: int) -> GradedSequence:
@@ -238,13 +238,7 @@ def veronese(a: GradedSequence, d: int) -> GradedSequence:
     d = _int(d, "veronese d")
     if d < 1:
         raise ValueError("veronese needs d >= 1")
-    return GradedSequence(
-        f"veronese({a.name},{d})",
-        a.value_kind,
-        lambda seq, i: a.term(d * i),
-        a.factor_count,
-        a.factor_dims,
-    )
+    return GradedSequence(f"veronese({a.name},{d})", lambda seq, i: a.term(d * i), a.factor_dims)
 
 
 def tensor_product(a: GradedSequence, b: GradedSequence) -> GradedSequence:
@@ -254,21 +248,16 @@ def tensor_product(a: GradedSequence, b: GradedSequence) -> GradedSequence:
     either side is integer valued both collapse to dimensions.
     """
     if a.value_kind == "class" and b.value_kind == "class":
-        k = a.factor_count + b.factor_count
-
         def term(seq, n):
-            acc = SchurClass.zero(k)
+            acc = seq.zero_value()
             for i in range(n + 1):
                 acc = acc + external_product(a.term(i), b.term(n - i))
             return acc
 
-        return GradedSequence(
-            f"tensor({a.name},{b.name})", "class", term, k, a.factor_dims + b.factor_dims
-        )
+        return GradedSequence(f"tensor({a.name},{b.name})", term, a.factor_dims + b.factor_dims)
     av, bv = a.dim_view(), b.dim_view()
     return GradedSequence(
         f"tensor({a.name},{b.name})",
-        "integer",
         lambda seq, n: sum(av.term(i) * bv.term(n - i) for i in range(n + 1)),
     )
 
@@ -276,25 +265,18 @@ def tensor_product(a: GradedSequence, b: GradedSequence) -> GradedSequence:
 def segre(a: GradedSequence, b: GradedSequence) -> GradedSequence:
     """Termwise tensor product: degree d is A_d (x) B_d."""
     if a.value_kind == "class" and b.value_kind == "class":
-        k = a.factor_count + b.factor_count
         return GradedSequence(
             f"segre({a.name},{b.name})",
-            "class",
             lambda seq, d: external_product(a.term(d), b.term(d)),
-            k,
             a.factor_dims + b.factor_dims,
         )
-    return GradedSequence(f"segre({a.name},{b.name})", "integer", hadamard(a, b).term_fn)
+    return GradedSequence(f"segre({a.name},{b.name})", hadamard(a, b).term_fn)
 
 
 def hadamard(a: GradedSequence, b: GradedSequence) -> GradedSequence:
     """Termwise product of dimensions, always integer valued."""
     av, bv = a.dim_view(), b.dim_view()
-    return GradedSequence(
-        f"hadamard({a.name},{b.name})",
-        "integer",
-        lambda seq, d: av.term(d) * bv.term(d),
-    )
+    return GradedSequence(f"hadamard({a.name},{b.name})", lambda seq, d: av.term(d) * bv.term(d))
 
 
 def jt_minor(a: GradedSequence, shape, r: int | None = None):
@@ -799,4 +781,4 @@ def _parse_uncached(text: str, seen: dict):
 
 
 def _is_int(text: str) -> bool:
-    return text.strip().removeprefix("-").isdigit()
+    return text.strip().removeprefix("-").isdecimal()

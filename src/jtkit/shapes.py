@@ -372,8 +372,9 @@ def partitions_of(n: int, max_part: int | None = None, max_length: int | None = 
     """
     # no part and no length exceeds n, so a huge bound builds no huge
     # tuple; n = 0 reaches _inside with no rows and yields ()
-    part = n if max_part is None else min(max_part, n)
-    rows = n if max_length is None else min(max_length, n)
+    n = _int(n, "n")
+    part = n if max_part is None else min(_int(max_part, "max_part"), n)
+    rows = n if max_length is None else min(_int(max_length, "max_length"), n)
     if n and (min(part, rows) <= 0 or n > part * rows):
         return iter(())
     return _inside(n, (part,) * rows, part)
@@ -383,8 +384,8 @@ def scan_partitions(max_length: int, max_part: int) -> Iterator[tuple[int, ...]]
     """Nonempty partitions inside the max_length x max_part box, ordered by
     size and then lexicographically.  This is the deterministic order used by
     positivity scans."""
-    for n in range(1, max_length * max_part + 1):
-        yield from partitions_of(n, max_part=max_part, max_length=max_length)
+    max_length, max_part = _int(max_length, "max_length"), _int(max_part, "max_part")
+    return (lam for n in range(1, max_length * max_part + 1) for lam in partitions_of(n, max_part, max_length))
 
 
 def subpartitions(lam) -> Iterator[tuple[int, ...]]:

@@ -276,6 +276,29 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+# CLI branches that no other test reaches: (argv, exit code, last line of stderr)
+BRANCH_MESSAGES = [
+    (("dim", "super", "--lambda", "2,1"), 2, "usage error: dim super needs --r and --s"),
+    (("dim", "quadric", "--lambda", "2,1"), 2, "usage error: dim quadric needs --m"),
+    (("veronese", "--seq", "quadric:3", "--d", "0", "--lambda", "2,1"), 2, "usage error: --d must be at least 1"),
+    (("schur-profile", "--seq", "quadric:3", "--r-max", "-1"), 1, "error: profile bounds must be nonnegative"),
+    # the Veronese of a parsed sequence refuses d = 0, so the spec does not parse
+    (
+        ("pf-check", "--seq", "veronese:quadric:2,0"),
+        2,
+        "jtkit pf-check: error: argument --seq: cannot parse sequence spec 'veronese:quadric:2,0'",
+    ),
+    # a digit that int() does not parse is not a number of the spec grammar
+    (("pf-check", "--seq", "quadric:²"), 2, "jtkit pf-check: error: argument --seq: cannot parse sequence spec 'quadric:²'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", BRANCH_MESSAGES, ids=[" ".join(argv) for argv, _, _ in BRANCH_MESSAGES])
+def test_branch_messages(capsys, argv, code, message):
+    got, out, err = invoke(capsys, *argv)
+    assert (got, out, err.splitlines()[-1]) == (code, "", message)
+
+
 def test_domain_errors_exit_1(capsys):
     code, out, err = invoke(capsys, "ortho-decomp", "--m", "3", "--lambda", "2,2")
     assert code == 1

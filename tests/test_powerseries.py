@@ -142,8 +142,15 @@ def test_embed():
     assert g.coefficient((0, 0, 1)) == 2
     assert g.coefficient((0, 0, 0)) == 1
 
+    class Two:
+        def __index__(self):
+            return 2
 
-@pytest.mark.parametrize("positions", [(0, 0), (0, -1), (0, 3), (1, 5), (0, 1.0)])
+    # positions go through operator.index, as every integer does
+    assert f.embed(3, (Two(),)) == g
+
+
+@pytest.mark.parametrize("positions", [(0, 0), (0, -1), (0, 3), (1, 5), (0, 1.0), (0, "1")])
 def test_embed_rejects_bad_positions(positions):
     # a repeated position would silently turn a variable into 1, a negative
     # one would count from the end

@@ -316,7 +316,7 @@ def test_multigraded_hs_check_matches_tuple_report(m, n, trunc):
 @pytest.mark.parametrize("n", [1, 3])
 def test_multigraded_hs_flags_catch_wrong_inputs(monkeypatch, n):
     real, factor = quadric.make_sequence("quadric", m=3), quadric._quadric_hs_factor
-    bad = GradedSequence("quadric with a wrong degree-2 term", "integer", lambda seq, d: real.term(d) + (d == 2))
+    bad = GradedSequence("quadric with a wrong degree-2 term", lambda seq, d: real.term(d) + (d == 2))
     with monkeypatch.context() as patch:
         patch.setattr(quadric, "make_sequence", lambda kind, m: bad)
         report = multigraded_hs_check(3, n, trunc=4)

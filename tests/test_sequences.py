@@ -249,7 +249,7 @@ def test_class_minor_side(monkeypatch):
     # the term count stops before e_6, the e-matrix's largest degree
     assert max(ver._eclasses) < 6
     # padding multiplies by a_0 = 2, which the h-form keeps
-    twice = GradedSequence("twice", "class", lambda seq, d: POLY3.term(d) * (2 if d == 0 else 1), 1, (3,))
+    twice = GradedSequence("twice", lambda seq, d: POLY3.term(d) * (2 if d == 0 else 1), (3,))
     assert jt_minor(twice, (1, 1), 3) == 2 * jt_minor(twice, (1, 1))
     assert calls == []
     with pytest.raises(ValueError, match="exceeds expansion bound 8"):
@@ -600,7 +600,7 @@ def test_integers_are_checked_not_truncated():
     exception, before every integer went through operator.index."""
     with pytest.raises(ValueError, match="a list value must be an integer, got 1.5"):
         make_sequence("list", dims=(1.5, 2.7))
-    halves = GradedSequence("h", "integer", lambda seq, d: d / 2)
+    halves = GradedSequence("h", lambda seq, d: d / 2)
     with pytest.raises(ValueError, match="term 0 of h must be an integer, got 0.0"):
         halves.term(0)
     with pytest.raises(ValueError, match="a degree must be an integer, got 2.5"):
@@ -612,10 +612,10 @@ def test_integers_are_checked_not_truncated():
     # bools are integers, and a report prints them as such
     assert pf_check(Q3, True, True).to_json()["order"] == 1
     assert Q3.term(True) == Q3.term(1)
-    # factor dimensions are read once, so a generator is not used up by the
-    # length check before they are stored
-    once = GradedSequence("once", "class", POLY3.term_fn, 1, (m for m in [3]))
-    assert (once.factor_dims, once.dims(2)) == ((3,), POLY3.dims(2))
+    # factor dimensions are read once, so a generator gives both the stored
+    # dimensions and the factor count
+    once = GradedSequence("once", POLY3.term_fn, (m for m in [3]))
+    assert (once.factor_dims, once.factor_count, once.dims(2)) == ((3,), 1, POLY3.dims(2))
 
 
 def _cap_answers(lam, d, m):

@@ -42,7 +42,16 @@ from jtkit.resolutions import (
     validate_purity,
 )
 from jtkit.sequences import GradedSequence, make_sequence, pf_check
-from jtkit.shapes import Partition, Permutation, SkewShape, dotted_action, ribbon_of, skew_from_boxes
+from jtkit.shapes import (
+    Partition,
+    Permutation,
+    SkewShape,
+    dotted_action,
+    partitions_of,
+    ribbon_of,
+    scan_partitions,
+    skew_from_boxes,
+)
 from jtkit.symfunc import SchurClass, dim_gl, dim_super, pieri_extensions
 from jtkit.zelevinsky import jt_complex_layout
 
@@ -89,12 +98,12 @@ FROZEN = [
     (Permutation((2, 1)), ("word",)),
     (SchurClass(1, {((1,),): 1}), ("k", "terms")),
     (TruncSeries(1, 2, {(1,): 1}), ("nvars", "trunc", "coeffs")),
-    (make_sequence("poly", m=2), ("name", "value_kind", "term_fn", "factor_count", "factor_dims")),
+    (make_sequence("poly", m=2), ("name", "term_fn", "factor_dims")),
     (QuadricContext(2), ("m",)),
     (pf_check(make_sequence("heisenberg", u=1), 3, 3), ("verdict", "order", "window", "checked", "witness")),
     (orthogonal_stable_decomposition(QuadricContext(5), (2, 1)), ("m", "lam", "entries")),
     (TABLE.rows[0], ("index", "twist", "rank", "label")),
-    (TABLE.tail, ("start", "rank", "step", "ratio")),
+    (TABLE.tail, ("start", "rank", "ratio")),
     (TABLE, ("rows", "tail")),
     (
         validate_purity(TABLE, make_sequence("quadric", m=3)),
@@ -120,6 +129,28 @@ def test_frozen_slotted_contract(value, init_fields):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert not hasattr(value, "extra")
+
+
+def test_a_sequence_derives_its_kind_and_factor_count_from_its_dims():
+    """value_kind and factor_count are read off factor_dims, so they cannot
+    disagree with it, and no caller can set them."""
+    ints = GradedSequence("ints", lambda seq, d: d + 1)
+    pair = GradedSequence("pair", lambda seq, d: SchurClass(2, {((d,), (d,)): 1}), [3, 2])
+    assert (ints.value_kind, ints.factor_count, ints.factor_dims) == ("integer", 1, None)
+    assert (pair.value_kind, pair.factor_count, pair.factor_dims) == ("class", 2, (3, 2))
+    assert (pair.zero_value(), pair.dims(2)) == (SchurClass.zero(2), 18)
+    for seq in (ints, pair):
+        for name in ("value_kind", "factor_count"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field {name!r} of frozen GradedSequence"):
+                setattr(seq, name, 5)
+    # once accepted as an integer sequence with 5 factors of dimensions (1, 2)
+    with pytest.raises(TypeError):
+        GradedSequence("x", "integer", ints.term_fn, 5, (1, 2))
+    for derived in ({"value_kind": "class"}, {"factor_count": 5}):
+        with pytest.raises(TypeError):
+            GradedSequence("x", ints.term_fn, **derived)
+    with pytest.raises(ValueError, match="^factor_count must be at least 1$"):
+        GradedSequence("x", ints.term_fn, ())
 
 
 @pytest.mark.parametrize(
@@ -385,6 +416,12 @@ INTEGER_ARGUMENTS = [
     ("a twist", lambda x: hk_solve((0, x, 3)), 1),
     ("n", lambda x: hk_solve((0, 1, 3), x), 3),
     ("n", lambda x: jt_complex_layout(_Q3, (2, 1), (), x), 2),
+    ("n", lambda x: list(partitions_of(x)), 4),
+    ("max_part", lambda x: list(partitions_of(4, x)), 2),
+    ("max_length", lambda x: list(partitions_of(4, None, x)), 2),
+    ("max_length", lambda x: list(scan_partitions(x, 2)), 2),
+    ("max_part", lambda x: list(scan_partitions(2, x)), 2),
+    ("nvars", lambda x: TruncSeries(1, 3, {(1,): 1}).embed(x, (0,)), 2),
 ]
 
 
@@ -474,17 +511,17 @@ def _complex_term(c, degree, sigma, weight, v):
 def _graded_sequence(c, name, k):
     """An integer sequence for k = 0, else a class sequence with k factors."""
     if not k:
-        return c["GradedSequence"](name, "integer", _constant_term)
-    return c["GradedSequence"](name, "class", _constant_term, k, (2,) * k)
+        return c["GradedSequence"](name, _constant_term)
+    return c["GradedSequence"](name, _constant_term, (2,) * k)
 
 
-def _betti_table(c, steps, tail, step, ratio):
+def _betti_table(c, steps, tail, ratio):
     rows, index, twist = [], -1, -1
     for di, dt, rank in steps:
         index, twist = index + di, twist + dt
         rows.append(c["BettiRow"](index, twist, rank, None if rank == 1 else f"({rank})"))
     last = rows[-1]
-    return c["BettiTable"](tuple(rows), c["BettiTail"](last.index, last.rank, step, ratio) if tail else None)
+    return c["BettiTable"](tuple(rows), c["BettiTail"](last.index, last.rank, ratio) if tail else None)
 
 
 # for each frozen class: a strategy for plain field data, and how to build a
@@ -518,14 +555,13 @@ BUILDERS = {
     ),
     "BettiRow": (st.tuples(SMALL, SMALL, SMALL, st.none() | st.just("(1)")), lambda c, *args: c["BettiRow"](*args)),
     "BettiTail": (
-        st.tuples(SMALL, SMALL, st.integers(1, 2), st.integers(1, 2)),
+        st.tuples(SMALL, SMALL, st.integers(1, 2)),
         lambda c, *args: c["BettiTail"](*args),
     ),
     "BettiTable": (
         st.tuples(
             st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)), min_size=1, max_size=3),
             st.booleans(),
-            st.integers(1, 2),
             st.integers(1, 2),
         ),
         _betti_table,
