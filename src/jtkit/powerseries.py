@@ -242,27 +242,6 @@ class TruncSeries:
     def __hash__(self):
         return hash((self.nvars, self.trunc, tuple(sorted(self.coeffs.items()))))
 
-    def embed(self, nvars: int, positions) -> "TruncSeries":
-        """Reinterpret in a larger variable set; positions[k] is the new index
-        of the current k-th variable; the positions must be distinct indices
-        in range(nvars)."""
-        nvars, positions = _int(nvars, "nvars"), tuple(positions)
-        if len(positions) != self.nvars or nvars < self.nvars:
-            raise ValueError(f"embed needs one position per variable and nvars >= {self.nvars}")
-        try:
-            spots = tuple(_int(p, "a position") for p in positions)
-        except ValueError:
-            spots = None
-        if spots is None or not all(0 <= p < nvars for p in spots) or len(set(spots)) != len(spots):
-            raise ValueError(f"embed positions {positions} are not distinct indices in range({nvars})")
-        out = {}
-        for e, c in self.coeffs.items():
-            ne = [0] * nvars
-            for k, p in enumerate(spots):
-                ne[p] = e[k]
-            out[tuple(ne)] = c
-        return TruncSeries(nvars, self.trunc, _Canonical(out))
-
     def univariate_coeffs(self, upto: int | None = None) -> list[int]:
         """Coefficient list [c_0, ..., c_N] for a one-variable series."""
         if self.nvars != 1:

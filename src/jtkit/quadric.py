@@ -23,7 +23,7 @@ _QSD_CACHE: dict = {}
 @dataclass(frozen=True, slots=True, eq=False)
 class QuadricContext:
     """The quadric hypersurface ring in m variables, with its coordinate
-    sequence and the Koszul-type dual sequence."""
+    sequence.  The Koszul-type dual sequence is make_sequence("qdual", m=m)."""
 
     m: int
     sequence: GradedSequence = field(init=False, repr=False)
@@ -34,11 +34,6 @@ class QuadricContext:
             raise ValueError("quadric context needs m >= 1")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "sequence", make_sequence("quadric", m=m))
-
-    @property
-    def dual(self) -> GradedSequence:
-        """The dual sequence, built afresh (with cold memos) on each read."""
-        return make_sequence("qdual", m=self.m)
 
 
 METHODS = ("jt", "vertical_strip", "super")

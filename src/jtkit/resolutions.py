@@ -89,24 +89,6 @@ class BettiTable:
     def max_twist(self) -> int:
         return max(r.twist for r in self.rows)
 
-    def rank_at(self, index: int) -> int:
-        """Rank at a homological index, extrapolating through the tail."""
-        for row in self.rows:
-            if row.index == index:
-                return row.rank
-        if self.tail is not None and index > self.tail.start:
-            return self.tail.rank * self.tail.ratio ** (index - self.tail.start)
-        return 0
-
-    def twist_at(self, index: int) -> int:
-        for row in self.rows:
-            if row.index == index:
-                return row.twist
-        if self.tail is not None and index > self.tail.start:
-            base = next(r for r in self.rows if r.index == self.tail.start)
-            return base.twist + index - self.tail.start
-        raise ValueError(f"no row at index {index}")
-
     def to_json(self) -> dict:
         return {
             "rows": [r.to_json() for r in self.rows],

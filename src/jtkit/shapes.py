@@ -121,12 +121,6 @@ class Partition:
             raise ValueError(f"part index is 1-based, got {i}")
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
-    def transpose(self) -> "Partition":
-        return Partition(_conj(self.parts))
-
-    def contains(self, other) -> bool:
-        return _fits(self.parts, as_parts(other))
-
     def to_json(self) -> list[int]:
         return list(self.parts)
 
@@ -135,9 +129,6 @@ class Partition:
 
     def __len__(self):
         return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
 
     def __eq__(self, other):
         if isinstance(other, Partition):
@@ -177,19 +168,6 @@ class SkewShape:
             i = self.inner.part(r + 1)
             out.extend((r, c) for c in range(i, o))
         return out
-
-    def is_horizontal_strip(self) -> bool:
-        """At most one box in each column."""
-        o, i = self.outer, self.inner
-        return all(i.part(r) >= o.part(r + 1) for r in range(1, len(o)))
-
-    def is_vertical_strip(self) -> bool:
-        """At most one box in each row."""
-        o, i = self.outer, self.inner
-        return all(o.part(r) - i.part(r) <= 1 for r in range(1, len(o) + 1))
-
-    def transpose(self) -> "SkewShape":
-        return SkewShape(_conj(self.outer.parts), _conj(self.inner.parts))
 
     def to_json(self) -> dict:
         return {"outer": list(self.outer.parts), "inner": list(self.inner.parts)}
@@ -311,10 +289,6 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
         object.__setattr__(self, "word", w)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
     def n(self) -> int:
         return len(self.word)
 
@@ -322,9 +296,6 @@ class Permutation:
         """Number of inversions."""
         w = self.word
         return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
-
-    def sign(self) -> int:
-        return -1 if self.length() % 2 else 1
 
     def apply(self, v: Iterable[int]) -> tuple[int, ...]:
         """Permute a vector: result_i = v_{sigma(i)}."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ._frozen import dataclass
 from .sequences import GradedSequence, jt_minor
 from .shapes import SkewShape, _int, as_parts, dotted_action, permutations_by_length
-from .symfunc import SchurClass, value_json
+from .symfunc import value_json
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,22 +42,6 @@ class ComplexLayout:
 
     def terms_at(self, degree: int) -> tuple:
         return tuple(t for t in self.terms if t.degree == degree)
-
-    def value_at(self, degree: int):
-        """Sum of term values in one homological degree."""
-        acc = None
-        for t in self.terms_at(degree):
-            acc = t.value if acc is None else acc + t.value
-        return 0 if acc is None else acc
-
-    def rank_at(self, degree: int, dims=None) -> int:
-        out = 0
-        for t in self.terms_at(degree):
-            if isinstance(t.value, SchurClass):
-                out += t.value.dim(dims)
-            else:
-                out += t.value
-        return out
 
     def to_json(self) -> dict:
         degrees = []

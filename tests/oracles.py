@@ -2,6 +2,7 @@
 
 Everything here recomputes library results by a different algorithm:
 shape canonicalization, conjugates and containment one part at a time,
+horizontal and vertical strips by their boxes per column and per row,
 the partitions inside a shape by choosing every row and sorting the set,
 the partitions of n by their first part,
 tableau counts by direct chain recursion and, for super tableaux, by
@@ -20,11 +21,13 @@ one minor per pair of shapes, Laplace steps with each cofactor sign read
 off a sign mask, and straight scans by growing boxes with no size cap,
 series inverses by summing geometric powers, the multigraded Hilbert
 series by multiplying with those inverses instead of dividing, and its
-check's report one exponent tuple at a time, series
+check's report one exponent tuple at a time, with series moved into more
+variables term by term, series
 products and quotients on exponent tuples instead of packed keys,
 Taylor coefficients at t = 1 by repeated synthetic division, linear
 systems, hk_solve's among them, by Gauss-Jordan over Fraction,
-hk_solve's own elimination with its unknowns kept as Fractions, and the
+hk_solve's own elimination with its unknowns kept as Fractions, Betti
+ranks and twists read off a table's JSON with its tail extrapolated, the
 minors of tensoralg in closed form by the hook length formula, those
 of tensor:poly:m,poly:m as the coproduct of a Schur class, and the
 frozen value classes by dataclasses.dataclass applied to their own class
@@ -79,6 +82,24 @@ def contains_by_index(outer, inner) -> bool:
     if len(i) > len(o):
         return False
     return all(i[k] <= o[k] for k in range(len(i)))
+
+
+def _boxes(outer, inner) -> list[tuple[int, int]]:
+    """The (row, column) boxes of outer/inner, inner zero-padded."""
+    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    return [(r, c) for r, (o, i) in enumerate(zip(outer, inner)) for c in range(i, o)]
+
+
+def is_horizontal_strip(outer, inner) -> bool:
+    """Whether outer/inner has at most one box in each column."""
+    cols = [c for _, c in _boxes(outer, inner)]
+    return len(cols) == len(set(cols))
+
+
+def is_vertical_strip(outer, inner) -> bool:
+    """Whether outer/inner has at most one box in each row."""
+    rows = [r for r, _ in _boxes(outer, inner)]
+    return len(rows) == len(set(rows))
 
 
 def subpartitions_by_sorting(lam) -> list[tuple[int, ...]]:
@@ -685,6 +706,21 @@ def multigraded_hs_by_inverses(m: int, n: int, trunc: int):
     return series
 
 
+def embed(f, nvars: int, positions):
+    """f as a series in nvars variables, its k-th variable moved to index
+    positions[k]."""
+    from jtkit.powerseries import TruncSeries
+
+    positions = tuple(positions)
+    out = {}
+    for e, c in f.coeffs.items():
+        moved = [0] * nvars
+        for k, p in enumerate(positions):
+            moved[p] = e[k]
+        out[tuple(moved)] = c
+    return TruncSeries(nvars, f.trunc, out)
+
+
 def all_exponents(n: int, trunc: int) -> list:
     """Every exponent tuple of n variables with total degree at most trunc,
     in lexicographic order."""
@@ -707,7 +743,7 @@ def multigraded_hs_report(m: int, n: int, trunc: int) -> dict:
     one = TruncSeries.one(n, trunc)
     x = TruncSeries.var(n, trunc, n - 1)
     last = (one - x * x) * inverse_geometric(one - x) ** m
-    smaller = multigraded_hs_by_inverses(m, n - 1, trunc).embed(n, range(n - 1)) if n > 1 else one
+    smaller = embed(multigraded_hs_by_inverses(m, n - 1, trunc), n, range(n - 1)) if n > 1 else one
     factorization = series == smaller * last
     terms = [comb(m - 1 + e, e) - (comb(m - 3 + e, e - 2) if e >= 2 else 0) for e in range(trunc + 1)]
     coefficients = all(
@@ -891,6 +927,34 @@ def hk_solve_over_fraction(twists):
     tail_raw = solve([{t: s, t + 1: s} for t, s in zip(twists[:-1], signs)] + [{twists[-1]: signs[-1]}])
     finite = solve([{t: s} for t, s in zip(twists, signs)])
     return HKSolution(twists, primitive(tail_raw), primitive(finite), tuple(tail_raw))
+
+
+def betti_rank_at(table, index: int) -> int:
+    """The rank at a homological index, read off table.to_json(): a stored
+    row's rank, past the tail's start the start's rank times ratio per
+    index, and 0 anywhere else."""
+    data = table.to_json()
+    ranks = {row["index"]: row["rank"] for row in data["rows"]}
+    tail = data["tail"]
+    if index in ranks:
+        return ranks[index]
+    if tail is not None and index > tail["start"]:
+        return tail["rank"] * tail.get("ratio", 1) ** (index - tail["start"])
+    return 0
+
+
+def betti_twist_at(table, index: int) -> int:
+    """The twist at a homological index, read off table.to_json(): a stored
+    row's twist, past the tail's start the start row's twist plus step per
+    index; ValueError anywhere else."""
+    data = table.to_json()
+    twists = {row["index"]: row["twist"] for row in data["rows"]}
+    tail = data["tail"]
+    if index in twists:
+        return twists[index]
+    if tail is not None and index > tail["start"]:
+        return twists[tail["start"]] + tail["step"] * (index - tail["start"])
+    raise ValueError(f"no row at index {index}")
 
 
 def jt_minor_h_side(a, shape, r=None):

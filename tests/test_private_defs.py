@@ -10,17 +10,25 @@ upper case after the underscore.
 A defaulted parameter of a private module-level function is used when some
 call in the package passes it, by keyword or by position; a starred
 argument passes every position and a double-starred one every keyword.
-Methods are left out.
+Private methods are left out.
+
+A public non-dunder method of a package class is used when the package,
+scripts/ or bench/ reads its name as an attribute outside the method's own
+body.  The scan does not know types, so any attribute of the same name
+counts.  Dunder methods are left out, since syntax calls them and not an
+attribute read.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "jtkit"
+READERS = (PACKAGE, ROOT / "scripts", ROOT / "bench")
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFS = FUNCS + (ast.ClassDef,)
 CONSTANT = re.compile(r"_[A-Z][A-Z0-9_]*")
@@ -189,4 +197,89 @@ def test_default_scan_sees_positions_keywords_and_stars(tmp_path):
         (1, "_never", "b"),
         (3, "_by_position", "c"),
         (5, "_by_keyword", "c"),
+    ]
+
+
+# Public methods that nothing in READERS reads, each kept for the caller or
+# the README mention named.
+KEPT_METHODS = {
+    "TruncSeries.monomial": "README, Design notes: monomials are the small dicts the checked constructor takes",
+    "TruncSeries.univariate": "tests/test_powerseries.py, the one-variable series of the inverse round trip",
+    "TruncSeries.coefficient": "tests/oracles.py, multigraded_hs_report",
+    "TruncSeries.constant": "tests/oracles.py, inverse_geometric and series_div_tuples",
+    "SchurClass.coefficient": "tests/test_acceptance.py, the coefficients of class minors",
+}
+
+
+def _attribute_reads(node) -> Counter:
+    """How many times node reads each attribute name."""
+    return Counter(s.attr for s in ast.walk(node) if isinstance(s, ast.Attribute) and isinstance(s.ctx, ast.Load))
+
+
+def unread_public_methods(package, readers) -> list[tuple[Path, int, str]]:
+    """(path, line, "Class.method") for each public non-dunder method of a
+    class in package whose name no file of readers reads as an attribute
+    outside the method itself; readers must include package."""
+    reads = Counter()
+    for path in readers:
+        reads.update(_attribute_reads(ast.parse(path.read_text(), filename=str(path))))
+    found = []
+    for path in package:
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(cls, ast.ClassDef):
+                found.extend(
+                    (path, node.lineno, f"{cls.name}.{node.name}")
+                    for node in cls.body
+                    if isinstance(node, FUNCS)
+                    and not node.name.startswith("_")
+                    and reads[node.name] == _attribute_reads(node)[node.name]
+                )
+    return found
+
+
+def test_every_public_method_is_read():
+    package = sorted(PACKAGE.rglob("*.py"))
+    readers = sorted(path for folder in READERS for path in folder.rglob("*.py"))
+    found = unread_public_methods(package, readers)
+    unread = [f"{path.relative_to(ROOT)}:{line}: {name}" for path, line, name in found if name not in KEPT_METHODS]
+    assert not unread, "public methods that nothing reads:\n" + "\n".join(unread)
+    # a kept method that something now reads leaves the list
+    assert sorted(name for _, _, name in found) == sorted(KEPT_METHODS)
+
+
+def test_method_scan_sees_reads_outside_the_method(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "class Value:\n"
+        "    def unread(self):\n"
+        "        pass\n"
+        "    def recursive(self, n):\n"
+        "        return self.recursive(n - 1) if n else 0\n"
+        "    def called(self):\n"
+        "        return self.helper()\n"
+        "    def helper(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def prop(self):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        pass\n"
+        "    def stored(self):\n"
+        "        pass\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "def function():\n"
+        "    pass\n"
+        "Value().stored = 1\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text("import lib\nlib.Value.make().prop\nlib.Value().called()\n")
+    found = unread_public_methods([lib], [lib, user])
+    assert [(line, name) for _, line, name in found] == [
+        (2, "Value.unread"),
+        (4, "Value.recursive"),
+        (16, "Value.stored"),
     ]

@@ -17,7 +17,7 @@ from jtkit.quadric import (
     orthogonal_stable_decomposition,
     quadric_schur_dim,
 )
-from jtkit.sequences import GradedSequence
+from jtkit.sequences import GradedSequence, make_sequence
 from jtkit.shapes import SkewShape, conjugate, partitions_of
 from jtkit.symfunc import binom, dim_gl
 
@@ -44,7 +44,7 @@ SKEW = partitions(max_size=7, max_part=5, max_length=4).flatmap(
 def test_context_basics():
     assert CTX3.m == 3
     assert CTX3.sequence.term(2) == 5
-    assert CTX3.dual.term(2) == 4
+    assert make_sequence("qdual", m=3).term(2) == 4
     with pytest.raises(AttributeError):
         CTX3.m = 5
     with pytest.raises(ValueError):
@@ -151,7 +151,7 @@ def test_term_class_matches_sequence():
         ctx = QuadricContext(m)
         for d in range(8):
             assert quadric_term_class(d).dim((m,)) == ctx.sequence.term(d)
-            assert qdual_term_class(d).dim((m,)) == ctx.dual.term(d)
+            assert qdual_term_class(d).dim((m,)) == make_sequence("qdual", m=m).term(d)
 
 
 def test_term_class_negative_coefficient():

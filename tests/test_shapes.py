@@ -32,12 +32,14 @@ from jtkit.shapes import (
     subpartitions,
     trim,
 )
-from jtkit.symfunc import dim_gl
+from jtkit.symfunc import dim_gl, pieri_extensions
 
 from conftest import partitions, sub_partition
 from oracles import (
     conjugate_by_count,
     contains_by_index,
+    is_horizontal_strip,
+    is_vertical_strip,
     partitions_by_first_part,
     subpartitions_by_sorting,
     trim_by_loop,
@@ -151,8 +153,9 @@ def test_partition_class():
     assert p.size() == 5
     assert p.length() == 2
     assert p.part(1) == 3 and p.part(5) == 0
-    assert p.transpose().parts == (2, 2, 1)
+    assert conjugate(p) == (2, 2, 1)
     assert p == (3, 2)
+    assert (p == [3, 2]) is False  # a partition equals its parts tuple only
     assert list(p) == [3, 2]
     assert p.to_json() == [3, 2]
     with pytest.raises(AttributeError):
@@ -163,7 +166,6 @@ def test_skew_shape_basics():
     s = SkewShape((4, 2), (1,))
     assert s.size() == 5
     assert s.cells() == [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1)]
-    assert s.transpose().outer.parts == (2, 2, 1, 1)
     assert s.label() == "(4,2)/(1)"
     assert SkewShape((3,)).label() == "(3)"
     with pytest.raises(ValueError):
@@ -178,18 +180,24 @@ def test_as_shape():
 
 
 def test_strip_predicates():
-    assert SkewShape((3, 1), (1,)).is_horizontal_strip()
-    assert not SkewShape((2, 2), ()).is_horizontal_strip()
-    assert SkewShape((2, 2), (1, 1)).is_vertical_strip()
-    assert not SkewShape((3, 1), (1,)).is_vertical_strip()
+    assert is_horizontal_strip((3, 1), (1,))
+    assert not is_horizontal_strip((2, 2), ())
+    assert is_vertical_strip((2, 2), (1, 1))
+    assert not is_vertical_strip((3, 1), (1,))
+    # pieri_extensions adds exactly the horizontal strips of k boxes
+    for lam in ((), (2,), (3, 1), (2, 2, 1)):
+        for k in range(4):
+            nus = partitions_of(sum(lam) + k)
+            assert pieri_extensions(lam, k) == sorted(
+                nu for nu in nus if contains_by_index(nu, lam) and is_horizontal_strip(nu, lam)
+            )
 
 
 @given(PARTS.flatmap(lambda lam: st.tuples(st.just(lam), sub_partition(lam))))
 @settings(deadline=None)
 def test_strip_transpose_duality(pair):
     lam, mu = pair
-    s = SkewShape(lam, mu)
-    assert s.is_horizontal_strip() == s.transpose().is_vertical_strip()
+    assert is_horizontal_strip(lam, mu) == is_vertical_strip(conjugate(lam), conjugate(mu))
 
 
 def test_skew_from_boxes():
@@ -267,9 +275,8 @@ def test_permutation():
     p = Permutation((2, 3, 1))
     assert p.n() == 3
     assert p.length() == 2
-    assert p.sign() == 1
     assert p.apply((10, 20, 30)) == (20, 30, 10)
-    assert Permutation.identity(4).length() == 0
+    assert Permutation((1, 2, 3, 4)).length() == 0
     with pytest.raises(ValueError):
         Permutation((1, 1))
 
@@ -301,7 +308,7 @@ def test_permutations_bound():
 def test_dotted_action():
     swap = Permutation((2, 1))
     assert dotted_action(swap, (0, 0)) == (-1, 1)
-    assert dotted_action(Permutation.identity(3), (2, 1, 0)) == (2, 1, 0)
+    assert dotted_action(Permutation((1, 2, 3)), (2, 1, 0)) == (2, 1, 0)
     with pytest.raises(ValueError):
         dotted_action(swap, (1, 2, 3))
 
@@ -402,5 +409,5 @@ def test_contains_and_transpose(pair):
     lam, mu = pair
     assert contains(lam, mu)
     assert contains(conjugate(lam), conjugate(mu))
-    assert Partition(lam).transpose() == conjugate(lam)
+    assert conjugate(Partition(lam)) == conjugate_by_count(lam)
     assert as_parts(Partition(lam)) == lam

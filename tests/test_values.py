@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import importlib
 import inspect
+import operator
 import pickle
 import re
 import sys
@@ -191,6 +192,35 @@ def test_partition_equals_and_hashes_like_its_tuple(parts, zeros):
     p = Partition(parts + (0,) * zeros)
     assert p == parts and hash(p) == hash(parts)
     assert p == Partition(p) and hash(p) == hash(Partition(list(parts)))
+
+
+_CLASS = SchurClass.schur((1,))
+_SERIES = TruncSeries.one(1, 2)
+FOREIGN_OPERATIONS = [
+    (value, method, op)
+    for value in (_CLASS, _SERIES)
+    for method, op in (
+        ("__add__", operator.add),
+        ("__sub__", operator.sub),
+        ("__mul__", operator.mul),
+        ("__truediv__", operator.truediv),
+        ("__rmul__", lambda value, other: other * value),
+    )
+    if hasattr(value, method)
+]
+
+
+@pytest.mark.parametrize(
+    "value, method, op", FOREIGN_OPERATIONS, ids=[f"{type(v).__name__}.{m}" for v, m, _ in FOREIGN_OPERATIONS]
+)
+def test_arithmetic_with_a_foreign_operand_raises_type_error(value, method, op):
+    """Each arithmetic operator of SchurClass and TruncSeries returns
+    NotImplemented for an operand of another type, so Python raises
+    TypeError."""
+    for other in (1.5, "x", _SERIES if value is _CLASS else _CLASS):
+        assert getattr(value, method)(other) is NotImplemented
+        with pytest.raises(TypeError):
+            op(value, other)
 
 
 SKEW = partitions(max_size=10, max_part=5, max_length=4).flatmap(
@@ -421,7 +451,6 @@ INTEGER_ARGUMENTS = [
     ("max_length", lambda x: list(partitions_of(4, None, x)), 2),
     ("max_length", lambda x: list(scan_partitions(x, 2)), 2),
     ("max_part", lambda x: list(scan_partitions(2, x)), 2),
-    ("nvars", lambda x: TruncSeries(1, 3, {(1,): 1}).embed(x, (0,)), 2),
 ]
 
 
