@@ -19,8 +19,7 @@ from its chain of factors to its last comparison.
 Results of arithmetic, and sequences' Hilbert series, are canonical by
 construction, so they reach the constructor as a _Canonical dict, from
 which it only drops zero coefficients; everything else it is given, a few
-small dicts such as monomials and a purity check's numerator, is checked
-and coerced term by term.
+small dicts such as monomials, is checked and coerced term by term.
 """
 
 from __future__ import annotations

@@ -14,10 +14,9 @@ from math import comb, gcd
 from ._frozen import dataclass
 from .determinant import _bareiss
 from .quadric import QuadricContext, quadric_schur_dim
-from .sequences import GradedSequence, hs_series, jt_minor
-from .shapes import Partition, SkewShape, _int, attach_dot
+from .sequences import GradedSequence, jt_minor
+from .shapes import Partition, SkewShape, _int, _label, attach_dot
 from .symfunc import dim_gl
-from .powerseries import TruncSeries
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,7 +170,7 @@ def efw_betti(e, e_dim: int, count: int | None = None) -> BettiTable:
         rank = dim_gl(lam, e_dim)
         if rank == 0:
             continue
-        rows.append(BettiRow(i, twist, rank, label=SkewShape(lam.parts).label()))
+        rows.append(BettiRow(i, twist, rank, label=_label(lam.parts)))
     return BettiTable(tuple(rows))
 
 
@@ -205,7 +204,7 @@ def _pure_table(lams, e, rank, tail_terms: int, ratio: int = 1, tail_label=None)
         value = rank(lam.parts)
         if value <= 0:
             raise RuntimeError(f"head rank {value} at index {i} is not positive")
-        rows.append(BettiRow(i, twist, value, label=SkewShape(lam.parts).label()))
+        rows.append(BettiRow(i, twist, value, label=_label(lam.parts)))
     if e[-1] > 1:
         return BettiTable(tuple(rows))
     last, base = rows[-1].index, rows[-1].rank
@@ -217,7 +216,7 @@ def _pure_table(lams, e, rank, tail_terms: int, ratio: int = 1, tail_label=None)
             raise RuntimeError(f"tail rank {value} at step {j}, expected {expected}")
         if value == 0:
             return BettiTable(tuple(rows))
-        label = SkewShape(shape).label() if tail_label is None else tail_label(j)
+        label = _label(shape) if tail_label is None else tail_label(j)
         rows.append(BettiRow(last + j, twist + j, value, label=label))
     return BettiTable(tuple(rows), BettiTail(start=last, rank=base, ratio=ratio))
 
@@ -303,15 +302,16 @@ def validate_purity(
     """Check that the alternating sum of shifted copies of the sequence's
     Hilbert series collapses to a polynomial with nonnegative coefficients.
 
-    The candidate module series is computed as a truncated power series up to
-    tail_horizon, with the tail (when present) summed in closed geometric
-    form.  Coefficients past the degree bound (one more than the largest
-    stored twist) must vanish through the horizon; the horizon must clear
-    the bound by at least margin, and by at least 1 so that some
-    coefficient is checked, or the certification refuses to answer.  None
-    takes the horizon 24, or the least that clears the bound if that is
-    more.  The numerator has one term per degree, since twists strictly
-    increase and the tail, whose twists step by 1, starts at its anchor row.
+    The candidate module series is the numerator convolved with the
+    sequence's dimensions through degree tail_horizon, with the tail (when
+    present) summed in closed geometric form.  Coefficients past the degree
+    bound (one more than the largest stored twist) must vanish through the
+    horizon; the horizon must clear the bound by at least margin, and by at
+    least 1 so that some coefficient is checked, or the certification
+    refuses to answer.  None takes the horizon 24, or the least that clears
+    the bound if that is more.  The numerator has one term per degree, since
+    twists strictly increase and the tail, whose twists step by 1, starts at
+    its anchor row.
     """
     if table.is_empty():
         return PurityReport(True, True, (), 0, 0, 24 if tail_horizon is None else _int(tail_horizon, "tail_horizon"))
@@ -324,14 +324,18 @@ def validate_purity(
     numerator = {}
     for row in table.rows:
         if t is None or row.index < t.start:
-            numerator[(row.twist,)] = -row.rank if row.index % 2 else row.rank
+            numerator[row.twist] = -row.rank if row.index % 2 else row.rank
     if t is not None:
         anchor = next(r for r in table.rows if r.index == t.start)
         sign = -1 if t.start % 2 else 1
         for j in range(tail_horizon - anchor.twist + 1):
-            numerator[(anchor.twist + j,)] = sign * t.rank * (-t.ratio) ** j
-    series = TruncSeries(1, tail_horizon, numerator) * hs_series(a, tail_horizon)
-    coeffs = series.univariate_coeffs()
+            numerator[anchor.twist + j] = sign * t.rank * (-t.ratio) ** j
+    tail_horizon, numerator = _checked_numerator(tail_horizon, numerator)
+    dims = [a.dims(d) for d in range(tail_horizon + 1)]
+    coeffs = [0] * (tail_horizon + 1)
+    for twist, c in numerator.items():
+        for d, dim in enumerate(dims[: tail_horizon + 1 - twist], twist):
+            coeffs[d] += c * dim
     is_poly = all(c == 0 for c in coeffs[bound + 1 :])
     reported = coeffs[: bound + 1]
     while reported and reported[-1] == 0:
@@ -339,6 +343,27 @@ def validate_purity(
     nonneg = is_poly and all(c >= 0 for c in reported)
     dim = sum(reported) if is_poly else None
     return PurityReport(is_poly, nonneg, tuple(reported), dim, bound, tail_horizon)
+
+
+def _checked_numerator(horizon, numerator: dict) -> tuple[int, dict[int, int]]:
+    """The horizon and the numerator's nonzero terms through it, as ints.
+
+    A table's rows are not type checked, so this refuses, in the words of
+    the TruncSeries constructor and in its order, a horizon or a twist or
+    rank that is not an integer (a horizon derived from a non-integer
+    twist), a negative horizon and a negative twist."""
+    horizon = _int(horizon, "trunc")
+    if horizon < 0:
+        raise ValueError(f"series need nvars >= 1 and trunc >= 0, got 1, {horizon}")
+    terms = {}
+    for twist, c in numerator.items():
+        twist = _int(twist, "an exponent")
+        if twist < 0:
+            raise ValueError(f"exponent {(twist,)} is not 1 nonnegative integers")
+        c = _int(c, "a coefficient")
+        if twist <= horizon and c:
+            terms[twist] = terms.get(twist, 0) + c
+    return horizon, terms
 
 
 @dataclass(frozen=True, slots=True)

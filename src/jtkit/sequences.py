@@ -86,7 +86,7 @@ class GradedSequence:
         if hit is not None:
             return hit
         value = self.term_fn(self, d)
-        if self.value_kind == "integer":
+        if self.value_kind == "integer" and type(value) is not int:
             value = _int(value, f"term {d} of {self.name}")
         return memo_put(self._terms, d, value)
 

@@ -174,13 +174,16 @@ class SkewShape:
 
     def label(self) -> str:
         """Compact text form, used as a Betti row label."""
-        o = "(" + ",".join(map(str, self.outer.parts)) + ")"
-        if not self.inner.parts:
-            return o
-        return o + "/(" + ",".join(map(str, self.inner.parts)) + ")"
+        return _label(self.outer.parts, self.inner.parts)
 
     def __repr__(self):
         return f"SkewShape({self.outer.parts!r}, {self.inner.parts!r})"
+
+
+def _label(outer: tuple[int, ...], inner: tuple[int, ...] = ()) -> str:
+    """The text form (outer) or (outer)/(inner) of canonical parts."""
+    o = "(" + ",".join(map(str, outer)) + ")"
+    return o + "/(" + ",".join(map(str, inner)) + ")" if inner else o
 
 
 def as_shape(s) -> SkewShape:
@@ -223,44 +226,57 @@ def skew_from_boxes(boxes: Iterable[tuple[int, int]]) -> SkewShape:
         raise ValueError(f"boxes do not normalize to a skew shape: {exc}") from exc
 
 
+def _ribbon_rows(c) -> list[tuple[int, int]]:
+    """The rows of the ribbon of a composition, top to bottom, as (inner,
+    outer) column ranges: c_1 is the lowest row, starting at column 0, and
+    each next row starts at the previous row's last column."""
+    alpha = tuple(_int(a, "a composition part") for a in c)
+    if not alpha or any(a < 1 for a in alpha):
+        raise ValueError(f"composition parts must be positive: {alpha}")
+    rows = []
+    start = 0
+    for a in alpha:
+        rows.append((start, start + a))
+        start += a - 1
+    rows.reverse()
+    return rows
+
+
 def ribbon_of(c) -> SkewShape:
     """The ribbon (border strip) of a composition.
 
     Row lengths are c_r, ..., c_1 reading top to bottom and consecutive rows
     share exactly one column.
     """
-    alpha = tuple(_int(a, "a composition part") for a in c)
-    if not alpha or any(a < 1 for a in alpha):
-        raise ValueError(f"composition parts must be positive: {alpha}")
-    r = len(alpha)
-    boxes = []
-    start = 0
-    for i, a in enumerate(alpha):
-        # rows are laid out bottom-up: c_1 is the lowest row, each next row
-        # starts at the previous row's last column
-        row = r - 1 - i
-        boxes.extend((row, start + k) for k in range(a))
-        start += a - 1
-    return skew_from_boxes(boxes)
+    rows = _ribbon_rows(c)
+    return SkewShape([hi for _, hi in rows], [lo for lo, _ in rows])
 
 
 def _attach(d: SkewShape, c, merge_row: bool) -> SkewShape:
-    rib = ribbon_of(c)
-    dcells = as_shape(d).cells()
-    if not dcells:
-        return rib
-    h = len(as_shape(d).outer)
-    rib_cells = rib.cells()
-    top_end = max(col for row, col in rib_cells if row == 0)
-    bottom_start = as_shape(d).inner.part(h)
+    """The gluing, row by row.  d's rows and the ribbon's are each skew,
+    and the rows where they meet are too, so the glued rows fail to be a
+    skew shape only by an empty row of d below its first nonempty one,
+    refused as skew_from_boxes refuses the same boxes."""
+    if not d.size():
+        return ribbon_of(c)
+    rib = _ribbon_rows(c)
+    outer = d.outer.parts
+    rows = list(zip(d.inner.parts + (0,) * (len(outer) - len(d.inner.parts)), outer))
+    # the ribbon's top row ends just left of d's bottom row (merge_row) or
+    # in that row's first column, one row down
+    shift = rows[-1][0] - rib[0][1] + (not merge_row)
+    rib = [(lo + shift, hi + shift) for lo, hi in rib]
     if merge_row:
         # ribbon top row continues d's bottom row to the left, same row
-        row_shift, col_shift = h - 1, bottom_start - 1 - top_end
-    else:
-        # ribbon top row sits below d's bottom row, sharing one column
-        row_shift, col_shift = h, bottom_start - top_end
-    boxes = dcells + [(r + row_shift, col + col_shift) for r, col in rib_cells]
-    return skew_from_boxes(boxes)
+        rows[-1] = (rib.pop(0)[0], outer[-1])
+    rows += rib
+    first = next(r for r, (lo, hi) in enumerate(rows) if lo < hi)
+    rows = rows[first:]
+    for r, (lo, hi) in enumerate(rows):
+        if lo == hi:
+            raise ValueError(f"row {r} empty, not a skew shape")
+    c0 = min(lo for lo, _ in rows)
+    return SkewShape([hi - c0 for _, hi in rows], [lo - c0 for lo, _ in rows])
 
 
 def attach_odot(d: SkewShape, c) -> SkewShape:

@@ -3,6 +3,14 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 
+def outcome(f, *args, **kwargs):
+    """f's value, or the type and message of the exception it raised."""
+    try:
+        return f(*args, **kwargs)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
 def partitions(max_size=8, max_part=8, max_length=4):
     """Strategy for partition tuples within the given box and size cap."""
 

@@ -35,8 +35,10 @@ bodies.  None of these call the library code paths they check.
 
 The last few helpers instead cross two library routes against each other:
 the h-type and e-type minors of one shape, a class minor whatever side
-jt_minor picks against its h-form, the Pieri rule on minors, and the
-quadric sequences as virtual GL classes read at dimension level.
+jt_minor picks against its h-form, the Pieri rule on minors, the purity
+check by a TruncSeries product with hs_series, ribbons and their gluing
+by box lists through skew_from_boxes, and the quadric sequences as
+virtual GL classes read at dimension level.
 """
 
 from __future__ import annotations
@@ -990,6 +992,84 @@ def pieri_identity_check(a, lam, d: int) -> bool:
         if len(mu) <= bound:
             rhs = rhs + jt_minor(a, mu, bound)
     return lhs == rhs
+
+
+def purity_by_series(table, a, tail_horizon=None, margin=6):
+    """validate_purity with the candidate module series taken as the
+    TruncSeries product of the numerator and the sequence's Hilbert series,
+    hs_series, read back by univariate_coeffs; its refusals of twists and
+    ranks are the series constructor's own."""
+    from jtkit.powerseries import TruncSeries
+    from jtkit.resolutions import PurityReport
+    from jtkit.sequences import hs_series
+    from jtkit.shapes import _int
+
+    if table.is_empty():
+        return PurityReport(True, True, (), 0, 0, 24 if tail_horizon is None else _int(tail_horizon, "tail_horizon"))
+    bound = table.max_twist() + 1
+    need = bound + max(_int(margin, "margin"), 1)
+    tail_horizon = max(24, need) if tail_horizon is None else _int(tail_horizon, "tail_horizon")
+    if tail_horizon < need:
+        raise ValueError(f"horizon {tail_horizon} too small to certify, need at least {need}")
+    t = table.tail
+    numerator = {}
+    for row in table.rows:
+        if t is None or row.index < t.start:
+            numerator[(row.twist,)] = -row.rank if row.index % 2 else row.rank
+    if t is not None:
+        anchor = next(r for r in table.rows if r.index == t.start)
+        sign = -1 if t.start % 2 else 1
+        for j in range(tail_horizon - anchor.twist + 1):
+            numerator[(anchor.twist + j,)] = sign * t.rank * (-t.ratio) ** j
+    series = TruncSeries(1, tail_horizon, numerator) * hs_series(a, tail_horizon)
+    coeffs = series.univariate_coeffs()
+    is_poly = all(c == 0 for c in coeffs[bound + 1 :])
+    reported = coeffs[: bound + 1]
+    while reported and reported[-1] == 0:
+        reported.pop()
+    nonneg = is_poly and all(c >= 0 for c in reported)
+    dim = sum(reported) if is_poly else None
+    return PurityReport(is_poly, nonneg, tuple(reported), dim, bound, tail_horizon)
+
+
+def ribbon_by_boxes(c):
+    """ribbon_of through a box list: the rows laid out bottom-up, each
+    starting at the previous row's last column, then skew_from_boxes."""
+    from jtkit.shapes import _int, skew_from_boxes
+
+    alpha = tuple(_int(a, "a composition part") for a in c)
+    if not alpha or any(a < 1 for a in alpha):
+        raise ValueError(f"composition parts must be positive: {alpha}")
+    r = len(alpha)
+    boxes = []
+    start = 0
+    for i, a in enumerate(alpha):
+        row = r - 1 - i
+        boxes.extend((row, start + k) for k in range(a))
+        start += a - 1
+    return skew_from_boxes(boxes)
+
+
+def attach_by_boxes(d, c, merge_row: bool):
+    """attach_odot (merge_row) or attach_dot through box lists: d's cells
+    and the shifted cells of ribbon_by_boxes(c), then skew_from_boxes."""
+    from jtkit.shapes import as_shape, skew_from_boxes
+
+    d = as_shape(d)
+    rib = ribbon_by_boxes(c)
+    dcells = d.cells()
+    if not dcells:
+        return rib
+    h = len(d.outer)
+    rib_cells = rib.cells()
+    top_end = max(col for row, col in rib_cells if row == 0)
+    bottom_start = d.inner.part(h)
+    if merge_row:
+        row_shift, col_shift = h - 1, bottom_start - 1 - top_end
+    else:
+        row_shift, col_shift = h, bottom_start - top_end
+    boxes = dcells + [(r + row_shift, col + col_shift) for r, col in rib_cells]
+    return skew_from_boxes(boxes)
 
 
 def quadric_term_class(d: int):

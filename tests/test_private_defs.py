@@ -208,6 +208,8 @@ KEPT_METHODS = {
     "TruncSeries.coefficient": "tests/oracles.py, multigraded_hs_report",
     "TruncSeries.constant": "tests/oracles.py, inverse_geometric and series_div_tuples",
     "SchurClass.coefficient": "tests/test_acceptance.py, the coefficients of class minors",
+    "TruncSeries.univariate_coeffs": "tests/oracles.py, purity_by_series",
+    "SkewShape.cells": "tests/oracles.py, attach_by_boxes",
 }
 
 

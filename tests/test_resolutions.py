@@ -27,12 +27,14 @@ from jtkit import determinant, resolutions
 from jtkit.sequences import make_sequence
 from jtkit.symfunc import dim_gl
 
+from conftest import outcome
 from oracles import (
     betti_rank_at,
     betti_twist_at,
     det_fraction,
     hk_solve_by_fractions,
     hk_solve_over_fraction,
+    purity_by_series,
     solve_fraction,
     taylor_remainders,
 )
@@ -443,7 +445,7 @@ def test_validate_purity_nonnegative_with_an_interior_zero():
 
 
 def test_validate_purity_checks_twists():
-    # the numerator keeps the series constructor's check, so a negative twist is refused
+    # twists are refused in the series constructor's words, so a negative one reads as an exponent
     negative = BettiTable((BettiRow(0, -1, 1),))
     with pytest.raises(ValueError, match=r"^exponent \(-1,\) is not 1 nonnegative integers$"):
         validate_purity(negative, Q3)
@@ -480,6 +482,86 @@ def test_validate_purity_matches_direct_convolution():
         ]
         want = list(rep.coefficients) + [0] * (8 - len(rep.coefficients))
         assert hilbert == want, e
+
+
+# sequences that certify no table drawn below, or run out of terms first
+WRONG_SEQUENCES = (Q3, rnc_sequence(2), make_sequence("list", dims=(1, 3, 5)))
+
+
+@st.composite
+def purity_cases(draw):
+    """A quadric, rational normal curve or EFW table with the sequence that
+    certifies it (or, now and then, a wrong one), a horizon and a margin.
+    Curve tails have ratio d - 1, so d = 1, 2 give ratios 0 and 1."""
+    kind = draw(st.sampled_from(("quadric", "rnc", "efw")))
+    tail = draw(st.integers(1, 6))
+    if kind == "quadric":
+        m = draw(st.integers(2, 5))
+        table = quadric_pure_resolution(m, draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)), tail)
+        seq = make_sequence("quadric", m=m)
+    elif kind == "rnc":
+        d = draw(st.integers(1, 5))
+        table = rnc_pure_resolution(d, draw(st.lists(st.integers(1, 3), min_size=3, max_size=3)), tail)
+        seq = rnc_sequence(d)
+    else:
+        dim = draw(st.integers(1, 5))
+        table = efw_betti(draw(st.lists(st.integers(1, 3), min_size=1, max_size=dim + 1)), dim)
+        seq = make_sequence("poly", m=dim).dim_view()
+    if draw(st.integers(0, 4)) == 0:
+        seq = draw(st.sampled_from(WRONG_SEQUENCES))
+    horizon = draw(st.one_of(st.none(), st.integers(0, 40)))
+    return table, seq, horizon, draw(st.integers(-2, 8))
+
+
+@given(purity_cases())
+@settings(deadline=None, max_examples=150)
+@example((BettiTable(()), Q3, None, 6))
+@example((BettiTable(()), Q3, 7, 30))
+@example((BettiTable((BettiRow(0, 0, 1),)), Q3, 2, 0))  # only the coefficient at the horizon is past the bound
+@example((rnc_pure_resolution(1, (1, 1, 1)), rnc_sequence(1), None, 6))
+@example((rnc_pure_resolution(2, (2, 1, 1), 5), rnc_sequence(2), 30, 0))
+@example((rnc_pure_resolution(4, (2, 2, 1), 3), rnc_sequence(4), None, 6))
+@example((quadric_pure_resolution(3, (1, 1, 1), 64), Q3, None, 6))
+def test_validate_purity_matches_series_oracle(case):
+    table, seq, horizon, margin = case
+    want = outcome(purity_by_series, table, seq, horizon, margin)
+    assert outcome(validate_purity, table, seq, tail_horizon=horizon, margin=margin) == want
+
+
+# ranks that are not integers, and twists that are not integers or are
+# negative; BettiTable only asks that ranks be positive
+ODD_TWISTS = (True, 1.5, 2.0, Fraction(3, 2), Fraction(4, 2), 30.5, -3, -1, 0, 5, 8)
+ODD_RANKS = (True, 1.5, 2.0, Fraction(3, 2), Fraction(4, 2), 30.5, 2**70, 1, 4)
+
+
+@st.composite
+def odd_tables(draw):
+    """A table of one to four rows with twists and ranks from the lists
+    above, and now and then a tail from its last row."""
+    count = draw(st.integers(1, 4))
+    twists = sorted(set(draw(st.lists(st.sampled_from(ODD_TWISTS), min_size=count, max_size=count))))
+    ranks = draw(st.lists(st.sampled_from(ODD_RANKS), min_size=len(twists), max_size=len(twists)))
+    rows = tuple(BettiRow(i, t, r) for i, (t, r) in enumerate(zip(twists, ranks)))
+    if len(rows) > 1 and draw(st.booleans()):
+        # a tail with no stored rows past its anchor passes every check
+        return BettiTable(rows, BettiTail(rows[-1].index, rows[-1].rank, draw(st.integers(0, 3))))
+    return BettiTable(rows)
+
+
+@given(odd_tables(), st.one_of(st.none(), st.integers(-8, 40)), st.integers(-2, 8))
+@settings(deadline=None, max_examples=300)
+@example(BettiTable((BettiRow(0, -1, 1),)), None, 6)
+@example(BettiTable((BettiRow(0, 0, 1), BettiRow(1, 1.5, 2))), None, 6)
+@example(BettiTable((BettiRow(0, 0, 1), BettiRow(1, Fraction(3, 2), 2))), None, 6)
+@example(BettiTable((BettiRow(0, 0, 1.0),)), None, 6)
+@example(BettiTable((BettiRow(0, 0, Fraction(1, 2)),)), None, 6)
+@example(BettiTable((BettiRow(0, 30.5, 1),)), None, 6)
+@example(BettiTable((BettiRow(0, -5, 1),)), -3, 1)
+@example(BettiTable((BettiRow(0, False, True), BettiRow(1, True, 2))), None, 6)
+@example(BettiTable((BettiRow(0, 0, 1), BettiRow(1, 1, 2.0)), BettiTail(1, 2.0, 2)), None, 6)
+def test_validate_purity_refuses_as_the_series_oracle(table, horizon, margin):
+    want = outcome(purity_by_series, table, Q3, horizon, margin)
+    assert outcome(validate_purity, table, Q3, tail_horizon=horizon, margin=margin) == want
 
 
 # --- Hilbert series twists in the style of intersection multiplicities ------

@@ -34,13 +34,15 @@ from jtkit.shapes import (
 )
 from jtkit.symfunc import dim_gl, pieri_extensions
 
-from conftest import partitions, sub_partition
+from conftest import outcome, partitions, sub_partition
 from oracles import (
+    attach_by_boxes,
     conjugate_by_count,
     contains_by_index,
     is_horizontal_strip,
     is_vertical_strip,
     partitions_by_first_part,
+    ribbon_by_boxes,
     subpartitions_by_sorting,
     trim_by_loop,
 )
@@ -269,6 +271,39 @@ def test_attach_sizes(alpha):
     d = SkewShape((4, 3), (1,))
     assert attach_dot(d, alpha).size() == d.size() + sum(alpha)
     assert attach_odot(d, alpha).size() == d.size() + sum(alpha)
+
+
+# compositions, with now and then a part that is zero, negative or not an
+# integer, or no part at all
+COMPOSITIONS = st.lists(
+    st.one_of(st.integers(1, 4), st.sampled_from((0, -1, 2.5, True))), max_size=5
+).map(tuple)
+
+
+@given(COMPOSITIONS)
+@settings(deadline=None)
+@example((2, 2))
+@example(())
+def test_ribbon_of_matches_box_oracle(alpha):
+    assert outcome(ribbon_of, alpha) == outcome(ribbon_by_boxes, alpha)
+
+
+@given(PAIRS, COMPOSITIONS, st.booleans())
+@settings(deadline=None, max_examples=300)
+@example(((3, 3, 2), (1,)), (2, 2), True)
+@example(((3, 3, 2), (1,)), (2, 2), False)
+@example(((3, 2), (2, 2)), (2, 1), False)  # d's bottom row is empty
+@example(((3, 2), (2, 2)), (2, 1), True)
+@example(((3, 3, 1), (3, 1)), (1,), True)  # d's top row is empty
+@example(((3, 2, 2), (2, 2, 1)), (1,), True)  # an empty row inside d
+@example(((3, 3, 1), (3, 1, 1)), (2,), False)  # empty rows at d's top and bottom
+@example(((2,), (2,)), (3, 1), True)  # d has no boxes
+@example(((1,), ()), (3,), True)  # the merged row reaches left of column 0
+@example(((5, 3), (2,)), (3,) * 64, False)
+def test_attach_matches_box_oracle(pair, alpha, merge_row):
+    d = SkewShape(*pair)
+    attach = attach_odot if merge_row else attach_dot
+    assert outcome(attach, d, alpha) == outcome(attach_by_boxes, d, alpha, merge_row)
 
 
 def test_permutation():
